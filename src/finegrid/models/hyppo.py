@@ -5,6 +5,11 @@ degree whose leave-one-out error over those neighbors is smallest (ties to
 the lower degree), refit that degree on all k neighbors, and evaluate at the
 query. Features are centered on the query before building monomials, so the
 fitted constant term is the prediction and the basis stays well conditioned.
+
+Every fit, leave-one-out fold or final refit, is solved by pseudo-inverse
+with cutoff sigma <= 1e-10 * sigma_max, so rank-deficient neighborhoods (the
+rule when training points sit on a lattice) need no separate path. All folds
+of a chunk of queries are fit by one batched SVD per candidate degree.
 """
 
 from __future__ import annotations
@@ -27,6 +32,10 @@ TIE_REL = 1e-10
 # singular-value cutoff for rank-deficient least squares, relative to the
 # largest singular value
 RCOND = 1e-10
+
+# size in bytes of the (chunk, k, k-1, m) fold design stack; sets the query
+# chunk, so memory stays flat as k and the monomial count m grow
+FOLD_STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -75,6 +84,16 @@ def admissible_degrees(nvars: int, k: int, max_degree: int) -> list[int]:
     return [d for d in range(max_degree + 1) if monomial_count(nvars, d) <= k - 1]
 
 
+def _lstsq(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-inverse least squares on a stack x (..., n, m), z (..., n), with
+    np.linalg.pinv's cutoff sigma <= RCOND * sigma_max; returns the
+    coefficients (..., m) and the numerical rank (...)."""
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    keep = s > RCOND * s.max(axis=-1, keepdims=True)
+    scaled = np.einsum("...nr,...n->...r", u, z) / np.where(keep, s, np.inf)
+    return np.einsum("...rm,...r->...m", vt, scaled), keep.sum(axis=-1)
+
+
 @dataclass(frozen=True)
 class PolyFit:
     """A fitted polynomial in nvars variables."""
@@ -94,7 +113,7 @@ def fit_polynomial(features: np.ndarray, targets: np.ndarray, degree: int) -> Po
     """Least-squares fit over the full monomial basis of total degree <= degree.
 
     Rank-deficient systems are resolved by the pseudo-inverse with cutoff
-    sigma < 1e-10 * sigma_max and flagged on the result.
+    sigma <= 1e-10 * sigma_max and flagged on the result.
     """
     feats = np.atleast_2d(np.asarray(features, dtype=float))
     z = np.asarray(targets, dtype=float)
@@ -103,25 +122,39 @@ def fit_polynomial(features: np.ndarray, targets: np.ndarray, degree: int) -> Po
     if degree == 0:
         return PolyFit(np.array([neighbor_mean(z)]), 0, feats.shape[1])
     exps = monomial_exponents(feats.shape[1], degree)
-    x = design_matrix(feats, exps)
-    coef, _, rank, _ = np.linalg.lstsq(x, z, rcond=RCOND)
-    return PolyFit(coef, degree, feats.shape[1], rank < len(exps))
+    coef, rank = _lstsq(design_matrix(feats, exps), z)
+    return PolyFit(coef, degree, feats.shape[1], bool(rank < len(exps)))
 
 
-def _tie_tolerance(targets: np.ndarray) -> float:
-    return TIE_REL * (1.0 + float(np.mean(targets * targets)))
+def _tie_tolerance(targets: np.ndarray) -> np.ndarray:
+    """Magnitude-relative tie tolerance of each target vector (last axis)."""
+    return TIE_REL * (1.0 + np.mean(targets * targets, axis=-1))
 
 
-def _loo_error_slow(features: np.ndarray, targets: np.ndarray, degree: int) -> float:
-    """Reference leave-one-out error sum: one explicit refit per held-out point."""
-    k = len(targets)
-    total = 0.0
-    for i in range(k):
-        mask = np.arange(k) != i
-        fit = fit_polynomial(features[mask], targets[mask], degree)
-        pred = fit(features[i:i + 1])[0]
-        total += (targets[i] - pred) ** 2
-    return total
+def _loo_errors(feats: np.ndarray, z: np.ndarray, degree: int) -> np.ndarray:
+    """Leave-one-out error sums for one degree across a stack of queries.
+
+    feats: (c, k, nvars) neighbor features; z: (c, k) neighbor targets. The
+    k fold design matrices of every query form one (c, k, k-1, m) stack.
+    """
+    k = z.shape[1]
+    if degree == 0:
+        loo_mean = (z.sum(axis=1, keepdims=True) - z) / (k - 1)
+        return ((z - loo_mean) ** 2).sum(axis=1)
+    x = design_matrix(feats, monomial_exponents(feats.shape[2], degree))
+    rest = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)  # fold i drops row i
+    coef, _ = _lstsq(x[:, rest], z[:, rest])
+    pred = np.einsum("ckm,ckm->ck", x, coef)
+    return ((pred - z) ** 2).sum(axis=1)
+
+
+def _select_degrees(feats: np.ndarray, z: np.ndarray, candidates: list[int]) -> np.ndarray:
+    """Selected degree of each query in a (c, k, nvars) stack: the lowest
+    leave-one-out error sum, where sums within the tie tolerance of the
+    minimum go to the lower degree."""
+    errors = np.stack([_loo_errors(feats, z, d) for d in candidates])
+    tied = errors <= errors.min(axis=0) + _tie_tolerance(z)
+    return np.asarray(candidates)[tied.argmax(axis=0)]
 
 
 def hyppo_select_degree(features: np.ndarray, targets: np.ndarray, max_degree: int) -> int:
@@ -137,44 +170,8 @@ def hyppo_select_degree(features: np.ndarray, targets: np.ndarray, max_degree: i
     k = len(z)
     if k < 2:
         raise UsageError("degree selection needs at least 2 neighbors")
-    degrees = admissible_degrees(feats.shape[1], k, max_degree)
-    errors = [_loo_error_slow(feats, z, d) for d in degrees]
-    tol = _tie_tolerance(z)
-    best = min(errors)
-    for d, e in zip(degrees, errors):
-        if e <= best + tol:
-            return d
-    return degrees[-1]
-
-
-def _loo_errors_batch(centered: np.ndarray, z: np.ndarray, degree: int) -> np.ndarray:
-    """LOO error sums for one candidate degree across a chunk of queries.
-
-    centered: (c, k, nvars) neighbor features centered on each query;
-    z: (c, k) neighbor targets. Uses rank-one downdates of the full normal
-    equations; any query the batched solver cannot handle falls back to the
-    explicit per-fold refit.
-    """
-    c, k = z.shape
-    if degree == 0:
-        loo_mean = (z.sum(axis=1, keepdims=True) - z) / (k - 1)
-        return ((z - loo_mean) ** 2).sum(axis=1)
-    exps = monomial_exponents(centered.shape[2], degree)
-    x = design_matrix(centered, exps)
-    gram = np.einsum("cki,ckj->cij", x, x)
-    rhs = np.einsum("cki,ck->ci", x, z)
-    gram_folds = gram[:, None, :, :] - x[:, :, :, None] * x[:, :, None, :]
-    rhs_folds = rhs[:, None, :] - x * z[:, :, None]
-    try:
-        coef = np.linalg.solve(gram_folds, rhs_folds[..., None])[..., 0]
-        pred = np.einsum("ckm,ckm->ck", x, coef)
-        errors = ((pred - z) ** 2).sum(axis=1)
-    except np.linalg.LinAlgError:
-        errors = np.full(c, np.nan)
-    bad = ~np.isfinite(errors)
-    for i in np.nonzero(bad)[0]:
-        errors[i] = _loo_error_slow(centered[i], z[i], degree)
-    return errors
+    candidates = admissible_degrees(feats.shape[1], k, max_degree)
+    return int(_select_degrees(feats[None], z[None], candidates)[0])
 
 
 def hyppo_predict_with_degrees(
@@ -183,12 +180,14 @@ def hyppo_predict_with_degrees(
     cfg: HyppoConfig,
     space: FeatureSpace,
     target_range: tuple[float, float] | None = None,
-    chunk: int = 512,
+    chunk: int | None = None,
 ):
-    """Predictions plus the per-query selected degree.
+    """Predictions, the per-query selected degree, and whether each query's
+    refit at that degree was rank-deficient.
 
     Degree 0 predicts through the same neighbor-mean reduction as uniform
-    kNN, so the two agree bit for bit on identical neighborhoods.
+    kNN, so the two agree bit for bit on identical neighborhoods. Results do
+    not depend on the chunk size, which defaults to FOLD_STACK_BYTES' worth.
     """
     z = train.require_targets()
     if cfg.k > len(train):
@@ -197,34 +196,31 @@ def hyppo_predict_with_degrees(
     query_f = space.features(queries)
     idx, _ = neighbor_search(train_f, query_f, cfg.k)
     candidates = admissible_degrees(space.nvars, cfg.k, cfg.max_degree)
-    exps_by_degree = {d: monomial_exponents(space.nvars, d) for d in candidates}
+    fold_bytes = 8 * cfg.k * (cfg.k - 1) * monomial_count(space.nvars, candidates[-1])
+    chunk = chunk or max(1, FOLD_STACK_BYTES // fold_bytes)
 
     nq = len(queries)
     predictions = np.empty(nq)
     degrees = np.empty(nq, dtype=np.int64)
+    rank_deficient = np.zeros(nq, dtype=bool)
     for start in range(0, nq, chunk):
-        rows = slice(start, min(start + chunk, nq))
+        rows = slice(start, start + chunk)
         centered = train_f[idx[rows]] - query_f[rows][:, None, :]
         neighbor_z = z[idx[rows]]
-        errors = np.empty((len(candidates), neighbor_z.shape[0]))
-        for ci, d in enumerate(candidates):
-            errors[ci] = _loo_errors_batch(centered, neighbor_z, d)
-        tol = TIE_REL * (1.0 + (neighbor_z * neighbor_z).mean(axis=1))
-        tied = errors <= errors.min(axis=0) + tol
-        selected = tied.argmax(axis=0)
-        for i in range(neighbor_z.shape[0]):
-            d = candidates[selected[i]]
-            degrees[start + i] = d
-            if d == 0:
-                predictions[start + i] = neighbor_mean(neighbor_z[i])
-            else:
-                x = design_matrix(centered[i], exps_by_degree[d])
-                coef = np.linalg.lstsq(x, neighbor_z[i], rcond=RCOND)[0]
-                predictions[start + i] = coef[0]
+        selected = _select_degrees(centered, neighbor_z, candidates)
+        degrees[rows] = selected
+        for i in np.nonzero(selected == 0)[0]:
+            predictions[start + i] = neighbor_mean(neighbor_z[i])
+        for d in np.unique(selected[selected > 0]):
+            sel = np.nonzero(selected == d)[0]
+            exps = monomial_exponents(space.nvars, int(d))
+            coef, rank = _lstsq(design_matrix(centered[sel], exps), neighbor_z[sel])
+            predictions[start + sel] = coef[:, 0]
+            rank_deficient[start + sel] = rank < len(exps)
     if target_range is not None:
         lo, hi = target_range
         predictions = np.clip(predictions, lo, hi)
-    return predictions, degrees
+    return predictions, degrees, rank_deficient
 
 
 def hyppo_predict(
@@ -235,5 +231,4 @@ def hyppo_predict(
     target_range: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """Local polynomial prediction at each query; see module docstring."""
-    predictions, _ = hyppo_predict_with_degrees(train, queries, cfg, space, target_range)
-    return predictions
+    return hyppo_predict_with_degrees(train, queries, cfg, space, target_range)[0]

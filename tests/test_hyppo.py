@@ -32,6 +32,18 @@ def identity_space(nvars=2):
     return FeatureSpace(mode="coords", means=np.zeros(nvars), stdevs=np.ones(nvars))
 
 
+def lattice_case(rng, nq):
+    """Training points on a regular 8 x 8 grid, as coarse-cell centroids are,
+    under a smooth noisy field. With k = 12, many degree-3 leave-one-out
+    folds and refits are rank-deficient."""
+    g = (np.arange(8) + 0.5) / 8
+    lon, lat = (a.ravel() for a in np.meshgrid(g, g))
+    z = np.sin(3 * lon) * np.cos(2 * lat) + rng.normal(0, 0.01, lon.size)
+    queries = points(rng.uniform(0.1, 0.9, nq), rng.uniform(0.1, 0.9, nq),
+                     np.full(nq, np.nan))
+    return points(lon, lat, z), queries
+
+
 def loo_oracle(features, targets, degree):
     """Independent leave-one-out error: refit with a pseudo-inverse per fold."""
     exps = monomial_exponents(features.shape[1], degree)
@@ -181,7 +193,7 @@ class TestHyppoPredict:
         space = FeatureSpace.fit("coords", train)
         queries = points(rng.uniform(0, 1, 8), rng.uniform(0, 1, 8),
                          np.full(8, np.nan))
-        pred, deg = hyppo_predict_with_degrees(train, queries, HyppoConfig(k=8), space)
+        pred, deg, _ = hyppo_predict_with_degrees(train, queries, HyppoConfig(k=8), space)
         np.testing.assert_allclose(pred, 0.3, atol=1e-12)
         np.testing.assert_array_equal(deg, 0)
 
@@ -197,36 +209,44 @@ class TestHyppoPredict:
         np.testing.assert_allclose(pred, 0.1 + 0.2 * qlon + 0.05 * qlat, atol=1e-9)
 
     def test_matches_per_query_oracle(self, rng):
-        # naive per-query pipeline: search, select via oracle LOO, pinv refit
+        # naive per-query pipeline: search, select via oracle LOO, pinv refit;
+        # the lattice case adds rank-deficient folds and refits
         train_lon = rng.uniform(0, 1, 30)
         train_lat = rng.uniform(0, 1, 30)
         z = np.sin(3 * train_lon) * np.cos(2 * train_lat)
-        train = points(train_lon, train_lat, z)
-        space = FeatureSpace.fit("coords", train)
-        queries = points(rng.uniform(0.1, 0.9, 6), rng.uniform(0.1, 0.9, 6),
-                         np.full(6, np.nan))
-        k, max_degree = 9, 3
-        pred, deg = hyppo_predict_with_degrees(
-            train, queries, HyppoConfig(k=k, max_degree=max_degree), space)
+        scattered = (points(train_lon, train_lat, z),
+                     points(rng.uniform(0.1, 0.9, 6), rng.uniform(0.1, 0.9, 6),
+                            np.full(6, np.nan)), 9)
+        lattice = (*lattice_case(rng, 24), 12)
+        max_degree = 3
+        for train, queries, k in (scattered, lattice):
+            z = train.target
+            space = FeatureSpace.fit("coords", train)
+            pred, deg, rank_deficient = hyppo_predict_with_degrees(
+                train, queries, HyppoConfig(k=k, max_degree=max_degree), space)
 
-        train_f = space.features(train)
-        query_f = space.features(queries)
-        for qi in range(len(queries)):
-            diff = train_f - query_f[qi]
-            order = np.argsort((diff * diff).sum(axis=1), kind="stable")[:k]
-            centered = train_f[order] - query_f[qi]
-            nz = z[order]
-            degrees = admissible_degrees(2, k, max_degree)
-            errors = [loo_oracle(centered, nz, d) for d in degrees]
-            tol = TIE_REL * (1.0 + float(np.mean(nz * nz)))
-            d = next(dd for dd, e in zip(degrees, errors) if e <= min(errors) + tol)
-            assert deg[qi] == d
-            if d == 0:
-                expect = float(np.mean(nz))
-            else:
-                x = design_matrix(centered, monomial_exponents(2, d))
-                expect = (np.linalg.pinv(x, rcond=1e-10) @ nz)[0]
-            assert pred[qi] == pytest.approx(expect, abs=1e-8)
+            train_f = space.features(train)
+            query_f = space.features(queries)
+            for qi in range(len(queries)):
+                diff = train_f - query_f[qi]
+                order = np.argsort((diff * diff).sum(axis=1), kind="stable")[:k]
+                centered = train_f[order] - query_f[qi]
+                nz = z[order]
+                degrees = admissible_degrees(2, k, max_degree)
+                errors = [loo_oracle(centered, nz, d) for d in degrees]
+                tol = TIE_REL * (1.0 + float(np.mean(nz * nz)))
+                d = next(dd for dd, e in zip(degrees, errors) if e <= min(errors) + tol)
+                assert deg[qi] == d
+                if d == 0:
+                    expect = float(np.mean(nz))
+                    assert not rank_deficient[qi]
+                else:
+                    x = design_matrix(centered, monomial_exponents(2, d))
+                    expect = (np.linalg.pinv(x, rcond=1e-10) @ nz)[0]
+                    sv = np.linalg.svd(x, compute_uv=False)
+                    assert rank_deficient[qi] == ((sv > 1e-10 * sv.max()).sum() < x.shape[1])
+                assert pred[qi] == pytest.approx(expect, abs=1e-8)
+        assert rank_deficient.any()
 
     def test_max_degree_zero_matches_knn_bitwise(self, rng):
         train = points(rng.uniform(0, 1, 25), rng.uniform(0, 1, 25),
@@ -255,15 +275,17 @@ class TestHyppoPredict:
     def test_chunking_invariance(self, rng):
         train = points(rng.uniform(0, 1, 40), rng.uniform(0, 1, 40),
                        rng.random(40))
-        space = FeatureSpace.fit("coords", train)
         queries = points(rng.uniform(0, 1, 23), rng.uniform(0, 1, 23),
                          np.full(23, np.nan))
-        a, da = hyppo_predict_with_degrees(train, queries, HyppoConfig(k=8),
-                                           space, chunk=5)
-        b, db = hyppo_predict_with_degrees(train, queries, HyppoConfig(k=8),
-                                           space, chunk=512)
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(da, db)
+        lattice = lattice_case(rng, 23)
+        for (train, queries), cfg in (((train, queries), HyppoConfig(k=8)),
+                                      (lattice, HyppoConfig(k=12, max_degree=3))):
+            space = FeatureSpace.fit("coords", train)
+            runs = [hyppo_predict_with_degrees(train, queries, cfg, space, chunk=c)
+                    for c in (1, 5, None)]
+            for run in runs[1:]:
+                for a, b in zip(runs[0], run):
+                    np.testing.assert_array_equal(a, b)
 
     def test_k_exceeding_train_size(self, rng):
         train = points(rng.uniform(0, 1, 5), rng.uniform(0, 1, 5), rng.random(5))

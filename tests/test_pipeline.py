@@ -398,6 +398,12 @@ class TestHyppoPipeline:
         counts = derived["hyppo_degree_counts"]
         assert sum(counts.values()) == derived["predict_count_initial"]
         assert all(int(d) <= 2 for d in counts)
+        # training points are coarse centroids on a lattice, so some
+        # degree-2 refits are rank-deficient; degree 0 never is
+        rank_deficient = derived["hyppo_rank_deficient"]
+        assert rank_deficient.keys() == counts.keys()
+        assert all(0 <= rank_deficient[d] <= counts[d] for d in counts)
+        assert rank_deficient["0"] == 0 and rank_deficient["2"] > 0
 
     def test_max_degree_zero_matches_knn(self, tmp_path):
         _, data_dir = dump_scenario(tmp_path)
