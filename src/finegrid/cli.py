@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .analysis import format_metrics
 from .errors import EngineError
 from .grid import read_ascii_grid
 from .pipeline import load_config, run_pipeline
@@ -52,6 +53,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             result = run_pipeline(load_config(args.config))
+            print(format_metrics(result.report))
             print(f"outputs written to {result.output_dir}")
         elif args.command == "render":
             render_heatmap(read_ascii_grid(args.grid), args.palette, args.out)

@@ -209,8 +209,8 @@ def hyppo_predict_with_degrees(
         neighbor_z = z[idx[rows]]
         selected = _select_degrees(centered, neighbor_z, candidates)
         degrees[rows] = selected
-        for i in np.nonzero(selected == 0)[0]:
-            predictions[start + i] = neighbor_mean(neighbor_z[i])
+        zero = np.nonzero(selected == 0)[0]
+        predictions[start + zero] = neighbor_mean(neighbor_z[zero])
         for d in np.unique(selected[selected > 0]):
             sel = np.nonzero(selected == d)[0]
             exps = monomial_exponents(space.nvars, int(d))

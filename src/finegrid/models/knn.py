@@ -29,13 +29,13 @@ class KnnConfig:
             raise UsageError(f"weighting must be one of {WEIGHTINGS}")
 
 
-def neighbor_mean(targets: np.ndarray) -> float:
-    """Uniform neighbor average.
+def neighbor_mean(targets: np.ndarray) -> np.ndarray:
+    """Uniform neighbor average over the last axis.
 
     Single shared reduction so every degree-0 path in this package produces
     bit-identical values for the same neighbor set.
     """
-    return float(np.mean(targets))
+    return np.mean(targets, axis=-1)
 
 
 def knn_predict(
@@ -55,10 +55,6 @@ def knn_predict(
     idx, dist = neighbor_search(train_f, query_f, cfg.k)
     neighbor_z = z[idx]
     if cfg.weighting == "uniform":
-        return np.fromiter(
-            (neighbor_mean(neighbor_z[i]) for i in range(len(queries))),
-            dtype=float,
-            count=len(queries),
-        )
+        return neighbor_mean(neighbor_z)
     w = 1.0 / np.maximum(dist, DISTANCE_EPS)
     return (w * neighbor_z).sum(axis=1) / w.sum(axis=1)

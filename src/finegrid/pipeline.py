@@ -12,6 +12,7 @@ in a manifest so a run can be reproduced bit for bit.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,6 +45,8 @@ from .region import BufferSpec, Region, clip_points, contains, read_region
 from .render import render_heatmap
 
 METHODS = ("knn", "hyppo", "rf")
+
+logger = logging.getLogger("finegrid")
 
 OUTPUT_FILES = (
     "prediction.asc",
@@ -363,6 +366,12 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             if training.p == 0:
                 raise UsageError("pca enabled but the tables carry no covariates")
             model = cov.pca_fit(training)
+            mtry = [s["mtry"]] if s["mtry"] != "tune" else s["mtry_grid"] or []
+            if cfg.method == "rf" and max(mtry, default=0) > model.retained:
+                raise UsageError(
+                    f"mtry {max(mtry)} exceeds the {model.retained} component(s) "
+                    "retained by pca; lower mtry or mtry_grid, or disable pca"
+                )
             training = cov.pca_transform(model, training)
             prediction_points = cov.pca_transform(model, prediction_points)
             sidecar = out_dir / "pca_model.csv"
@@ -383,15 +392,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
 
         stage = "report-clip"
         if report_region is not None:
-            keep = np.fromiter(
-                (
-                    contains(report_region, predicted.lon[i], predicted.lat[i])
-                    for i in range(len(predicted))
-                ),
-                dtype=bool,
-                count=len(predicted),
-            )
-            predicted = predicted.subset(keep)
+            predicted = predicted.subset(contains(report_region, predicted.lon, predicted.lat))
             derived["report_count"] = len(predicted)
             if len(predicted) == 0:
                 raise UsageError("no predictions fall inside the reporting region")
@@ -416,7 +417,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         metrics_path = out_dir / "metrics.txt"
         metrics_path.write_text(metrics + "\n")
         written.append(metrics_path)
-        print(metrics)
+        logger.info("agreement: %s", metrics)
 
         if s["render"]:
             stage = "render"

@@ -3,15 +3,18 @@
 A region is an outer lon/lat ring plus optional hole rings. Membership uses
 the even-odd ray-casting rule with boundary points counting as inside. The
 buffer is a point predicate: a point passes when it is inside the polygon or
-within ``distance_km`` (haversine, Earth radius 6371.0088 km) of the nearest
-boundary segment.
+within ``distance_km`` of the nearest boundary segment, each segment measured
+on an equirectangular tangent plane at its midpoint latitude (Earth radius
+6371.0088 km).
+
+The predicates loop over ring edges and take whole arrays of points.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,56 +62,54 @@ class BufferSpec:
             raise UsageError("buffer distance must be non-negative")
 
 
+def _edges(ring):
+    """(x1, y1, x2, y2) for each edge of an unclosed ring, closing edge last."""
+    return [(*ring[i], *ring[(i + 1) % len(ring)]) for i in range(len(ring))]
+
+
 def _ring_area(ring) -> float:
     """Unsigned shoelace area of a ring in square degrees."""
-    area = 0.0
-    n = len(ring)
-    for i in range(n):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % n]
-        area += x1 * y2 - x2 * y1
-    return abs(area) / 2.0
+    return abs(sum(x1 * y2 - x2 * y1 for x1, y1, x2, y2 in _edges(ring))) / 2.0
 
 
-def _on_segment(px, py, x1, y1, x2, y2) -> bool:
-    cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
-    if cross != 0.0:
-        return False
-    return min(x1, x2) <= px <= max(x1, x2) and min(y1, y2) <= py <= max(y1, y2)
-
-
-def _ring_crossings(ring, lon: float, lat: float):
-    """(on_boundary, odd_crossings) for one ring via even-odd ray casting."""
-    n = len(ring)
-    inside = False
-    for i in range(n):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % n]
-        if _on_segment(lon, lat, x1, y1, x2, y2):
-            return True, inside
+def _ring_crossings(ring, lon: np.ndarray, lat: np.ndarray):
+    """(on_boundary, odd_crossings) bool arrays for one ring via even-odd ray
+    casting. Where on_boundary is true, odd_crossings is meaningless."""
+    on = np.zeros(lon.shape, dtype=bool)
+    inside = np.zeros(lon.shape, dtype=bool)
+    for x1, y1, x2, y2 in _edges(ring):
+        cross = (x2 - x1) * (lat - y1) - (y2 - y1) * (lon - x1)
+        on |= (
+            (cross == 0.0)
+            & (min(x1, x2) <= lon) & (lon <= max(x1, x2))
+            & (min(y1, y2) <= lat) & (lat <= max(y1, y2))
+        )
+        if y1 == y2:
+            continue  # a horizontal edge spans no latitude
         # half-open vertex rule so a ray through a vertex counts once
-        if (y1 > lat) != (y2 > lat):
-            x_at = x1 + (lat - y1) * (x2 - x1) / (y2 - y1)
-            if lon < x_at:
-                inside = not inside
-    return False, inside
+        spans = (y1 > lat) != (y2 > lat)
+        x_at = x1 + (lat - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= spans & (lon < x_at)
+    return on, inside
 
 
-def contains(region: Region, lon: float, lat: float) -> bool:
-    """Even-odd membership over all rings: inside the outer ring and not in a
-    hole. Points exactly on any ring edge or vertex count as inside."""
+def contains(region: Region, lon, lat) -> np.ndarray:
+    """Bool array: even-odd membership of each lon/lat point over all rings.
+
+    A point on the outer ring is inside; one outside the outer ring is
+    outside. Otherwise the holes are checked in order, and the first hole
+    whose edge the point lies on (inside) or that contains it (outside)
+    decides. Scalar inputs give a 0-d result usable as a bool.
+    """
+    lon, lat = np.broadcast_arrays(np.asarray(lon, dtype=float), np.asarray(lat, dtype=float))
     on, inside = _ring_crossings(region.rings[0], lon, lat)
-    if on:
-        return True
-    if not inside:
-        return False
+    result = on | inside
+    undecided = inside & ~on
     for hole in region.rings[1:]:
         on, in_hole = _ring_crossings(hole, lon, lat)
-        if on:
-            return True
-        if in_hole:
-            return False
-    return True
+        result &= ~(undecided & in_hole & ~on)
+        undecided &= ~(on | in_hole)
+    return result
 
 
 def haversine_km(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
@@ -120,55 +121,42 @@ def haversine_km(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
 
 
-def _segment_distance_km(lon, lat, x1, y1, x2, y2) -> float:
-    """Point-to-segment distance on a local tangent plane at the segment midpoint.
+def boundary_distance_km(region: Region, lon, lat) -> np.ndarray:
+    """Distance in km from each point to the nearest boundary segment of any ring.
 
-    Equirectangular projection: x = dlon*cos(phi0)*R, y = dlat*R, with phi0
-    the midpoint latitude. Adequate for buffer tests at a few hundred km.
+    Each segment is measured on the equirectangular tangent plane at its
+    midpoint latitude phi0: x = dlon*cos(phi0)*R, y = dlat*R. Adequate for
+    buffer tests at a few hundred km.
     """
-    phi0 = math.radians((y1 + y2) / 2.0)
-    kx = math.cos(phi0) * EARTH_RADIUS_KM * math.pi / 180.0
+    lon, lat = np.broadcast_arrays(np.asarray(lon, dtype=float), np.asarray(lat, dtype=float))
+    best = np.full(lon.shape, np.inf)
     ky = EARTH_RADIUS_KM * math.pi / 180.0
-    px, py = (lon - x1) * kx, (lat - y1) * ky
-    sx, sy = (x2 - x1) * kx, (y2 - y1) * ky
-    seg2 = sx * sx + sy * sy
-    t = 0.0 if seg2 == 0.0 else max(0.0, min(1.0, (px * sx + py * sy) / seg2))
-    dx, dy = px - t * sx, py - t * sy
-    return math.hypot(dx, dy)
-
-
-def boundary_distance_km(region: Region, lon: float, lat: float) -> float:
-    """Distance from a point to the nearest boundary segment of any ring."""
-    best = math.inf
     for ring in region.rings:
-        n = len(ring)
-        for i in range(n):
-            x1, y1 = ring[i]
-            x2, y2 = ring[(i + 1) % n]
-            d = _segment_distance_km(lon, lat, x1, y1, x2, y2)
-            if d < best:
-                best = d
+        for x1, y1, x2, y2 in _edges(ring):
+            kx = math.cos(math.radians((y1 + y2) / 2.0)) * EARTH_RADIUS_KM * math.pi / 180.0
+            px, py = (lon - x1) * kx, (lat - y1) * ky
+            sx, sy = (x2 - x1) * kx, (y2 - y1) * ky
+            seg2 = sx * sx + sy * sy
+            t = 0.0 if seg2 == 0.0 else np.clip((px * sx + py * sy) / seg2, 0.0, 1.0)
+            np.minimum(best, np.hypot(px - t * sx, py - t * sy), out=best)
     return best
 
 
-def within_buffer(region: Region, lon: float, lat: float, buffer: BufferSpec) -> bool:
-    """True iff the point is inside the region or within the buffer distance
-    of its boundary."""
-    if contains(region, lon, lat):
-        return True
+def within_buffer(region: Region, lon, lat, buffer: BufferSpec) -> np.ndarray:
+    """Bool array: each point is inside the region or within the buffer
+    distance of its boundary. Distances are computed for outside points only."""
+    lon, lat = np.broadcast_arrays(np.asarray(lon, dtype=float), np.asarray(lat, dtype=float))
+    keep = np.asarray(contains(region, lon, lat))  # writable, also for 0-d input
     if buffer.distance_km == 0.0:
-        return False
-    return boundary_distance_km(region, lon, lat) <= buffer.distance_km
+        return keep
+    outside = ~keep
+    keep[outside] = boundary_distance_km(region, lon[outside], lat[outside]) <= buffer.distance_km
+    return keep
 
 
 def clip_points(points: PointTable, region: Region, buffer: BufferSpec) -> PointTable:
     """Records with within_buffer true, order preserved."""
-    keep = np.fromiter(
-        (within_buffer(region, points.lon[i], points.lat[i], buffer) for i in range(len(points))),
-        dtype=bool,
-        count=len(points),
-    )
-    return points.subset(keep)
+    return points.subset(within_buffer(region, points.lon, points.lat, buffer))
 
 
 def read_region(path) -> Region:

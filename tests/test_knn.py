@@ -10,6 +10,8 @@ from finegrid import (
     neighbor_search,
 )
 
+from finegrid.models.knn import neighbor_mean
+
 from conftest import random_table
 
 
@@ -90,6 +92,14 @@ class TestKnnPredict:
             idx, _ = brute_force_knn(space.features(train), space.features(queries), k)
             expect = train.target[idx].mean(axis=1)
             np.testing.assert_allclose(pred, expect, atol=1e-12)
+
+    def test_neighbor_mean_rows_match_single_row_bitwise(self, rng):
+        # the degree-0 HYPPO path reduces a row subset, knn the whole block
+        for k in range(1, 41):
+            block = rng.random((9, k)) * 10.0 ** rng.integers(-3, 4)
+            rows = neighbor_mean(block)
+            for i in range(9):
+                assert rows[i] == neighbor_mean(block[i]) == np.mean(block[i])
 
     def test_training_permutation_invariance(self, rng):
         # distinct pairwise distances so the k-set is permutation independent

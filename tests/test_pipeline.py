@@ -161,6 +161,15 @@ class TestRunKnn:
         for name in OUTPUT_FILES:
             assert (out / name).exists(), name
 
+    def test_logs_metrics_instead_of_printing(self, tmp_path, capsys, caplog):
+        _, data_dir = dump_scenario(tmp_path)
+        out = tmp_path / "out"
+        with caplog.at_level("INFO", logger="finegrid"):
+            run_pipeline(validate_config(base_config(data_dir, out)))
+        assert capsys.readouterr().out == ""
+        metrics = (out / "metrics.txt").read_text().strip()
+        assert [r.getMessage() for r in caplog.records] == [f"agreement: {metrics}"]
+
     def test_manifest_records_config_and_derived(self, tmp_path):
         _, data_dir = dump_scenario(tmp_path)
         out = tmp_path / "out"
@@ -234,6 +243,16 @@ class TestCovariatesAndPca:
         assert 1 <= derived["pca_retained"] <= 3
         assert len(derived["pca_eigenvalues"]) == 3
         assert derived["mtry_used"] == 1
+
+    @pytest.mark.parametrize("mtry", [{"mtry": 2}, {"mtry": "tune", "mtry_grid": [1, 2]}])
+    def test_mtry_above_pca_retained_fails_in_pca_stage(self, tmp_path, mtry):
+        _, data_dir = dump_scenario(tmp_path, n_covariates=3)
+        cfg = validate_config(base_config(
+            data_dir, tmp_path / "out", method="rf", ntree=3, pca=True,
+            covariate_layers=[str(data_dir / f"cov{i:02d}.asc") for i in (1, 2, 3)],
+            **mtry))
+        with pytest.raises(EngineError, match=r"stage pca: mtry 2 exceeds the 1 .* pca"):
+            run_pipeline(cfg)
 
     def test_missing_covariates_for_rf(self, tmp_path):
         _, data_dir = dump_scenario(tmp_path)

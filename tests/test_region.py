@@ -49,6 +49,64 @@ def law_of_cosines_km(lon1, lat1, lon2, lat2):
     return 6371.0088 * math.acos(max(-1.0, min(1.0, c)))
 
 
+def _ring_crossings_ref(ring, lon, lat):
+    """Scalar reference: (on_boundary, odd_crossings) for one ring."""
+    n = len(ring)
+    inside = False
+    for i in range(n):
+        x1, y1 = ring[i]
+        x2, y2 = ring[(i + 1) % n]
+        cross = (x2 - x1) * (lat - y1) - (y2 - y1) * (lon - x1)
+        if cross == 0.0 and (min(x1, x2) <= lon <= max(x1, x2)
+                             and min(y1, y2) <= lat <= max(y1, y2)):
+            return True, inside
+        if (y1 > lat) != (y2 > lat):
+            x_at = x1 + (lat - y1) * (x2 - x1) / (y2 - y1)
+            if lon < x_at:
+                inside = not inside
+    return False, inside
+
+
+def contains_ref(region, lon, lat):
+    """Scalar reference membership with the ordered-hole rule."""
+    on, inside = _ring_crossings_ref(region.rings[0], lon, lat)
+    if on:
+        return True
+    if not inside:
+        return False
+    for hole in region.rings[1:]:
+        on, in_hole = _ring_crossings_ref(hole, lon, lat)
+        if on:
+            return True
+        if in_hole:
+            return False
+    return True
+
+
+def boundary_distance_km_ref(region, lon, lat):
+    """Scalar reference: nearest segment on each segment's midpoint tangent plane."""
+    best = math.inf
+    for ring in region.rings:
+        n = len(ring)
+        for i in range(n):
+            x1, y1 = ring[i]
+            x2, y2 = ring[(i + 1) % n]
+            kx = math.cos(math.radians((y1 + y2) / 2.0)) * 6371.0088 * math.pi / 180.0
+            ky = 6371.0088 * math.pi / 180.0
+            px, py = (lon - x1) * kx, (lat - y1) * ky
+            sx, sy = (x2 - x1) * kx, (y2 - y1) * ky
+            seg2 = sx * sx + sy * sy
+            t = 0.0 if seg2 == 0.0 else max(0.0, min(1.0, (px * sx + py * sy) / seg2))
+            best = min(best, math.hypot(px - t * sx, py - t * sy))
+    return best
+
+
+def within_buffer_ref(region, lon, lat, distance_km):
+    if contains_ref(region, lon, lat):
+        return True
+    return distance_km > 0.0 and boundary_distance_km_ref(region, lon, lat) <= distance_km
+
+
 class TestRegionConstruction:
     def test_closed_ring_stored_unclosed(self):
         r = Region(rings=(UNIT_SQUARE + ((0.0, 0.0),),))
@@ -257,3 +315,112 @@ class TestClipPoints:
         kept = [i for i in range(60)
                 if within_buffer(r, pts.lon[i], pts.lat[i], BufferSpec(50.0))]
         np.testing.assert_array_equal(out.lat, pts.lat[kept])
+
+
+def star_ring(rng, cx, cy, radius, n, step=None):
+    """Star-shaped ring around (cx, cy); vertices snapped to `step` if given."""
+    angles = np.sort(rng.uniform(0, 2 * np.pi, n))
+    radii = radius * rng.uniform(0.3, 1.0, n)
+    pts = np.column_stack([cx + radii * np.cos(angles), cy + radii * np.sin(angles)])
+    if step is not None:
+        pts = np.round(pts / step) * step
+    return tuple(map(tuple, pts))
+
+
+def random_region(rng, step=None):
+    """Outer star ring plus 0-3 holes that may overlap each other and the outer ring."""
+    while True:
+        rings = [star_ring(rng, 0.0, 30.0, 4.0, int(rng.integers(3, 12)), step)]
+        for _ in range(int(rng.integers(0, 4))):
+            cx, cy = rng.uniform(-2, 2), 30.0 + rng.uniform(-2, 2)
+            rings.append(star_ring(rng, cx, cy, rng.uniform(0.5, 2.5),
+                                   int(rng.integers(3, 8)), step))
+        try:
+            return Region(rings=tuple(rings))
+        except UsageError:
+            continue
+
+
+def probes(rng, region, n, step=None):
+    """Random points plus every vertex, points along every edge, and, with a
+    lattice step, lattice points that land exactly on lattice edges."""
+    lon = list(rng.uniform(-5, 5, n))
+    lat = list(30.0 + rng.uniform(-5, 5, n))
+    for ring in region.rings:
+        m = len(ring)
+        for i in range(m):
+            (x1, y1), (x2, y2) = ring[i], ring[(i + 1) % m]
+            for t in (0.0, 0.5, float(rng.random())):
+                lon.append(x1 + t * (x2 - x1))
+                lat.append(y1 + t * (y2 - y1))
+    if step is not None:
+        g = np.arange(-5.0, 5.0 + step, step)
+        glon, glat = np.meshgrid(g, 30.0 + g)
+        lon.extend(glon.ravel())
+        lat.extend(glat.ravel())
+    return np.array(lon), np.array(lat)
+
+
+class TestVectorisedMatchesScalarReference:
+    CASES = [None] * 8 + [0.5] * 8  # free-form rings, then lattice rings and probes
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_random_polygons_with_holes(self, case):
+        rng = np.random.default_rng(1000 + case)
+        step = self.CASES[case]
+        region = random_region(rng, step)
+        lon, lat = probes(rng, region, 300, step)
+        inside = contains(region, lon, lat)
+        assert inside.dtype == bool and inside.shape == lon.shape
+        expect = [contains_ref(region, x, y) for x, y in zip(lon, lat)]
+        np.testing.assert_array_equal(inside, expect)
+
+        dist = boundary_distance_km(region, lon, lat)
+        ref = np.array([boundary_distance_km_ref(region, x, y) for x, y in zip(lon, lat)])
+        assert np.all(np.abs(dist - ref) <= np.spacing(ref))
+
+        for km in (0.0, 37.5, 150.0):
+            keep = within_buffer(region, lon, lat, BufferSpec(km))
+            expect = [within_buffer_ref(region, x, y, km) for x, y in zip(lon, lat)]
+            np.testing.assert_array_equal(keep, expect)
+            pts = PointTable(lon, lat, np.arange(len(lon), dtype=float), np.zeros((len(lon), 0)))
+            assert clip_points(pts, region, BufferSpec(km)) == pts.subset(np.array(expect))
+
+    def test_overlapping_holes_follow_ring_order(self):
+        outer = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))
+        a = ((2.0, 2.0), (6.0, 2.0), (6.0, 6.0), (2.0, 6.0))
+        b = ((4.0, 4.0), (8.0, 4.0), (8.0, 8.0), (4.0, 8.0))
+        lon = np.array([3.0, 5.0, 7.0, 4.0, 6.0, 5.0, 9.0])
+        lat = np.array([3.0, 5.0, 7.0, 5.0, 5.0, 4.0, 9.0])
+        for rings in ((outer, a, b), (outer, b, a)):
+            region = Region(rings=rings)
+            expect = [contains_ref(region, x, y) for x, y in zip(lon, lat)]
+            np.testing.assert_array_equal(contains(region, lon, lat), expect)
+        # (4, 5) lies on hole b's edge inside hole a: the first hole decides
+        assert not contains(Region(rings=(outer, a, b)), 4.0, 5.0)
+        assert contains(Region(rings=(outer, b, a)), 4.0, 5.0)
+
+    def test_consecutive_duplicate_vertices(self, rng):
+        ring = ((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+        hole = ((0.25, 0.25), (0.5, 0.25), (0.5, 0.25), (0.5, 0.5))
+        region = Region(rings=(ring, hole))
+        assert len(region.rings[0]) == 6
+        lon = np.concatenate([rng.uniform(-1, 2, 200), [1.0, 0.0, 0.5, 0.5, 0.375]])
+        lat = np.concatenate([rng.uniform(-1, 2, 200), [0.0, 1.0, 0.25, 0.3, 0.3]])
+        expect = [contains_ref(region, x, y) for x, y in zip(lon, lat)]
+        np.testing.assert_array_equal(contains(region, lon, lat), expect)
+        ref = np.array([boundary_distance_km_ref(region, x, y) for x, y in zip(lon, lat)])
+        assert np.all(np.abs(boundary_distance_km(region, lon, lat) - ref) <= np.spacing(ref))
+        expect = [within_buffer_ref(region, x, y, 60.0) for x, y in zip(lon, lat)]
+        np.testing.assert_array_equal(within_buffer(region, lon, lat, BufferSpec(60.0)), expect)
+
+    def test_scalar_inputs_act_as_bools(self, rng):
+        region = Region(rings=ANNULUS)
+        for lon, lat in [(0.5, 0.5), (2.0, 2.0), (1.5, 1.5), (4.5, 2.0), (9.0, 9.0)]:
+            assert bool(contains(region, lon, lat)) is contains_ref(region, lon, lat)
+            for km in (0.0, 80.0):
+                assert bool(within_buffer(region, lon, lat, BufferSpec(km))) is \
+                    within_buffer_ref(region, lon, lat, km)
+            d = float(boundary_distance_km(region, lon, lat))
+            ref = boundary_distance_km_ref(region, lon, lat)
+            assert abs(d - ref) <= np.spacing(ref)
