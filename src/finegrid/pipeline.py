@@ -421,14 +421,15 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
 
         if s["render"]:
             stage = "render"
-            for name, palette in (
-                ("prediction", "sequential"),
-                ("aggregated", "sequential"),
-                ("residual", "diverging"),
-                ("relative_residual", "diverging"),
+            # the grids just written, from memory: the .asc round trip is exact
+            for grid, name, palette in (
+                (prediction_grid, "prediction", "sequential"),
+                (aggregated, "aggregated", "sequential"),
+                (report.residual, "residual", "diverging"),
+                (report.relative_residual, "relative_residual", "diverging"),
             ):
                 image = out_dir / f"{name}.ppm"
-                render_heatmap(read_ascii_grid(out_dir / f"{name}.asc"), palette, image)
+                render_heatmap(grid, palette, image)
                 written.append(image)
                 written.append(Path(str(image) + ".legend.txt"))
 

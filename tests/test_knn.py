@@ -53,6 +53,46 @@ class TestNeighborSearch:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
+    def test_lattice_with_gaps_matches_brute_force_bitwise(self, rng):
+        # coarse-cell centroids with 20 % gaps as training, fine-cell centres
+        # as queries: many training points, so tiles prune, and every
+        # coordinate is a multiple of 0.25, so distance ties are exact
+        cx, cy = np.meshgrid(np.arange(24) + 0.5, np.arange(24) + 0.5)
+        keep = rng.random(cx.size) >= 0.2
+        train_f = np.column_stack([cx.ravel()[keep], cy.ravel()[keep]]) - 12.0
+        fx, fy = np.meshgrid(np.arange(48) / 2 + 0.25, np.arange(48) / 2 + 0.25)
+        query_f = np.column_stack([fx.ravel(), fy.ravel()]) - 12.0
+        k = 12
+        bidx, bdist = brute_force_knn(train_f, query_f, k + 1)
+        assert len(train_f) > 400
+        assert (bdist[:, k - 1] == bdist[:, k]).any()  # ties straddle the k-th
+        for chunk in (1, 7, None):
+            idx, dist = neighbor_search(train_f, query_f, k, chunk=chunk)
+            np.testing.assert_array_equal(idx, bidx[:, :k])
+            np.testing.assert_array_equal(dist, bdist[:, :k])
+
+    def test_rounded_covariates_with_duplicates_match_brute_force(self, rng):
+        for dim in range(3, 7):
+            train_f = np.round(rng.normal(0, 1, (300, dim)) * 2) / 2
+            query_f = np.round(rng.normal(0, 1, (150, dim)) * 2) / 2
+            query_f[:20] = train_f[rng.integers(0, 300, 20)]
+            k = int(rng.integers(1, 40))
+            idx, dist = neighbor_search(train_f, query_f, k)
+            bidx, bdist = brute_force_knn(train_f, query_f, k)
+            np.testing.assert_array_equal(idx, bidx)
+            np.testing.assert_array_equal(dist, bdist)
+
+    def test_edge_shapes(self, rng):
+        train_f = rng.normal(0, 1, (30, 2))
+        query_f = rng.normal(0, 1, (200, 2))
+        for q in (query_f, query_f[:1]):
+            idx, dist = neighbor_search(train_f, q, 30, chunk=16)
+            bidx, bdist = brute_force_knn(train_f, q, 30)
+            np.testing.assert_array_equal(idx, bidx)
+            np.testing.assert_array_equal(dist, bdist)
+        idx, dist = neighbor_search(train_f, query_f[:0], 4)
+        assert idx.shape == (0, 4) and dist.shape == (0, 4)
+
     def test_duplicate_training_rows_tie_break(self):
         train_f = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
         idx, _ = neighbor_search(train_f, np.array([[0.0, 0.0]]), 3)
@@ -179,6 +219,20 @@ class TestFeatureSpace:
     def test_unknown_mode(self, rng):
         with pytest.raises(UsageError):
             FeatureSpace.fit("everything", random_table(rng, 10, 2))
+
+    def test_non_finite_features_rejected(self, rng):
+        train = random_table(rng, 10, 2)
+        bad = train.covariates.copy()
+        bad[3, 1] = np.nan
+        bad[5, 0] = np.inf
+        nan_table = PointTable(train.lon, train.lat, train.target, bad)
+        with pytest.raises(UsageError, match=r"'covariates': 2 non-finite"):
+            FeatureSpace.fit("covariates", nan_table)
+        space = FeatureSpace.fit("coords+covariates", train)
+        with pytest.raises(UsageError, match=r"'coords\+covariates': 2 non-finite"):
+            space.features(nan_table)
+        # coordinates are the only features in coords mode
+        FeatureSpace.fit("coords", nan_table).features(nan_table)
 
     def test_width_mismatch(self, rng):
         space = FeatureSpace.fit("covariates", random_table(rng, 10, 3))

@@ -391,6 +391,37 @@ class TestFailureCleanup:
         with pytest.raises(EngineError, match="stage load-observed"):
             run_pipeline(cfg)
 
+    @pytest.mark.parametrize("bad", ["nan", "overflow"])
+    def test_non_finite_covariate_fails_in_model_stage(self, tmp_path, monkeypatch, bad):
+        scenario, data_dir = dump_scenario(tmp_path)
+        paths = [data_dir / f"{name}.asc" for name in scenario.covariate_names]
+        if bad == "nan":
+            # a layer file cannot carry NaN (Grid refuses it at load), so
+            # put it in the sampled table, as a table built in code could
+            import finegrid.pipeline as pipeline_module
+
+            def sample_with_nan(points, layers, names):
+                table = sample_covariates(points, layers, names)
+                table.covariates[len(table) // 2, 0] = np.nan
+                return table
+
+            monkeypatch.setattr(pipeline_module, "sample_covariates", sample_with_nan)
+        else:
+            # finite in the file, infinite once scaled
+            layer = read_ascii_grid(paths[0])
+            values = layer.values.copy()
+            values[5, 7] = 1e308
+            write_ascii_grid(layer.with_values(values), paths[0])
+        out = tmp_path / "out"
+        # fine_factor 4 puts one prediction point in every covariate cell
+        cfg = validate_config(base_config(
+            data_dir, out, fine_factor=4, feature_mode="covariates",
+            covariate_layers=[str(path) for path in paths]))
+        with pytest.raises(EngineError,
+                           match=r"stage model: feature mode 'covariates': 1 non-finite"):
+            run_pipeline(cfg)
+        assert not any(out.iterdir())
+
     def test_late_failure_removes_earlier_files(self, tmp_path, monkeypatch):
         _, data_dir = dump_scenario(tmp_path)
         out = tmp_path / "out"
