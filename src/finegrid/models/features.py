@@ -69,7 +69,11 @@ class FeatureSpace:
             raise UsageError(
                 f"feature width {raw.shape[1]} does not match fitted width {self.nvars}"
             )
-        return _finite((raw - self.means) / self.stdevs, self.mode)
+        # a finite cell far from the training range may overflow when scaled;
+        # _finite reports it as a UsageError, so numpy need not warn too
+        with np.errstate(over="ignore"):
+            scaled = (raw - self.means) / self.stdevs
+        return _finite(scaled, self.mode)
 
 
 # distance pairs a search tile may cost against the whole training set;

@@ -1,8 +1,27 @@
 """Random forest regression: bagged CART trees with per-node feature sampling.
 
 Each tree draws its bootstrap sample and all split randomness from an
-independent stream seeded by (seed, tree index), so fitting is bit-identical
-run to run and across any number of worker threads.
+independent stream seeded by (seed, tree index). The trees of a fit grow in
+lockstep: every tree walks its own explicit preorder stack, settling leaves
+as it pops them, until it pops a node that needs a split search (at least
+2·min_leaf records and more than one target value). That node draws its
+mtry features, and one batched search (:func:`_split_search`) then finds the
+best split of every tree's pending node at once. The forest equals the one
+that growing each tree alone by recursion gives, bit for bit, for four
+reasons:
+
+- streams are per tree, so interleaving the trees changes no tree's draws;
+- each tree pops its nodes in preorder (right child pushed before left),
+  and only split-searching nodes draw, so each draw lands on the same node
+  and node ids are the same preorder ids;
+- a stable argsort's permutation is unique, so sorting a node's padded row
+  orders its records exactly as sorting them alone does, and the cumulative
+  sums, midpoints and scores over that prefix are the same float operations;
+- padding sorts last (+inf features) and adds nothing (0.0 targets); every
+  padded position fails the size or midpoint test, so it never wins.
+
+Fitting is therefore bit-identical run to run, for any batch size and any
+number of worker threads.
 """
 
 from __future__ import annotations
@@ -21,6 +40,11 @@ _SEED_MASK = (1 << 64) - 1
 
 # stream tag separating the fold shuffle in tune_mtry from tree streams
 _TUNE_STREAM = 0x7E5
+
+# bytes the padded (nodes, mtry, largest node) float stack of one batched
+# split search may take; the search holds about ten arrays of that shape.
+# 1 MiB keeps a 500-tree fit's root step on thousands of records small.
+SPLIT_STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -66,6 +90,17 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
+    @property
+    def depth(self) -> int:
+        """Splits on the longest root-to-leaf path (0 for a single leaf)."""
+        level, depth = np.zeros(1, dtype=np.int64), 0
+        while True:
+            level = level[self.feature[level] >= 0]
+            if not len(level):
+                return depth
+            level = np.concatenate([self.left[level], self.right[level]])
+            depth += 1
+
 
 @dataclass(frozen=True)
 class Forest:
@@ -82,90 +117,126 @@ class Forest:
         return len(self.trees)
 
 
-def _best_split(xn: np.ndarray, zn: np.ndarray, rng, mtry: int, min_leaf: int):
-    """Lowest-SSE (feature, threshold) over mtry sampled features, or None.
+def _split_search(x: np.ndarray, z: np.ndarray, rows: list, feats: np.ndarray, min_leaf: int):
+    """Lowest-SSE (feature, threshold) of each node over its sampled features, or None.
 
-    Thresholds are midpoints between consecutive sorted values, kept only
-    when they fall strictly between the two values and both children reach
-    min_leaf. Ties keep the earliest sampled feature, then the lowest
-    threshold.
+    Node k holds the records ``rows[k]`` of x and z and samples the features
+    ``feats[k]``. Thresholds are midpoints between consecutive sorted values,
+    kept only when they fall strictly between the two values and both
+    children reach min_leaf. Ties keep the earliest sampled feature, then the
+    lowest threshold. All nodes are searched in one padded
+    (nodes, mtry, largest node) stack.
     """
-    n, p = xn.shape
-    feats = rng.choice(p, size=mtry, replace=False)
-    best_score = math.inf
-    best = None
-    sizes_left = np.arange(1, n)
-    sizes_right = n - sizes_left
-    for f in feats:
-        xs = xn[:, f]
-        order = np.argsort(xs, kind="stable")
-        xs = xs[order]
-        zs = zn[order]
-        c1 = np.cumsum(zs)
-        c2 = np.cumsum(zs * zs)
-        sse_left = c2[:-1] - c1[:-1] ** 2 / sizes_left
-        sse_right = (c2[-1] - c2[:-1]) - (c1[-1] - c1[:-1]) ** 2 / sizes_right
-        mid = (xs[:-1] + xs[1:]) / 2.0
-        valid = (
-            (sizes_left >= min_leaf)
-            & (sizes_right >= min_leaf)
-            & (xs[:-1] < mid)
-            & (mid < xs[1:])
-        )
-        if not valid.any():
-            continue
-        score = np.where(valid, sse_left + sse_right, math.inf)
-        i = int(np.argmin(score))
-        if score[i] < best_score:
-            best_score = score[i]
-            best = (int(f), float(mid[i]))
-    return best
-
-
-def _grow_tree(x: np.ndarray, z: np.ndarray, rng, mtry: int, min_leaf: int) -> Tree:
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def grow(indices: np.ndarray) -> int:
-        node = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        zn = z[indices]
-        if len(indices) < 2 * min_leaf or zn.min() == zn.max():
-            value[node] = float(np.mean(zn))
-            return node
-        split = _best_split(x[indices], zn, rng, mtry, min_leaf)
-        if split is None:
-            value[node] = float(np.mean(zn))
-            return node
-        f, thr = split
-        go_left = x[indices, f] <= thr
-        left_id = grow(indices[go_left])
-        right_id = grow(indices[~go_left])
-        feature[node] = f
-        threshold[node] = thr
-        left[node] = left_id
-        right[node] = right_id
-        return node
-
-    grow(np.arange(len(z)))
-    return Tree(
-        np.array(feature, dtype=np.int64),
-        np.array(threshold),
-        np.array(left, dtype=np.int64),
-        np.array(right, dtype=np.int64),
-        np.array(value),
+    nodes, mtry = feats.shape
+    sizes = np.array([len(r) for r in rows])
+    width = int(sizes.max())
+    flat = np.concatenate(rows)
+    node = np.repeat(np.arange(nodes), sizes)
+    pos = np.arange(len(flat)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    xs = np.full((nodes, mtry, width), np.inf)
+    xs[node, :, pos] = x[flat[:, None], feats[node]]
+    zs = np.zeros((nodes, 1, width))
+    zs[node, 0, pos] = z[flat]
+    order = np.argsort(xs, axis=-1, kind="stable")
+    xs = np.take_along_axis(xs, order, axis=-1)
+    zs = np.take_along_axis(zs, order, axis=-1)
+    c1 = np.cumsum(zs, axis=-1)
+    c2 = np.cumsum(zs * zs, axis=-1)
+    sizes_left = np.arange(1, width)
+    sizes_right = sizes[:, None, None] - sizes_left
+    sse_left = c2[..., :-1] - c1[..., :-1] ** 2 / sizes_left
+    # padded positions have no right child; any divisor serves, as they fail `valid`
+    sse_right = (c2[..., -1:] - c2[..., :-1]) - (c1[..., -1:] - c1[..., :-1]) ** 2 / np.maximum(
+        sizes_right, 1
     )
+    mid = (xs[..., :-1] + xs[..., 1:]) / 2.0
+    valid = (
+        (sizes_left >= min_leaf)
+        & (sizes_right >= min_leaf)
+        & (xs[..., :-1] < mid)
+        & (mid < xs[..., 1:])
+    )
+    # a NaN score needs the node's sum of squared targets to overflow, and then
+    # no score is below inf: the node is a leaf, as with a per-feature argmin
+    score = np.where(valid, sse_left + sse_right, math.inf).reshape(nodes, -1)
+    best = np.argmin(score, axis=1)
+    found = score[np.arange(nodes), best] < math.inf
+    f, i = np.divmod(best, width - 1)
+    return [
+        (int(feats[k, f[k]]), float(mid[k, f[k], i[k]])) if found[k] else None
+        for k in range(nodes)
+    ]
+
+
+def _batches(sizes: list, row_bytes: int):
+    """Cut consecutive nodes into slices whose padded stack fits SPLIT_STACK_BYTES;
+    a node too large for the budget forms a slice of its own."""
+    start, width = 0, 0
+    for k, size in enumerate(sizes):
+        width = max(width, size)
+        if k > start and (k + 1 - start) * width * row_bytes > SPLIT_STACK_BYTES:
+            yield slice(start, k)
+            start, width = k, size
+    yield slice(start, len(sizes))
+
+
+def _grow_trees(x: np.ndarray, z: np.ndarray, boots: list, rngs: list, mtry: int, min_leaf: int):
+    """Grow one tree per bootstrap sample, all in lockstep (see the module docstring)."""
+    p = x.shape[1]
+    # per tree, one [feature, threshold, left, right, value] record per node
+    built = [[] for _ in boots]
+    # stack entries: (records, parent's node record or None, 2 for a left child, 3 for a right)
+    stacks = [[(boot, None, 0)] for boot in boots]
+    while True:
+        pending = []
+        for tree, stack, rng in zip(built, stacks, rngs):
+            while stack:
+                rows, parent, side = stack.pop()
+                node = [-1, 0.0, -1, -1, 0.0]
+                if parent is not None:
+                    parent[side] = len(tree)
+                tree.append(node)
+                zn = z[rows]
+                if len(rows) < 2 * min_leaf or zn.min() == zn.max():
+                    node[4] = float(np.mean(zn))
+                    continue
+                pending.append((stack, node, rows, rng.choice(p, size=mtry, replace=False)))
+                break
+        if not pending:
+            break
+        for part in _batches([len(rows) for _, _, rows, _ in pending], 8 * mtry):
+            batch = pending[part]
+            splits = _split_search(
+                x, z, [rows for _, _, rows, _ in batch], np.array([f for *_, f in batch]), min_leaf
+            )
+            for (stack, node, rows, _), split in zip(batch, splits):
+                if split is None:
+                    node[4] = float(np.mean(z[rows]))
+                    continue
+                node[:2] = split
+                go_left = x[rows, split[0]] <= split[1]
+                # right first, so the left subtree is popped, and numbered, first
+                stack.append((rows[~go_left], node, 3))
+                stack.append((rows[go_left], node, 2))
+    return [
+        Tree(
+            np.array(feature, dtype=np.int64),
+            np.array(threshold),
+            np.array(left, dtype=np.int64),
+            np.array(right, dtype=np.int64),
+            np.array(value),
+        )
+        for feature, threshold, left, right, value in (zip(*tree) for tree in built)
+    ]
 
 
 def rf_fit(train: PointTable, cfg: RfConfig, workers: int = 1) -> Forest:
     """Grow cfg.ntree trees on bootstrap samples of the training covariates.
 
     mtry must be a fixed integer here; resolve "tune" through tune_mtry
-    first. Trees may be grown in parallel; the result is identical for any
-    worker count.
+    first. With workers > 1 the trees are split into that many contiguous
+    groups, each grown in lockstep on its own thread; the result is
+    identical for any worker count.
     """
     z = train.require_targets()
     n, p = len(train), train.p
@@ -177,25 +248,24 @@ def rf_fit(train: PointTable, cfg: RfConfig, workers: int = 1) -> Forest:
         raise UsageError(f"mtry = {cfg.mtry} exceeds covariate count {p}")
     x = train.covariates
 
-    def build(tree_index: int):
-        rng = np.random.default_rng([cfg.seed & _SEED_MASK, tree_index])
-        boot = rng.integers(0, n, size=n)
-        tree = _grow_tree(x[boot], z[boot], rng, cfg.mtry, cfg.min_leaf)
-        return tree, boot
+    rngs = [np.random.default_rng([cfg.seed & _SEED_MASK, t]) for t in range(cfg.ntree)]
+    in_bag = tuple(rng.integers(0, n, size=n) for rng in rngs)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            built = list(pool.map(build, range(cfg.ntree)))
+    def grow(group: slice) -> list:
+        return _grow_trees(x, z, in_bag[group], rngs[group], cfg.mtry, cfg.min_leaf)
+
+    bounds = np.linspace(0, cfg.ntree, min(max(workers, 1), cfg.ntree) + 1).astype(int)
+    groups = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    if len(groups) > 1:
+        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+            trees = tuple(tree for grown in pool.map(grow, groups) for tree in grown)
     else:
-        built = [build(t) for t in range(cfg.ntree)]
-
-    trees = tuple(tree for tree, _ in built)
-    in_bag = tuple(boot for _, boot in built)
+        trees = tuple(grow(groups[0]))
 
     oob_sum = np.zeros(n)
     oob_count = np.zeros(n, dtype=np.int64)
     all_idx = np.arange(n)
-    for tree, boot in built:
+    for tree, boot in zip(trees, in_bag):
         oob = np.setdiff1d(all_idx, boot, assume_unique=False)
         if len(oob):
             oob_sum[oob] += tree.predict(x[oob])

@@ -11,6 +11,7 @@ in a manifest so a run can be reproduced bit for bit.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
@@ -259,6 +260,8 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
         rf_cfg = RfConfig(ntree=s["ntree"], mtry=tuned, min_leaf=s["min_leaf"], seed=s["seed"])
     forest = rf_fit(training, rf_cfg, workers=s["workers"])
     derived["oob_rmse"] = forest.oob_rmse
+    derived["forest_nodes"] = sum(tree.n_nodes for tree in forest.trees)
+    derived["forest_max_depth"] = max(tree.depth for tree in forest.trees)
     derived["mtry_used"] = rf_cfg.mtry
     return rf_predict(forest, prediction), forest
 
@@ -434,6 +437,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
                 written.append(Path(str(image) + ".legend.txt"))
 
         stage = "manifest"
+        derived["output_digests"] = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in written
+        }
         manifest = {"config": s, "derived": derived}
         manifest_path = out_dir / "manifest.json"
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

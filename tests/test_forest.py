@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import finegrid.models.forest as forest_module
 from finegrid import (
     Forest,
     ParseError,
@@ -27,6 +30,185 @@ def random_train(rng, n=120, p=3):
     covs = rng.normal(0, 1, (n, p))
     z = covs[:, 0] * 0.5 + np.sin(covs[:, 1]) + rng.normal(0, 0.05, n)
     return table(covs, z)
+
+
+# The recursive grower that the lockstep one replaced, kept as the bitwise
+# reference: one tree at a time, each node's split searched feature by feature.
+
+
+def _best_split_ref(xn, zn, rng, mtry, min_leaf):
+    n, p = xn.shape
+    feats = rng.choice(p, size=mtry, replace=False)
+    best_score = math.inf
+    best = None
+    sizes_left = np.arange(1, n)
+    sizes_right = n - sizes_left
+    for f in feats:
+        xs = xn[:, f]
+        order = np.argsort(xs, kind="stable")
+        xs = xs[order]
+        zs = zn[order]
+        c1 = np.cumsum(zs)
+        c2 = np.cumsum(zs * zs)
+        sse_left = c2[:-1] - c1[:-1] ** 2 / sizes_left
+        sse_right = (c2[-1] - c2[:-1]) - (c1[-1] - c1[:-1]) ** 2 / sizes_right
+        mid = (xs[:-1] + xs[1:]) / 2.0
+        valid = (
+            (sizes_left >= min_leaf)
+            & (sizes_right >= min_leaf)
+            & (xs[:-1] < mid)
+            & (mid < xs[1:])
+        )
+        if not valid.any():
+            continue
+        score = np.where(valid, sse_left + sse_right, math.inf)
+        i = int(np.argmin(score))
+        if score[i] < best_score:
+            best_score = score[i]
+            best = (int(f), float(mid[i]))
+    return best
+
+
+def _grow_tree_ref(x, z, rng, mtry, min_leaf):
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(indices):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        zn = z[indices]
+        if len(indices) < 2 * min_leaf or zn.min() == zn.max():
+            value[node] = float(np.mean(zn))
+            return node
+        split = _best_split_ref(x[indices], zn, rng, mtry, min_leaf)
+        if split is None:
+            value[node] = float(np.mean(zn))
+            return node
+        f, thr = split
+        go_left = x[indices, f] <= thr
+        left_id = grow(indices[go_left])
+        right_id = grow(indices[~go_left])
+        feature[node] = f
+        threshold[node] = thr
+        left[node] = left_id
+        right[node] = right_id
+        return node
+
+    grow(np.arange(len(z)))
+    return forest_module.Tree(
+        np.array(feature, dtype=np.int64),
+        np.array(threshold),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.array(value),
+    )
+
+
+def rf_fit_ref(train, cfg):
+    z = train.require_targets()
+    n, x = len(train), train.covariates
+    trees, in_bag = [], []
+    for t in range(cfg.ntree):
+        rng = np.random.default_rng([cfg.seed & ((1 << 64) - 1), t])
+        boot = rng.integers(0, n, size=n)
+        trees.append(_grow_tree_ref(x[boot], z[boot], rng, cfg.mtry, cfg.min_leaf))
+        in_bag.append(boot)
+    oob_sum = np.zeros(n)
+    oob_count = np.zeros(n, dtype=np.int64)
+    for tree, boot in zip(trees, in_bag):
+        oob = np.setdiff1d(np.arange(n), boot)
+        if len(oob):
+            oob_sum[oob] += tree.predict(x[oob])
+            oob_count[oob] += 1
+    covered = oob_count > 0
+    if covered.any():
+        residual = oob_sum[covered] / oob_count[covered] - z[covered]
+        oob_rmse = float(np.sqrt(np.mean(residual * residual)))
+    else:
+        oob_rmse = float("nan")
+    return Forest(tuple(trees), tuple(in_bag), oob_rmse, train.p, cfg)
+
+
+def oracle_case(name):
+    """(train, mtry, min_leaf) for one named bitwise-oracle case."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    n, p, mtry, min_leaf = 150, 4, 2, 3
+    covs = rng.normal(0, 1, (n, p))
+    if name == "rounded":  # values tie on a 0.1 lattice, ties straddle thresholds
+        covs = np.round(covs, 1)
+    elif name == "min_leaf_1":
+        min_leaf = 1
+    elif name == "mtry_1":
+        mtry = 1
+    elif name == "mtry_p":
+        mtry = p
+    elif name == "tiny":  # n < 2 * min_leaf: every tree is one leaf
+        covs, min_leaf = covs[:7], 4
+    elif name == "duplicated":
+        covs = np.round(np.vstack([covs[:60], covs[:60], covs[:30]]), 1)
+    elif name == "p_1":
+        covs, mtry = np.round(covs[:, :1], 1), 1
+    z = covs[:, 0] * 0.5 + np.sin(covs[:, -1]) + rng.normal(0, 0.05, len(covs))
+    if name == "constant":
+        z = np.full(len(covs), 0.7)
+    return table(covs, z), mtry, min_leaf
+
+
+ORACLE_CASES = [
+    "rounded", "min_leaf_1", "mtry_1", "mtry_p", "constant", "tiny", "duplicated", "p_1",
+]
+
+
+class TestLockstepOracle:
+    """The lockstep grower must give the recursive grower's forests bit for bit."""
+
+    @staticmethod
+    def assert_same(forest, ref):
+        assert serialize_forest(forest) == serialize_forest(ref)
+        assert len(forest.in_bag) == len(ref.in_bag)
+        for a, b in zip(forest.in_bag, ref.in_bag):
+            np.testing.assert_array_equal(a, b)
+        assert forest.oob_rmse == ref.oob_rmse or (
+            math.isnan(forest.oob_rmse) and math.isnan(ref.oob_rmse)
+        )
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_matches_recursive_reference(self, name):
+        train, mtry, min_leaf = oracle_case(name)
+        cfg = RfConfig(ntree=12, mtry=mtry, min_leaf=min_leaf, seed=31)
+        ref = rf_fit_ref(train, cfg)
+        if name == "rounded":
+            assert any(t.n_nodes > 20 for t in ref.trees)
+        if name in ("constant", "tiny"):
+            assert all(t.n_nodes == 1 for t in ref.trees)
+        self.assert_same(rf_fit(train, cfg), ref)
+        self.assert_same(rf_fit(train, cfg, workers=3), ref)
+
+    @pytest.mark.parametrize("name", ["rounded", "duplicated"])
+    def test_batch_size_invariance(self, name, monkeypatch):
+        # a budget below one node gives every pending node a batch of its own
+        train, mtry, min_leaf = oracle_case(name)
+        cfg = RfConfig(ntree=6, mtry=mtry, min_leaf=min_leaf, seed=2)
+        ref = rf_fit_ref(train, cfg)
+        monkeypatch.setattr(forest_module, "SPLIT_STACK_BYTES", 1)
+        self.assert_same(rf_fit(train, cfg), ref)
+        monkeypatch.setattr(forest_module, "SPLIT_STACK_BYTES", 8 * mtry * 300)
+        self.assert_same(rf_fit(train, cfg), ref)
+
+    def test_tune_mtry_matches_reference(self, monkeypatch):
+        # criterion-05-like input: 15 covariates, candidates 2..14
+        rng = np.random.default_rng(515)
+        covs = np.round(rng.normal(0, 1, (120, 15)), 1)
+        z = 0.4 * covs[:, 0] + 0.2 * covs[:, 3] + rng.normal(0, 0.05, 120)
+        train = table(covs, z)
+        cfg = RfConfig(ntree=4, mtry="tune", seed=5)
+        grid = list(range(2, 15))
+        choice = tune_mtry(train, cfg, grid, folds=3)
+        monkeypatch.setattr(forest_module, "rf_fit", rf_fit_ref)
+        assert tune_mtry(train, cfg, grid, folds=3) == choice
 
 
 class TestDeterminism:

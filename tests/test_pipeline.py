@@ -180,6 +180,18 @@ class TestRunKnn:
         assert manifest["derived"]["train_count_initial"] > 0
         assert manifest["derived"]["predict_count_initial"] == 64 * 4
 
+    def test_manifest_output_digests_match_files(self, tmp_path):
+        _, data_dir = dump_scenario(tmp_path)
+        out = tmp_path / "out"
+        run_pipeline(validate_config(base_config(
+            data_dir, out, method="rf", ntree=3, mtry=1, pca=True, render=True,
+            covariate_layers=[str(data_dir / "cov01.asc"), str(data_dir / "cov02.asc")])))
+        recorded = json.loads((out / "manifest.json").read_text())["derived"]["output_digests"]
+        on_disk = output_digest(out)
+        del on_disk["manifest.json"]
+        assert recorded == on_disk
+        assert {"forest.txt", "pca_model.csv", "prediction.ppm.legend.txt"} <= set(recorded)
+
     def test_rerun_bit_identical(self, tmp_path):
         _, data_dir = dump_scenario(tmp_path)
         out = tmp_path / "a"
@@ -294,6 +306,16 @@ class TestRf:
         assert derived["tuned_mtry"] == derived["mtry_used"]
         assert derived["tuned_mtry"] in (1, 2)
         assert np.isfinite(derived["oob_rmse"])
+        forest = read_forest(out / "forest.txt")
+
+        def depth(tree, node=0):
+            if tree.feature[node] < 0:
+                return 0
+            return 1 + max(depth(tree, tree.left[node]), depth(tree, tree.right[node]))
+
+        assert derived["forest_nodes"] == sum(len(t.feature) for t in forest.trees)
+        assert derived["forest_max_depth"] == max(depth(t) for t in forest.trees)
+        assert derived["forest_max_depth"] > 0
 
 
 class TestDailyGrids:
