@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 from .analysis import format_metrics
@@ -30,6 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a pipeline described by a JSON config")
     run.add_argument("--config", required=True, help="path to the JSON run configuration")
+    run.add_argument("--verbose", action="store_true",
+                     help="stream the library's INFO log lines to stderr")
 
     render = sub.add_parser("render", help="render a grid file as a PPM heatmap")
     render.add_argument("--in", dest="grid", required=True, help="input ASCII grid")
@@ -48,11 +51,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(config_path: str, verbose: bool):
+    if not verbose:
+        return run_pipeline(load_config(config_path))
+    logger = logging.getLogger("finegrid")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        return run_pipeline(load_config(config_path))
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            result = run_pipeline(load_config(args.config))
+            result = _run(args.config, args.verbose)
             print(format_metrics(result.report))
             print(f"outputs written to {result.output_dir}")
         elif args.command == "render":

@@ -3,6 +3,10 @@
 Grids are stored with row 0 as the northernmost row, matching the on-disk
 ESRI ASCII layout. All coordinate math goes through the cell-centroid
 formula so the half-cell offset is applied in exactly one place.
+
+Grid text I/O is one numpy pass per body: ``np.loadtxt`` parses it and
+``repr`` over ``tolist()`` rows formats it, so write followed by read is
+bit-exact. A line-by-line scan runs only to name the line of a parse error.
 """
 
 from __future__ import annotations
@@ -215,8 +219,14 @@ def read_ascii_grid(path) -> Grid:
     """Read an ESRI ASCII grid file.
 
     Header keys are case-insensitive but must appear in the canonical order
-    (ncols, nrows, xllcorner, yllcorner, cellsize, NODATA_value). Raises
-    :class:`ParseError` naming the offending line on any format violation.
+    (ncols, nrows, xllcorner, yllcorner, cellsize, NODATA_value). Blank body
+    lines are skipped. The body is parsed by one ``np.loadtxt`` pass, which
+    accepts ASCII decimal tokens (and ``inf``/``nan`` spellings, which
+    :class:`Grid` then rejects) and gives the same doubles as ``float``.
+    Tokens that only Python's ``float`` accepts, digit-group underscores
+    (``1_0``) and non-ASCII digits, are not ESRI ASCII and are rejected.
+    Raises :class:`ParseError` naming the offending line on any format
+    violation.
     """
     path = Path(path)
     try:
@@ -240,21 +250,16 @@ def read_ascii_grid(path) -> Grid:
     if ncols < 1 or nrows < 1:
         raise ParseError("ncols and nrows must be positive", path=path, line=1)
 
-    rows = []
-    for i, line in enumerate(lines[len(_HEADER_KEYS):], start=len(_HEADER_KEYS) + 1):
-        if not line.strip():
-            continue
-        tokens = line.split()
-        if len(tokens) != ncols:
-            raise ParseError(
-                f"data row has {len(tokens)} values, expected {ncols}", path=path, line=i
-            )
+    body = lines[len(_HEADER_KEYS):]
+    values = None
+    # an all-blank body goes straight to the scan: loadtxt would warn on it
+    if any(line.strip() for line in body):
         try:
-            rows.append([float(t) for t in tokens])
-        except ValueError as exc:
-            raise ParseError("non-numeric data token", path=path, line=i) from exc
-    if len(rows) != nrows:
-        raise ParseError(f"found {len(rows)} data rows, expected {nrows}", path=path)
+            values = np.loadtxt(body, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if values is None or values.shape != (nrows, ncols):
+        raise _body_error(body, ncols, nrows, path)
 
     return Grid(
         ncols=ncols,
@@ -263,8 +268,35 @@ def read_ascii_grid(path) -> Grid:
         yll=header["yllcorner"],
         cellsize=header["cellsize"],
         nodata=header["nodata_value"],
-        values=np.array(rows),
+        values=values,
     )
+
+
+def _body_error(body: list[str], ncols: int, nrows: int, path: Path) -> ParseError:
+    """The line-numbered error for a body that ``np.loadtxt`` rejected.
+
+    Runs only after the fast parse has failed. It accepts exactly the tokens
+    that ``np.loadtxt`` accepts, so it finds the fault the parse stopped at.
+    """
+    found = 0
+    for i, line in enumerate(body, start=len(_HEADER_KEYS) + 1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != ncols:
+            return ParseError(
+                f"data row has {len(tokens)} values, expected {ncols}", path=path, line=i
+            )
+        for token in tokens:
+            # float() also takes "1_0" and non-ASCII digits; loadtxt does not
+            if not token.isascii() or "_" in token:
+                return ParseError("non-numeric data token", path=path, line=i)
+            try:
+                float(token)
+            except ValueError:
+                return ParseError("non-numeric data token", path=path, line=i)
+        found += 1
+    return ParseError(f"found {found} data rows, expected {nrows}", path=path)
 
 
 def write_ascii_grid(grid: Grid, path) -> None:
@@ -282,8 +314,9 @@ def write_ascii_grid(grid: Grid, path) -> None:
         f"cellsize {grid.cellsize!r}",
         f"NODATA_value {grid.nodata!r}",
     ]
-    for row in grid.values:
-        out.append(" ".join(repr(float(v)) for v in row))
+    # one row of Python floats at a time: the whole grid as a list would
+    # raise peak memory by 32 bytes a cell
+    out.extend(" ".join(map(repr, row.tolist())) for row in grid.values)
     try:
         path.write_text("\n".join(out) + "\n")
     except OSError as exc:

@@ -14,6 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -269,21 +272,26 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
 def run_pipeline(cfg: PipelineConfig) -> RunResult:
     """Execute the full workflow; see module docstring.
 
-    Any failure aborts with a stage-labeled EngineError and removes files
-    already written to the output directory by this run.
+    Outputs are written into a temporary directory inside the output
+    directory and moved into place only once ``manifest.json`` is written.
+    Any failure aborts with a stage-labeled EngineError and removes that
+    temporary directory, so the outputs of an earlier run stay as they were.
     """
     s = cfg.settings
     out_dir = cfg.resolve(s["output_dir"])
+    staging: Path | None = None
     written: list[Path] = []
     stage = "setup"
 
     def emit_grid(grid: Grid, name: str):
-        target = out_dir / name
+        target = staging / name
         write_ascii_grid(grid, target)
         written.append(target)
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        # inside out_dir, so the final os.replace stays on one filesystem
+        staging = Path(tempfile.mkdtemp(prefix=".partial-", dir=out_dir))
         derived: dict = {}
 
         stage = "load-observed"
@@ -377,7 +385,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
                 )
             training = cov.pca_transform(model, training)
             prediction_points = cov.pca_transform(model, prediction_points)
-            sidecar = out_dir / "pca_model.csv"
+            sidecar = staging / "pca_model.csv"
             cov.write_pca_sidecar(model, sidecar)
             written.append(sidecar)
             derived["pca_retained"] = model.retained
@@ -389,7 +397,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             values = np.clip(values, clamp[0], clamp[1])
         predicted = prediction_points.with_target(values)
         if forest is not None:
-            forest_path = out_dir / "forest.txt"
+            forest_path = staging / "forest.txt"
             write_forest(forest, forest_path)
             written.append(forest_path)
 
@@ -413,11 +421,11 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         emit_grid(aggregated, "aggregated.asc")
         emit_grid(report.residual, "residual.asc")
         emit_grid(report.relative_residual, "relative_residual.asc")
-        scatter_path = out_dir / "scatter.csv"
+        scatter_path = staging / "scatter.csv"
         scatter_export(aggregated, observed, scatter_path)
         written.append(scatter_path)
         metrics = format_metrics(report)
-        metrics_path = out_dir / "metrics.txt"
+        metrics_path = staging / "metrics.txt"
         metrics_path.write_text(metrics + "\n")
         written.append(metrics_path)
         logger.info("agreement: %s", metrics)
@@ -431,7 +439,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
                 (report.residual, "residual", "diverging"),
                 (report.relative_residual, "relative_residual", "diverging"),
             ):
-                image = out_dir / f"{name}.ppm"
+                image = staging / f"{name}.ppm"
                 render_heatmap(grid, palette, image)
                 written.append(image)
                 written.append(Path(str(image) + ".legend.txt"))
@@ -441,14 +449,14 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in written
         }
         manifest = {"config": s, "derived": derived}
-        manifest_path = out_dir / "manifest.json"
+        manifest_path = staging / "manifest.json"
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         written.append(manifest_path)
-    except Exception as exc:
         for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            os.replace(path, out_dir / path.name)
+        staging.rmdir()
+    except Exception as exc:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
         raise EngineError(f"stage {stage}: {exc}") from exc
     return RunResult(out_dir, report, manifest, prediction_grid)

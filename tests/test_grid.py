@@ -1,3 +1,6 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +21,95 @@ from finegrid import (
 from finegrid.grid import grid_centroids
 
 from conftest import random_grid
+
+_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+
+
+# reference: the per-line reader and per-value writer, token by token in Python
+
+
+def _read_ascii_grid_ref(path) -> Grid:
+    path = Path(path)
+    try:
+        lines = path.read_text().splitlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read grid file: {exc}", path=path) from exc
+
+    header = {}
+    for i, key in enumerate(_HEADER_KEYS):
+        if i >= len(lines):
+            raise ParseError(f"missing header line '{key}'", path=path, line=i + 1)
+        parts = lines[i].split()
+        if len(parts) != 2 or parts[0].lower() != key:
+            raise ParseError(f"expected header line '{key} <value>'", path=path, line=i + 1)
+        try:
+            header[key] = int(parts[1]) if key in ("ncols", "nrows") else float(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"non-numeric header value for '{key}'", path=path, line=i + 1) from exc
+
+    ncols, nrows = header["ncols"], header["nrows"]
+    if ncols < 1 or nrows < 1:
+        raise ParseError("ncols and nrows must be positive", path=path, line=1)
+
+    rows = []
+    for i, line in enumerate(lines[len(_HEADER_KEYS):], start=len(_HEADER_KEYS) + 1):
+        if not line.strip():
+            continue
+        tokens = line.split()
+        if len(tokens) != ncols:
+            raise ParseError(
+                f"data row has {len(tokens)} values, expected {ncols}", path=path, line=i
+            )
+        try:
+            rows.append([float(t) for t in tokens])
+        except ValueError as exc:
+            raise ParseError("non-numeric data token", path=path, line=i) from exc
+    if len(rows) != nrows:
+        raise ParseError(f"found {len(rows)} data rows, expected {nrows}", path=path)
+
+    return Grid(
+        ncols=ncols,
+        nrows=nrows,
+        xll=header["xllcorner"],
+        yll=header["yllcorner"],
+        cellsize=header["cellsize"],
+        nodata=header["nodata_value"],
+        values=np.array(rows),
+    )
+
+
+def _write_ascii_grid_ref(grid: Grid, path) -> None:
+    path = Path(path)
+    out = [
+        f"ncols {grid.ncols}",
+        f"nrows {grid.nrows}",
+        f"xllcorner {grid.xll!r}",
+        f"yllcorner {grid.yll!r}",
+        f"cellsize {grid.cellsize!r}",
+        f"NODATA_value {grid.nodata!r}",
+    ]
+    for row in grid.values:
+        out.append(" ".join(repr(float(v)) for v in row))
+    path.write_text("\n".join(out) + "\n")
+
+
+def _outcome(reader, path):
+    """What a reader makes of a file: the grid bit for bit, or the error raised."""
+    try:
+        g = reader(path)
+    except (ParseError, UsageError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    header = (g.ncols, g.nrows, g.xll, g.yll, g.cellsize, g.nodata)
+    return header, g.values.shape, g.values.view(np.int64).tolist()
+
+
+# doubles at the edges of the format: signed zero, subnormals, the largest
+# magnitudes, and the nodata sentinel
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                  1e308, -1e308, 1.7976931348623157e308, -9999.0]
+
+HEADER_3x2 = ("ncols 3\nnrows 2\nxllcorner 10.0\nyllcorner 40.0\ncellsize 0.25\n"
+              "NODATA_value -9999.0\n")
 
 
 class TestGridBasics:
@@ -162,6 +254,106 @@ class TestAsciiIO:
             path = Path(d) / "h.asc"
             write_ascii_grid(g, path)
             assert np.array_equal(read_ascii_grid(path).values, g.values)
+
+
+class TestAsciiOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_reference_on_random_grids(self, tmp_path_factory, data):
+        nrows = data.draw(st.integers(1, 6), label="nrows")
+        ncols = data.draw(st.integers(1, 6), label="ncols")
+        cell = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True,
+                      min_value=-1e-300, max_value=1e-300),
+            st.sampled_from(SPECIAL_VALUES),
+        )
+        values = data.draw(st.lists(cell, min_size=nrows * ncols, max_size=nrows * ncols))
+        g = Grid(ncols=ncols, nrows=nrows, xll=data.draw(st.floats(-180, 180)),
+                 yll=data.draw(st.floats(-90, 90)), cellsize=data.draw(st.floats(1e-6, 10)),
+                 nodata=-9999.0, values=np.array(values).reshape(nrows, ncols))
+        d = tmp_path_factory.mktemp("oracle")
+        write_ascii_grid(g, d / "new.asc")
+        _write_ascii_grid_ref(g, d / "ref.asc")
+        assert (d / "new.asc").read_bytes() == (d / "ref.asc").read_bytes()
+        got = _outcome(read_ascii_grid, d / "new.asc")
+        assert got == _outcome(_read_ascii_grid_ref, d / "new.asc")
+        assert got[2] == g.values.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 4)])
+    def test_matches_reference_on_special_values(self, tmp_path, rng, shape):
+        values = rng.choice(SPECIAL_VALUES + [0.1, -2.5e-7, 3e21], size=shape)
+        g = Grid(ncols=shape[1], nrows=shape[0], xll=-0.0, yll=5e-324, cellsize=1e308,
+                 nodata=-9999.0, values=values)
+        write_ascii_grid(g, tmp_path / "new.asc")
+        _write_ascii_grid_ref(g, tmp_path / "ref.asc")
+        assert (tmp_path / "new.asc").read_text() == (tmp_path / "ref.asc").read_text()
+        got = _outcome(read_ascii_grid, tmp_path / "new.asc")
+        assert got == _outcome(_read_ascii_grid_ref, tmp_path / "new.asc")
+        assert got[2] == values.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(HEADER_3x2 + "1 2 3 4\n5 6 7\n", id="ragged"),
+        pytest.param(HEADER_3x2 + "1 2 3\n4 5\n", id="short-row"),
+        pytest.param(HEADER_3x2 + "1 2 3\n4 5 6\n7 8 9\n", id="extra-row"),
+        pytest.param(HEADER_3x2 + "1 2 3\n", id="missing-row"),
+        pytest.param(HEADER_3x2 + "1 2 3\n\n4 x 6\n", id="non-numeric-line-9"),
+        pytest.param(HEADER_3x2 + "1 2 3\n4 5 6\n7 8\n", id="short-extra-row"),
+        pytest.param(HEADER_3x2 + "1 2 3\n4 5 -\n", id="bare-sign"),
+        pytest.param(HEADER_3x2 + "1 2 3\n4 5 0x10\n", id="hex"),
+        pytest.param(HEADER_3x2 + "1 2 3 #x\n4 5 6\n", id="comment-marker"),
+        pytest.param(HEADER_3x2 + "1 2 3\n4 5 1e999\n", id="overflow-to-inf"),
+        pytest.param(HEADER_3x2 + "1 nan 3\n4 5 6\n", id="nan"),
+        pytest.param(HEADER_3x2, id="header-only"),
+        pytest.param(HEADER_3x2 + "\n  \n\t\n", id="empty-body"),
+        pytest.param(HEADER_3x2.replace("nrows 2", "nrows two"), id="bad-header-value"),
+        pytest.param(HEADER_3x2.replace("ncols 3", "ncols 0"), id="zero-columns"),
+        pytest.param("ncols 3\nnrows 2\n", id="truncated-header"),
+    ])
+    def test_malformed_matches_reference(self, tmp_path, text):
+        path = tmp_path / "bad.asc"
+        path.write_bytes(text.encode())
+        got = _outcome(read_ascii_grid, path)
+        assert got == _outcome(_read_ascii_grid_ref, path)
+        assert got[0] in (ParseError, UsageError)
+
+    @pytest.mark.parametrize("body", [
+        pytest.param("\n1 2 3\n\n\n4 5 6\n\n", id="blank-lines"),
+        pytest.param("1 2 3\r\n4 5 6\r\n", id="crlf"),
+        pytest.param("1\t2\t3\n\t4\t5\t6\n", id="tabs"),
+        pytest.param("1 2 3   \n  4 5 6 \n", id="trailing-spaces"),
+        pytest.param("1 2 3\x0c4 5 6\n", id="form-feed-between-rows"),
+        pytest.param("1 2\x0c3\n4 5 6\n", id="form-feed-inside-row"),
+        pytest.param("1\xa02 3\n4 5\u30006\n", id="unicode-spaces"),
+        pytest.param("1 2 3\n4 5 6", id="no-final-newline"),
+        pytest.param("+1 -2. .3e1\n4E-2 -0 00005\n", id="number-spellings"),
+    ])
+    def test_layout_matches_reference(self, tmp_path, body):
+        text = HEADER_3x2 + body
+        if "\r\n" in body:
+            text = text.replace("\n", "\r\n").replace("\r\r", "\r")
+        path = tmp_path / "layout.asc"
+        path.write_bytes(text.encode())
+        assert _outcome(read_ascii_grid, path) == _outcome(_read_ascii_grid_ref, path)
+
+    @pytest.mark.parametrize("token, as_float", [("1_0", 10.0), ("\u0661", 1.0)])
+    def test_float_only_tokens_rejected(self, tmp_path, token, as_float):
+        # Python's float() takes digit-group underscores and non-ASCII digits;
+        # ESRI ASCII has neither, and the reader refuses them by line
+        path = tmp_path / "narrow.asc"
+        path.write_bytes((HEADER_3x2 + f"1 2 3\n\n4 {token} 6\n").encode())
+        with pytest.raises(ParseError, match="non-numeric data token") as info:
+            read_ascii_grid(path)
+        assert info.value.line == 9
+        assert _read_ascii_grid_ref(path).values[1, 1] == as_float
+
+    def test_empty_body_raises_without_warning(self, tmp_path):
+        path = tmp_path / "empty.asc"
+        path.write_text(HEADER_3x2 + "\n \n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="found 0 data rows, expected 2"):
+                read_ascii_grid(path)
 
 
 class TestMonthlyMean:

@@ -460,6 +460,25 @@ class TestFailureCleanup:
         assert not any(out.iterdir())
 
 
+    def test_failed_rerun_keeps_previous_outputs(self, tmp_path, monkeypatch):
+        _, data_dir = dump_scenario(tmp_path)
+        out = tmp_path / "out"
+        run_pipeline(validate_config(base_config(data_dir, out, render=True)))
+        first = output_digest(out)
+
+        import finegrid.pipeline as pipeline_module
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("disk full")
+
+        # a different k changes every raster the rerun writes before it fails
+        monkeypatch.setattr(pipeline_module, "render_heatmap", boom)
+        with pytest.raises(EngineError, match="stage render"):
+            run_pipeline(validate_config(base_config(data_dir, out, k=4, render=True)))
+        assert sorted(path.name for path in out.iterdir()) == sorted(first)
+        assert output_digest(out) == first
+
+
 class TestHyppoPipeline:
     def test_degree_counts_in_manifest(self, tmp_path):
         _, data_dir = dump_scenario(tmp_path)

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -128,6 +129,32 @@ class TestCli:
         assert "r2=" in captured.out
         for name in ("prediction.ppm", "residual.ppm"):
             assert (out_dir / name).exists()
+
+    def test_run_verbose_streams_log_to_stderr(self, tmp_path, capsys):
+        data_dir = tmp_path / "scenario"
+        assert main(["synth", "--seed", "3", "--out", str(data_dir),
+                     "--fine-shape", "32x32", "--coarse-factor", "4"]) == 0
+        out_dir = tmp_path / "run_out"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "observed_grid": str(data_dir / "observed.asc"),
+            "output_dir": str(out_dir),
+            "method": "knn",
+            "k": 3,
+            "fine_factor": 2,
+        }))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        handlers = list(logging.getLogger("finegrid").handlers)
+        assert main(["run", "--config", str(cfg_path), "--verbose"]) == 0
+        verbose = capsys.readouterr()
+        metrics = (out_dir / "metrics.txt").read_text().strip()
+        assert verbose.err == f"agreement: {metrics}\n"
+        assert verbose.out == quiet.out
+        # the handler goes away with the run
+        assert logging.getLogger("finegrid").handlers == handlers
 
     def test_run_missing_config_fails(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 1
