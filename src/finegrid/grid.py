@@ -242,6 +242,9 @@ def read_ascii_grid(path) -> Grid:
         if len(parts) != 2 or parts[0].lower() != key:
             raise ParseError(f"expected header line '{key} <value>'", path=path, line=i + 1)
         try:
+            # int() and float() also take "1_0" and non-ASCII digits; the body does not
+            if not parts[1].isascii() or "_" in parts[1]:
+                raise ValueError(parts[1])
             header[key] = int(parts[1]) if key in ("ncols", "nrows") else float(parts[1])
         except ValueError as exc:
             raise ParseError(f"non-numeric header value for '{key}'", path=path, line=i + 1) from exc

@@ -1,15 +1,19 @@
 """Local polynomial regression with leave-one-out degree selection.
 
-For each query: take the k nearest training records, pick the polynomial
-degree whose leave-one-out error over those neighbors is smallest (ties to
-the lower degree), refit that degree on all k neighbors, and evaluate at the
-query. Features are centered on the query before building monomials, so the
-fitted constant term is the prediction and the basis stays well conditioned.
+HYPPO is piecewise polynomial: the degree of the local fit depends on the
+k-neighbor set alone. Queries are grouped by their distinct neighbor set
+(the sorted index row). For each set, the polynomial degree whose
+leave-one-out error over the set is smallest (ties to the lower degree) is
+picked once, with the set's features centered on its centroid, and every
+query that shares the set takes that degree. Each query then refits its
+degree on its k neighbors with features centered on the query, so the
+fitted constant term is the prediction and the basis stays well
+conditioned; degree 0 is the neighbor mean in distance order.
 
 Every fit, leave-one-out fold or final refit, is solved by pseudo-inverse
 with cutoff sigma <= 1e-10 * sigma_max, so rank-deficient neighborhoods (the
 rule when training points sit on a lattice) need no separate path. All folds
-of a chunk of queries are fit by one batched SVD per candidate degree.
+of a chunk of neighbor sets are fit by one batched SVD per candidate degree.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ TIE_REL = 1e-10
 # largest singular value
 RCOND = 1e-10
 
-# size in bytes of the (chunk, k, k-1, m) fold design stack; sets the query
-# chunk, so memory stays flat as k and the monomial count m grow
+# size in bytes of the (chunk, k, k-1, m) fold design stack; sets the chunk
+# of neighbor sets, so memory stays flat as k and the monomial count m grow
 FOLD_STACK_BYTES = 1 << 20
 
 
@@ -174,6 +178,23 @@ def hyppo_select_degree(features: np.ndarray, targets: np.ndarray, max_degree: i
     return int(_select_degrees(feats[None], z[None], candidates)[0])
 
 
+def neighbor_sets(idx: np.ndarray, n_train: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct neighbor sets of an (nq, k) index table into n_train records:
+    the sets as sorted index rows (s, k) in lexicographic order, in the
+    smallest unsigned dtype that holds n_train - 1, and each query's set
+    number (nq,)."""
+    keys = np.sort(idx.astype(np.min_scalar_type(n_train - 1)), axis=1)
+    # the same sets and inverse as np.unique(keys, axis=0), whose sort of
+    # opaque rows is about 13x slower than one stable integer sort per column
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
+
+
 def hyppo_predict_with_degrees(
     train: PointTable,
     queries: PointTable,
@@ -181,13 +202,18 @@ def hyppo_predict_with_degrees(
     space: FeatureSpace,
     target_range: tuple[float, float] | None = None,
     chunk: int | None = None,
+    stats: dict | None = None,
 ):
     """Predictions, the per-query selected degree, and whether each query's
     refit at that degree was rank-deficient.
 
-    Degree 0 predicts through the same neighbor-mean reduction as uniform
-    kNN, so the two agree bit for bit on identical neighborhoods. Results do
-    not depend on the chunk size, which defaults to FOLD_STACK_BYTES' worth.
+    The degree is selected once per distinct neighbor set, so queries that
+    share a set share a degree. Degree 0 predicts through the same
+    neighbor-mean reduction as uniform kNN, so the two agree bit for bit on
+    identical neighborhoods. Results do not depend on the chunk size (sets
+    per leave-one-out stack), which defaults to FOLD_STACK_BYTES' worth. A
+    ``stats`` dict, if given, receives the number of distinct sets as
+    ``neighbor_sets``.
     """
     z = train.require_targets()
     if cfg.k > len(train):
@@ -199,24 +225,34 @@ def hyppo_predict_with_degrees(
     fold_bytes = 8 * cfg.k * (cfg.k - 1) * monomial_count(space.nvars, candidates[-1])
     chunk = chunk or max(1, FOLD_STACK_BYTES // fold_bytes)
 
+    sets, inverse = neighbor_sets(idx, len(train))
+    set_degrees = np.empty(len(sets), dtype=np.int64)
+    for start in range(0, len(sets), chunk):
+        members = sets[start:start + chunk]
+        feats = train_f[members]
+        set_degrees[start:start + chunk] = _select_degrees(
+            feats - feats.mean(axis=1, keepdims=True), z[members], candidates)
+    degrees = set_degrees[inverse]
+    if stats is not None:
+        stats["neighbor_sets"] = len(sets)
+
     nq = len(queries)
     predictions = np.empty(nq)
-    degrees = np.empty(nq, dtype=np.int64)
     rank_deficient = np.zeros(nq, dtype=bool)
-    for start in range(0, nq, chunk):
-        rows = slice(start, start + chunk)
-        centered = train_f[idx[rows]] - query_f[rows][:, None, :]
-        neighbor_z = z[idx[rows]]
-        selected = _select_degrees(centered, neighbor_z, candidates)
-        degrees[rows] = selected
-        zero = np.nonzero(selected == 0)[0]
-        predictions[start + zero] = neighbor_mean(neighbor_z[zero])
+    # a refit stack (c, k, m) holds k - 1 times as many queries as the fold
+    # stack holds sets in the same bytes
+    step = chunk * (cfg.k - 1)
+    for start in range(0, nq, step):
+        selected = degrees[start:start + step]
+        zero = start + np.nonzero(selected == 0)[0]
+        predictions[zero] = neighbor_mean(z[idx[zero]])
         for d in np.unique(selected[selected > 0]):
-            sel = np.nonzero(selected == d)[0]
+            sel = start + np.nonzero(selected == d)[0]
+            centered = train_f[idx[sel]] - query_f[sel][:, None, :]
             exps = monomial_exponents(space.nvars, int(d))
-            coef, rank = _lstsq(design_matrix(centered[sel], exps), neighbor_z[sel])
-            predictions[start + sel] = coef[:, 0]
-            rank_deficient[start + sel] = rank < len(exps)
+            coef, rank = _lstsq(design_matrix(centered, exps), z[idx[sel]])
+            predictions[sel] = coef[:, 0]
+            rank_deficient[sel] = rank < len(exps)
     if target_range is not None:
         lo, hi = target_range
         predictions = np.clip(predictions, lo, hi)

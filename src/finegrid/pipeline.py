@@ -246,14 +246,18 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
         return knn_predict(training, prediction, KnnConfig(s["k"], s["weighting"]), space), None
     if method == "hyppo":
         space = FeatureSpace.fit(s["feature_mode"], training)
+        stats = {}
         values, degrees, rank_deficient = hyppo_predict_with_degrees(
-            training, prediction, HyppoConfig(s["k"], s["max_degree"]), space
+            training, prediction, HyppoConfig(s["k"], s["max_degree"]), space, stats=stats
         )
         unique, counts = np.unique(degrees, return_counts=True)
+        derived["hyppo_neighbor_sets"] = stats["neighbor_sets"]
         derived["hyppo_degree_counts"] = {int(d): int(c) for d, c in zip(unique, counts)}
         derived["hyppo_rank_deficient"] = {
             int(d): int(np.count_nonzero(rank_deficient[degrees == d])) for d in unique
         }
+        logger.info("hyppo: %d neighbor sets for %d queries, degree counts %s",
+                    stats["neighbor_sets"], len(prediction), derived["hyppo_degree_counts"])
         return values, None
     rf_cfg = RfConfig(ntree=s["ntree"], mtry=s["mtry"], min_leaf=s["min_leaf"], seed=s["seed"])
     if rf_cfg.mtry == "tune":

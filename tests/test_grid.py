@@ -347,6 +347,23 @@ class TestAsciiOracle:
         assert info.value.line == 9
         assert _read_ascii_grid_ref(path).values[1, 1] == as_float
 
+    @pytest.mark.parametrize("plain, spelled, line", [
+        ("ncols 3", "ncols 0_3", 1),
+        ("nrows 2", "nrows ٢", 2),
+        ("cellsize 0.25", "cellsize 0.2_5", 5),
+        ("NODATA_value -9999.0", "NODATA_value -٩999.0", 6),
+    ])
+    def test_float_only_header_values_rejected(self, tmp_path, plain, spelled, line):
+        # the header refuses the spellings the body refuses, by line
+        body = "1 2 3\n4 5 6\n"
+        path = tmp_path / "narrow.asc"
+        path.write_bytes((HEADER_3x2.replace(plain, spelled) + body).encode())
+        with pytest.raises(ParseError, match="non-numeric header value") as info:
+            read_ascii_grid(path)
+        assert info.value.line == line
+        (tmp_path / "plain.asc").write_text(HEADER_3x2 + body)
+        assert _read_ascii_grid_ref(path) == read_ascii_grid(tmp_path / "plain.asc")
+
     def test_empty_body_raises_without_warning(self, tmp_path):
         path = tmp_path / "empty.asc"
         path.write_text(HEADER_3x2 + "\n \n")

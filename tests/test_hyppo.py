@@ -20,7 +20,9 @@ from finegrid.models.hyppo import (
     design_matrix,
     monomial_count,
     monomial_exponents,
+    neighbor_sets,
 )
+from finegrid.models.features import neighbor_search
 
 
 def points(lon, lat, z):
@@ -42,6 +44,12 @@ def lattice_case(rng, nq):
     queries = points(rng.uniform(0.1, 0.9, nq), rng.uniform(0.1, 0.9, nq),
                      np.full(nq, np.nan))
     return points(lon, lat, z), queries
+
+
+def scattered_case(rng, nq):
+    train = points(rng.uniform(0, 1, 40), rng.uniform(0, 1, 40), rng.random(40))
+    queries = points(rng.uniform(0, 1, nq), rng.uniform(0, 1, nq), np.full(nq, np.nan))
+    return train, queries
 
 
 def loo_oracle(features, targets, degree):
@@ -209,8 +217,9 @@ class TestHyppoPredict:
         np.testing.assert_allclose(pred, 0.1 + 0.2 * qlon + 0.05 * qlat, atol=1e-9)
 
     def test_matches_per_query_oracle(self, rng):
-        # naive per-query pipeline: search, select via oracle LOO, pinv refit;
-        # the lattice case adds rank-deficient folds and refits
+        # naive per-query pipeline: search, select via oracle LOO on the
+        # neighborhood centered on its centroid, pinv refit centered on the
+        # query; the lattice case adds rank-deficient folds and refits
         train_lon = rng.uniform(0, 1, 30)
         train_lat = rng.uniform(0, 1, 30)
         z = np.sin(3 * train_lon) * np.cos(2 * train_lat)
@@ -233,7 +242,8 @@ class TestHyppoPredict:
                 centered = train_f[order] - query_f[qi]
                 nz = z[order]
                 degrees = admissible_degrees(2, k, max_degree)
-                errors = [loo_oracle(centered, nz, d) for d in degrees]
+                errors = [loo_oracle(train_f[order] - train_f[order].mean(axis=0), nz, d)
+                          for d in degrees]
                 tol = TIE_REL * (1.0 + float(np.mean(nz * nz)))
                 d = next(dd for dd, e in zip(degrees, errors) if e <= min(errors) + tol)
                 assert deg[qi] == d
@@ -286,6 +296,48 @@ class TestHyppoPredict:
             for run in runs[1:]:
                 for a, b in zip(runs[0], run):
                     np.testing.assert_array_equal(a, b)
+
+    def test_shared_neighbor_set_shares_degree(self, rng):
+        train, queries = lattice_case(rng, 300)
+        space = FeatureSpace.fit("coords", train)
+        _, deg, _ = hyppo_predict_with_degrees(train, queries, HyppoConfig(k=12), space)
+        idx, _ = neighbor_search(space.features(train), space.features(queries), 12)
+        by_set = {}
+        for row, d in zip(np.sort(idx, axis=1), deg):
+            by_set.setdefault(tuple(row), set()).add(int(d))
+        assert len(by_set) < len(queries)
+        assert all(len(ds) == 1 for ds in by_set.values())
+        assert len(set().union(*by_set.values())) > 1
+
+    def test_query_permutation_permutes_outputs(self, rng):
+        for (train, queries), k in ((lattice_case(rng, 60), 12), (scattered_case(rng, 60), 8)):
+            space = FeatureSpace.fit("coords", train)
+            cfg = HyppoConfig(k=k, max_degree=3)
+            base = hyppo_predict_with_degrees(train, queries, cfg, space)
+            for perm in (np.arange(len(queries))[::-1], rng.permutation(len(queries))):
+                moved = hyppo_predict_with_degrees(train, queries.subset(perm), cfg, space)
+                for a, b in zip(base, moved):
+                    np.testing.assert_array_equal(a[perm], b)
+
+    def test_neighbor_set_count_matches_brute_force(self, rng):
+        for (train, queries), k in ((lattice_case(rng, 200), 12), (scattered_case(rng, 200), 8)):
+            space = FeatureSpace.fit("coords", train)
+            stats = {}
+            hyppo_predict_with_degrees(train, queries, HyppoConfig(k=k), space, stats=stats)
+            idx, _ = neighbor_search(space.features(train), space.features(queries), k)
+            assert stats["neighbor_sets"] == len({tuple(sorted(row)) for row in idx.tolist()})
+
+    def test_neighbor_sets_match_numpy_unique(self, rng):
+        base = np.stack([rng.choice(300, 5, replace=False) for _ in range(200)])
+        # every set twice, the second time in another row and column order
+        shuffled = np.take_along_axis(base, rng.random(base.shape).argsort(axis=1), axis=1)
+        idx = np.concatenate([base, shuffled[rng.permutation(200)]])
+        sets, inverse = neighbor_sets(idx, 300)
+        expect, expect_inverse = np.unique(np.sort(idx, axis=1), axis=0, return_inverse=True)
+        assert sets.dtype == np.uint16
+        np.testing.assert_array_equal(sets, expect)
+        np.testing.assert_array_equal(inverse, expect_inverse.reshape(-1))
+        np.testing.assert_array_equal(sets[inverse], np.sort(idx, axis=1))
 
     def test_k_exceeding_train_size(self, rng):
         train = points(rng.uniform(0, 1, 5), rng.uniform(0, 1, 5), rng.random(5))

@@ -19,7 +19,9 @@ from finegrid import (
     write_ascii_grid,
     write_region,
 )
+import finegrid.models.hyppo as hyppo_module
 from finegrid.grid import grid_centroids
+from finegrid.models.features import neighbor_search
 from finegrid.pipeline import OUTPUT_FILES
 
 
@@ -480,14 +482,30 @@ class TestFailureCleanup:
 
 
 class TestHyppoPipeline:
-    def test_degree_counts_in_manifest(self, tmp_path):
+    def test_degree_counts_in_manifest(self, tmp_path, monkeypatch, caplog):
         _, data_dir = dump_scenario(tmp_path)
         out = tmp_path / "out"
-        run_pipeline(validate_config(base_config(
-            data_dir, out, method="hyppo", k=8, max_degree=2)))
+        searched = []
+
+        def search(*args):
+            result = neighbor_search(*args)
+            searched.append(result[0])
+            return result
+
+        monkeypatch.setattr(hyppo_module, "neighbor_search", search)
+        with caplog.at_level("INFO", logger="finegrid"):
+            run_pipeline(validate_config(base_config(
+                data_dir, out, method="hyppo", k=8, max_degree=2)))
         derived = json.loads((out / "manifest.json").read_text())["derived"]
         counts = derived["hyppo_degree_counts"]
         assert sum(counts.values()) == derived["predict_count_initial"]
+        # one set per distinct sorted neighbor row of the search
+        sets = derived["hyppo_neighbor_sets"]
+        assert sets == len({tuple(sorted(row)) for row in searched[0].tolist()})
+        assert 1 < sets < derived["predict_count_initial"]
+        assert caplog.records[0].getMessage() == (
+            f"hyppo: {sets} neighbor sets for {derived['predict_count_initial']} queries, "
+            f"degree counts { {int(d): c for d, c in counts.items()} }")
         assert all(int(d) <= 2 for d in counts)
         # training points are coarse centroids on a lattice, so some
         # degree-2 refits are rank-deficient; degree 0 never is
