@@ -137,12 +137,8 @@ def scatter_export(aggregated: Grid, observed: Grid, path) -> None:
     if not aggregated.same_header(observed):
         raise UsageError("aggregated and observed grids must share a header")
     paired = aggregated.data_mask & observed.data_mask
+    lons, lats = observed.centroid_arrays()
+    columns = (lons[paired], lats[paired], observed.values[paired], aggregated.values[paired])
     lines = ["lon,lat,observed,predicted"]
-    rows, cols = np.nonzero(paired)
-    for r, c in zip(rows, cols):
-        lon, lat = observed.centroid(int(r), int(c))
-        lines.append(
-            f"{lon!r},{lat!r},"
-            f"{float(observed.values[r, c])!r},{float(aggregated.values[r, c])!r}"
-        )
+    lines.extend(",".join(map(repr, row)) for row in zip(*(col.tolist() for col in columns)))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -2,14 +2,12 @@
 
 PCA is fit on standardized covariates (zero mean, unit population variance),
 so the retained-component rule "eigenvalue at least one" carries its usual
-meaning. The eigendecomposition uses cyclic Jacobi rotations on the
-symmetric correlation matrix, which is plenty for the p <= ~50 widths this
-engine sees.
+meaning. The symmetric correlation matrix is decomposed by
+``np.linalg.eigh``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +15,10 @@ import numpy as np
 
 from .errors import ParseError, UsageError
 from .grid import PointTable
+
+# entries within this relative distance of a vector's largest magnitude count
+# as tied for fixing its sign, so rounding cannot flip a component
+SIGN_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -100,48 +102,14 @@ def standardize_fit(table: PointTable) -> StandardizationStats:
     return StandardizationStats(means, stdevs, constant)
 
 
-def _jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted. Converged when
-    every off-diagonal magnitude is below tol.
-    """
-    a = a.copy()
-    p = a.shape[0]
-    v = np.eye(p)
-    for _ in range(max_sweeps):
-        off = np.abs(a - np.diag(np.diag(a))).max() if p > 1 else 0.0
-        if off < tol:
-            break
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                if abs(a[i, j]) < tol:
-                    continue
-                # Rutishauser's stable rotation parameters
-                theta = (a[j, j] - a[i, i]) / (2.0 * a[i, j])
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_i = a[:, i].copy()
-                rot_j = a[:, j].copy()
-                a[:, i] = c * rot_i - s * rot_j
-                a[:, j] = s * rot_i + c * rot_j
-                row_i = a[i, :].copy()
-                row_j = a[j, :].copy()
-                a[i, :] = c * row_i - s * row_j
-                a[j, :] = s * row_i + c * row_j
-                vi = v[:, i].copy()
-                vj = v[:, j].copy()
-                v[:, i] = c * vi - s * vj
-                v[:, j] = s * vi + c * vj
-    return np.diag(a).copy(), v
-
-
 def pca_fit(table: PointTable) -> PcaModel:
     """Fit correlation-matrix PCA; retain components with eigenvalue >= 1.
 
     At least one component is always retained. Eigenvector signs are fixed by
-    making each vector's largest-magnitude entry positive.
+    making each vector's leading entry positive: the first entry whose
+    magnitude is within ``SIGN_TIE_RTOL`` of the largest. A p = 2 correlation
+    matrix has eigenvectors proportional to (1, +-1), whose magnitudes differ
+    only by rounding, so a plain argmax would let rounding pick the sign.
     """
     p = table.p
     if p == 0:
@@ -151,14 +119,13 @@ def pca_fit(table: PointTable) -> PcaModel:
     stats = standardize_fit(table)
     z = stats.apply(table.covariates)
     corr = (z.T @ z) / len(table)
-    eigenvalues, vectors = _jacobi_eigh(corr)
-    order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = vectors[:, order]
-    for j in range(p):
-        k = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[k, j] < 0:
-            vectors[:, j] = -vectors[:, j]
+    eigenvalues, vectors = np.linalg.eigh(corr)
+    # eigh returns the eigenvalues in ascending order
+    eigenvalues = eigenvalues[::-1]
+    vectors = vectors[:, ::-1]
+    magnitude = np.abs(vectors)
+    lead = np.argmax(magnitude >= (1.0 - SIGN_TIE_RTOL) * magnitude.max(axis=0), axis=0)
+    vectors = vectors * np.where(vectors[lead, np.arange(p)] < 0, -1.0, 1.0)
     retained = max(1, int(np.count_nonzero(eigenvalues >= 1.0)))
     return PcaModel(stats, vectors[:, :retained].T.copy(), eigenvalues, retained)
 

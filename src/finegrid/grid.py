@@ -81,8 +81,8 @@ class Grid:
         """Boolean mask of cells that hold data (True = not nodata)."""
         return self.values != self.nodata
 
-    def centroid(self, row: int, col: int) -> tuple[float, float]:
-        """Lon/lat centroid of cell ``(row, col)``."""
+    def centroid(self, row, col):
+        """Lon/lat centroid of cell ``(row, col)``; integer arrays give arrays."""
         lon = self.xll + (col + 0.5) * self.cellsize
         lat = self.yll + (self.nrows - row - 0.5) * self.cellsize
         return lon, lat
@@ -116,11 +116,9 @@ class Grid:
 
     def centroid_arrays(self):
         """Lon/lat centroids of all cells as two (nrows, ncols) arrays."""
-        lons = self.xll + (np.arange(self.ncols) + 0.5) * self.cellsize
-        lats = self.yll + (self.nrows - np.arange(self.nrows) - 0.5) * self.cellsize
-        return np.broadcast_to(lons, (self.nrows, self.ncols)), np.broadcast_to(
-            lats[:, None], (self.nrows, self.ncols)
-        )
+        lons, lats = self.centroid(np.arange(self.nrows)[:, None], np.arange(self.ncols))
+        shape = (self.nrows, self.ncols)
+        return np.broadcast_to(lons, shape), np.broadcast_to(lats, shape)
 
     def with_values(self, values: np.ndarray) -> "Grid":
         """New grid sharing this header with different cell values."""
@@ -354,10 +352,8 @@ def monthly_mean(days: list[Grid], min_count: int = 1) -> Grid:
 def grid_to_points(grid: Grid) -> PointTable:
     """One record per non-nodata cell: centroid coordinates and the cell value."""
     mask = grid.data_mask
-    rows, cols = np.nonzero(mask)
-    lons = grid.xll + (cols + 0.5) * grid.cellsize
-    lats = grid.yll + (grid.nrows - rows - 0.5) * grid.cellsize
-    return PointTable(lons, lats, grid.values[mask], empty_covariates(mask.sum()))
+    lons, lats = grid.centroid_arrays()
+    return PointTable(lons[mask], lats[mask], grid.values[mask], empty_covariates(mask.sum()))
 
 
 def grid_centroids(grid: Grid) -> PointTable:

@@ -17,7 +17,7 @@ import logging
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,59 +62,41 @@ OUTPUT_FILES = (
     "manifest.json",
 )
 
-_KNOWN_KEYS = {
-    "observed_grid": str,
-    "daily_grids": list,
-    "min_count": int,
-    "covariate_layers": list,
-    "covariate_names": list,
-    "region_file": str,
-    "buffer_km": (int, float),
-    "report_region_file": str,
-    "output_dir": str,
-    "pca": bool,
-    "method": str,
-    "feature_mode": str,
-    "k": int,
-    "weighting": str,
-    "max_degree": int,
-    "ntree": int,
-    "mtry": (int, str),
-    "mtry_grid": list,
-    "folds": int,
-    "min_leaf": int,
-    "seed": int,
-    "fine_factor": int,
-    "fine_header": dict,
-    "workers": int,
-    "clamp": (list, type(None)),
-    "render": bool,
+# marks the keys that have no default: they appear in the resolved settings
+# only when the config names them
+_REQUIRED = object()
+
+# key: (accepted types, default)
+_SCHEMA = {
+    "observed_grid": (str, _REQUIRED),
+    "daily_grids": (list, _REQUIRED),
+    "min_count": (int, 1),
+    "covariate_layers": (list, []),
+    "covariate_names": (list, None),
+    "region_file": (str, None),
+    "buffer_km": ((int, float), 0.0),
+    "report_region_file": (str, None),
+    "output_dir": (str, _REQUIRED),
+    "pca": (bool, False),
+    "method": (str, _REQUIRED),
+    "feature_mode": (str, None),
+    "k": (int, 10),
+    "weighting": (str, "uniform"),
+    "max_degree": (int, 3),
+    "ntree": (int, 500),
+    "mtry": ((int, str), "tune"),
+    "mtry_grid": (list, None),
+    "folds": (int, 10),
+    "min_leaf": (int, 5),
+    "seed": (int, 0),
+    "fine_factor": (int, 27),
+    "fine_header": (dict, None),
+    "workers": (int, 1),
+    "clamp": ((list, type(None)), [0.0, 1.0]),
+    "render": (bool, False),
 }
 
-_DEFAULTS = {
-    "min_count": 1,
-    "covariate_layers": [],
-    "covariate_names": None,
-    "region_file": None,
-    "buffer_km": 0.0,
-    "report_region_file": None,
-    "pca": False,
-    "feature_mode": None,
-    "k": 10,
-    "weighting": "uniform",
-    "max_degree": 3,
-    "ntree": 500,
-    "mtry": "tune",
-    "mtry_grid": None,
-    "folds": 10,
-    "min_leaf": 5,
-    "seed": 0,
-    "fine_factor": 27,
-    "fine_header": None,
-    "workers": 1,
-    "clamp": [0.0, 1.0],
-    "render": False,
-}
+_FINE_HEADER_KEYS = ("ncols", "nrows", "xll", "yll", "cellsize")
 
 
 @dataclass(frozen=True)
@@ -138,17 +120,17 @@ def validate_config(raw: dict, base_dir=None) -> PipelineConfig:
     """Check types, key names, and cross-field rules; fill defaults."""
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
-    unknown = sorted(set(raw) - set(_KNOWN_KEYS))
+    unknown = sorted(set(raw) - set(_SCHEMA))
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     for key, value in raw.items():
-        expected = _KNOWN_KEYS[key]
+        expected = _SCHEMA[key][0]
         if value is not None and not isinstance(value, expected):
             raise UsageError(f"config key {key!r} has wrong type {type(value).__name__}")
         if isinstance(value, bool) and expected is int:
             raise UsageError(f"config key {key!r} has wrong type bool")
 
-    settings = dict(_DEFAULTS)
+    settings = {key: default for key, (_, default) in _SCHEMA.items() if default is not _REQUIRED}
     settings.update(raw)
 
     if "method" not in raw:
@@ -164,6 +146,9 @@ def validate_config(raw: dict, base_dir=None) -> PipelineConfig:
     if raw.get("fine_factor") is not None and raw.get("fine_header") is not None:
         raise UsageError("config needs at most one of fine_factor or fine_header")
     if settings["fine_header"] is not None:
+        missing = [key for key in _FINE_HEADER_KEYS if key not in settings["fine_header"]]
+        if missing:
+            raise UsageError(f"fine_header is missing key(s) {', '.join(missing)}")
         settings["fine_factor"] = None
     elif settings["fine_factor"] is None or settings["fine_factor"] < 1:
         raise UsageError("fine_factor must be at least 1")
@@ -186,6 +171,7 @@ def validate_config(raw: dict, base_dir=None) -> PipelineConfig:
         settings["clamp"] = [float(clamp[0]), float(clamp[1])]
     if settings["workers"] < 1:
         raise UsageError("workers must be at least 1")
+    _model_config(settings)
     return PipelineConfig(settings, Path(base_dir) if base_dir else Path())
 
 
@@ -210,45 +196,50 @@ class RunResult:
     prediction: Grid
 
 
+def _model_config(s: dict):
+    """The model config a run's settings name; raises UsageError on a bad value."""
+    if s["method"] == "knn":
+        return KnnConfig(s["k"], s["weighting"])
+    if s["method"] == "hyppo":
+        return HyppoConfig(s["k"], s["max_degree"])
+    return RfConfig(ntree=s["ntree"], mtry=s["mtry"], min_leaf=s["min_leaf"], seed=s["seed"])
+
+
 def _fine_grid_header(cfg: PipelineConfig, coarse: Grid) -> Grid:
     header = cfg.settings["fine_header"]
     if header is None:
         factor = cfg.settings["fine_factor"]
-        return Grid(
-            ncols=coarse.ncols * factor,
-            nrows=coarse.nrows * factor,
-            xll=coarse.xll,
-            yll=coarse.yll,
-            cellsize=coarse.cellsize / factor,
-            nodata=coarse.nodata,
-            values=np.full((coarse.nrows * factor, coarse.ncols * factor), coarse.nodata),
-        )
-    try:
-        return Grid(
-            ncols=int(header["ncols"]),
-            nrows=int(header["nrows"]),
-            xll=float(header["xll"]),
-            yll=float(header["yll"]),
-            cellsize=float(header["cellsize"]),
-            nodata=float(header.get("nodata", coarse.nodata)),
-            values=np.full((int(header["nrows"]), int(header["ncols"])),
-                           float(header.get("nodata", coarse.nodata))),
-        )
-    except KeyError as exc:
-        raise UsageError(f"fine_header is missing key {exc}") from exc
+        header = {
+            "ncols": coarse.ncols * factor,
+            "nrows": coarse.nrows * factor,
+            "xll": coarse.xll,
+            "yll": coarse.yll,
+            "cellsize": coarse.cellsize / factor,
+        }
+    ncols, nrows = int(header["ncols"]), int(header["nrows"])
+    nodata = float(header.get("nodata", coarse.nodata))
+    return Grid(
+        ncols=ncols,
+        nrows=nrows,
+        xll=header["xll"],
+        yll=header["yll"],
+        cellsize=header["cellsize"],
+        nodata=nodata,
+        values=np.full((nrows, ncols), nodata),
+    )
 
 
 def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, derived: dict):
     s = cfg.settings
-    method = cfg.method
-    if method == "knn":
+    model_cfg = _model_config(s)
+    if cfg.method == "knn":
         space = FeatureSpace.fit(s["feature_mode"], training)
-        return knn_predict(training, prediction, KnnConfig(s["k"], s["weighting"]), space), None
-    if method == "hyppo":
+        return knn_predict(training, prediction, model_cfg, space), None
+    if cfg.method == "hyppo":
         space = FeatureSpace.fit(s["feature_mode"], training)
         stats = {}
         values, degrees, rank_deficient = hyppo_predict_with_degrees(
-            training, prediction, HyppoConfig(s["k"], s["max_degree"]), space, stats=stats
+            training, prediction, model_cfg, space, stats=stats
         )
         unique, counts = np.unique(degrees, return_counts=True)
         derived["hyppo_neighbor_sets"] = stats["neighbor_sets"]
@@ -259,17 +250,16 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
         logger.info("hyppo: %d neighbor sets for %d queries, degree counts %s",
                     stats["neighbor_sets"], len(prediction), derived["hyppo_degree_counts"])
         return values, None
-    rf_cfg = RfConfig(ntree=s["ntree"], mtry=s["mtry"], min_leaf=s["min_leaf"], seed=s["seed"])
-    if rf_cfg.mtry == "tune":
+    if model_cfg.mtry == "tune":
         grid = s["mtry_grid"] or default_mtry_grid(training.p)
-        tuned = tune_mtry(training, rf_cfg, grid, folds=s["folds"])
+        tuned = tune_mtry(training, model_cfg, grid, folds=s["folds"])
         derived["tuned_mtry"] = tuned
-        rf_cfg = RfConfig(ntree=s["ntree"], mtry=tuned, min_leaf=s["min_leaf"], seed=s["seed"])
-    forest = rf_fit(training, rf_cfg, workers=s["workers"])
+        model_cfg = replace(model_cfg, mtry=tuned)
+    forest = rf_fit(training, model_cfg, workers=s["workers"])
     derived["oob_rmse"] = forest.oob_rmse
     derived["forest_nodes"] = sum(tree.n_nodes for tree in forest.trees)
     derived["forest_max_depth"] = max(tree.depth for tree in forest.trees)
-    derived["mtry_used"] = rf_cfg.mtry
+    derived["mtry_used"] = model_cfg.mtry
     return rf_predict(forest, prediction), forest
 
 
@@ -284,14 +274,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     s = cfg.settings
     out_dir = cfg.resolve(s["output_dir"])
     staging: Path | None = None
-    written: list[Path] = []
     stage = "setup"
-
-    def emit_grid(grid: Grid, name: str):
-        target = staging / name
-        write_ascii_grid(grid, target)
-        written.append(target)
-
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         # inside out_dir, so the final os.replace stays on one filesystem
@@ -389,9 +372,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
                 )
             training = cov.pca_transform(model, training)
             prediction_points = cov.pca_transform(model, prediction_points)
-            sidecar = staging / "pca_model.csv"
-            cov.write_pca_sidecar(model, sidecar)
-            written.append(sidecar)
+            cov.write_pca_sidecar(model, staging / "pca_model.csv")
             derived["pca_retained"] = model.retained
             derived["pca_eigenvalues"] = [float(v) for v in model.eigenvalues]
 
@@ -401,9 +382,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             values = np.clip(values, clamp[0], clamp[1])
         predicted = prediction_points.with_target(values)
         if forest is not None:
-            forest_path = staging / "forest.txt"
-            write_forest(forest, forest_path)
-            written.append(forest_path)
+            write_forest(forest, staging / "forest.txt")
 
         stage = "report-clip"
         if report_region is not None:
@@ -417,21 +396,17 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         rows, cols, inside = fine.cell_index_arrays(predicted.lon, predicted.lat)
         raster[rows[inside], cols[inside]] = predicted.target[inside]
         prediction_grid = fine.with_values(raster)
-        emit_grid(prediction_grid, "prediction.asc")
+        write_ascii_grid(prediction_grid, staging / "prediction.asc")
 
         stage = "analysis"
         aggregated = aggregate_fine_to_coarse(predicted, observed)
         report = residual_report(aggregated, observed)
-        emit_grid(aggregated, "aggregated.asc")
-        emit_grid(report.residual, "residual.asc")
-        emit_grid(report.relative_residual, "relative_residual.asc")
-        scatter_path = staging / "scatter.csv"
-        scatter_export(aggregated, observed, scatter_path)
-        written.append(scatter_path)
+        write_ascii_grid(aggregated, staging / "aggregated.asc")
+        write_ascii_grid(report.residual, staging / "residual.asc")
+        write_ascii_grid(report.relative_residual, staging / "relative_residual.asc")
+        scatter_export(aggregated, observed, staging / "scatter.csv")
         metrics = format_metrics(report)
-        metrics_path = staging / "metrics.txt"
-        metrics_path.write_text(metrics + "\n")
-        written.append(metrics_path)
+        (staging / "metrics.txt").write_text(metrics + "\n")
         logger.info("agreement: %s", metrics)
 
         if s["render"]:
@@ -443,20 +418,19 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
                 (report.residual, "residual", "diverging"),
                 (report.relative_residual, "relative_residual", "diverging"),
             ):
-                image = staging / f"{name}.ppm"
-                render_heatmap(grid, palette, image)
-                written.append(image)
-                written.append(Path(str(image) + ".legend.txt"))
+                render_heatmap(grid, palette, staging / f"{name}.ppm")
 
         stage = "manifest"
+        # the staging directory holds exactly what this run wrote
+        outputs = sorted(staging.iterdir())
         derived["output_digests"] = {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in written
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs
         }
         manifest = {"config": s, "derived": derived}
         manifest_path = staging / "manifest.json"
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        written.append(manifest_path)
-        for path in written:
+        # the manifest moves last, so a new manifest means every output is new
+        for path in outputs + [manifest_path]:
             os.replace(path, out_dir / path.name)
         staging.rmdir()
     except Exception as exc:

@@ -100,6 +100,30 @@ class TestPcaFit:
         expected = np.linalg.eigvalsh(corr)[::-1]
         np.testing.assert_allclose(model.eigenvalues, expected, atol=1e-8)
 
+    def test_matches_jacobi_reference_values(self, rng):
+        # the inputs of test_matches_numpy_eigh_oracle; the values a cyclic
+        # Jacobi eigensolver gave on them, sign convention included
+        covs = rng.normal(0, 1, (200, 5)) @ rng.normal(0, 1, (5, 5))
+        model = pca_fit(make_table(covs))
+        eigenvalues = [2.596349271988061, 1.3499553462650165, 0.8587633791798523,
+                       0.19446947564803482, 0.00046252691903002097]
+        components = [
+            [0.563286038892753, 0.284704380638113, -0.533590302310693,
+             -0.5209682567637142, 0.21336756726020945],
+            [0.24110097014846837, -0.42614975544216427, -0.026005062805344936,
+             0.37638163966696386, 0.7860835236539101],
+        ]
+        np.testing.assert_allclose(model.eigenvalues, eigenvalues, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(model.components, components, rtol=0, atol=1e-9)
+
+    def test_sign_ties_go_to_the_first_entry(self, rng):
+        # a 2-column correlation matrix has eigenvectors +-(1, +-1)/sqrt(2),
+        # whose two magnitudes differ only by rounding
+        for _ in range(500):
+            covs = rng.normal(0, 1, (50, 2)) @ rng.normal(0, 1, (2, 2))
+            model = pca_fit(make_table(covs))
+            assert (model.components[:, 0] > 0).all()
+
     def test_sign_convention(self, rng):
         covs = rng.normal(0, 1, (100, 3)) @ rng.normal(0, 1, (3, 3))
         model = pca_fit(make_table(covs))

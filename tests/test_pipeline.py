@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from finegrid import (
 import finegrid.models.hyppo as hyppo_module
 from finegrid.grid import grid_centroids
 from finegrid.models.features import neighbor_search
-from finegrid.pipeline import OUTPUT_FILES
+from finegrid.pipeline import _SCHEMA, OUTPUT_FILES
 
 
 def dump_scenario(tmp_path, **kwargs):
@@ -125,6 +127,28 @@ class TestValidateConfig:
     def test_weighting_validation(self):
         with pytest.raises(UsageError, match="weighting"):
             validate_config(self.ok(weighting="gaussian"))
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"method": "knn", "k": 0}, "k must be at least 1"),
+        ({"method": "hyppo", "k": 1}, "k >= 2"),
+        ({"method": "hyppo", "max_degree": -1}, "max_degree"),
+        ({"method": "rf", "ntree": 0}, "ntree"),
+        ({"method": "rf", "min_leaf": 0}, "min_leaf"),
+        ({"method": "rf", "mtry": 0}, "mtry"),
+        ({"method": "rf", "mtry": "auto"}, "mtry"),
+        ({"fine_header": {"ncols": 4, "nrows": 4, "yll": 0, "cellsize": 1.0}},
+         "fine_header is missing key.* xll"),
+    ], ids=["knn-k0", "hyppo-k1", "hyppo-degree-1", "rf-ntree0", "rf-min-leaf0", "rf-mtry0",
+            "rf-mtry-auto", "header-no-xll"])
+    def test_bad_model_settings_fail_validation(self, overrides, message):
+        with pytest.raises(UsageError, match=message):
+            validate_config(self.ok(**overrides))
+
+    def test_readme_config_table_lists_schema_keys(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
+        keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+        assert sorted(keys) == sorted(_SCHEMA)
 
     def test_load_config_resolves_relative_paths(self, tmp_path):
         (tmp_path / "cfg").mkdir()
