@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import ParseError, UsageError
 
-DEFAULT_NODATA = -9999.0
-
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 

@@ -1,6 +1,1 @@
-"""The three interchangeable regressors behind one predictor contract."""
-
-from .features import FeatureSpace, neighbor_search, raw_features
-from .forest import Forest, RfConfig, Tree, rf_fit, rf_predict, tune_mtry
-from .hyppo import HyppoConfig, fit_polynomial, hyppo_predict, hyppo_select_degree
-from .knn import KnnConfig, knn_predict
+"""The three regressors (knn, HYPPO, random forest) and the feature space they share."""

@@ -390,7 +390,10 @@ def read_forest(path) -> Forest:
     for t in range(ntree):
         if i >= len(lines) or not lines[i].startswith(f"tree {t} "):
             raise ParseError(f"expected 'tree {t}' header", path=path, line=i + 1)
-        n_nodes = int(lines[i].split("nodes=")[1])
+        count = lines[i].partition("nodes=")[2].strip()
+        if not count.isdecimal() or int(count) < 1:
+            raise ParseError(f"tree {t} needs a positive node count", path=path, line=i + 1)
+        n_nodes = int(count)
         feature = np.empty(n_nodes, dtype=np.int64)
         threshold = np.zeros(n_nodes)
         left = np.full(n_nodes, -1, dtype=np.int64)
@@ -406,10 +409,14 @@ def read_forest(path) -> Forest:
                     feature[node] = -1
                     value[node] = float(parts[2])
                 elif parts[1] == "split":
-                    feature[node] = int(parts[2])
-                    threshold[node] = float(parts[3])
-                    left[node] = int(parts[4])
-                    right[node] = int(parts[5])
+                    feat, lo, hi = int(parts[2]), int(parts[4]), int(parts[5])
+                    if not 0 <= feat < p:
+                        raise ValueError(f"feature {feat} outside [0, {p})")
+                    # ids are preorder: a child follows its parent, so routing cannot cycle
+                    if not (node < lo < n_nodes and node < hi < n_nodes):
+                        raise ValueError(f"children {lo}, {hi} outside ({node}, {n_nodes})")
+                    feature[node], threshold[node] = feat, float(parts[3])
+                    left[node], right[node] = lo, hi
                 else:
                     raise ValueError(f"unknown node kind {parts[1]!r}")
             except (IndexError, ValueError) as exc:

@@ -216,8 +216,6 @@ def hyppo_predict_with_degrees(
     ``neighbor_sets``.
     """
     z = train.require_targets()
-    if cfg.k > len(train):
-        raise UsageError(f"k = {cfg.k} exceeds training size {len(train)}")
     train_f = space.features(train)
     query_f = space.features(queries)
     idx, _ = neighbor_search(train_f, query_f, cfg.k)

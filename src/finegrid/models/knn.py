@@ -48,8 +48,6 @@ def knn_predict(
     w = 1/max(d, 1e-12) over the scaled Euclidean distances.
     """
     z = train.require_targets()
-    if cfg.k > len(train):
-        raise UsageError(f"k = {cfg.k} exceeds training size {len(train)}")
     train_f = space.features(train)
     query_f = space.features(queries)
     idx, dist = neighbor_search(train_f, query_f, cfg.k)

@@ -62,41 +62,54 @@ OUTPUT_FILES = (
     "manifest.json",
 )
 
-# marks the keys that have no default: they appear in the resolved settings
-# only when the config names them
-_REQUIRED = object()
+# no default: _REQUIRED keys must be named, _UNSET keys may be absent, and
+# the resolved settings hold either only when the config names it
+_REQUIRED, _UNSET = object(), object()
+_NONE = type(None)
+_NUMBER = (int, float)
 
-# key: (accepted types, default)
+# key: (accepted types, default, rule). A rule is what a value set in the
+# config must meet beyond its type: a set of allowed values, a number (the
+# least allowed value), [types, rule] of every entry of a list, a schema
+# like this one for the keys of a mapping, or a (test, description) pair.
 _SCHEMA = {
-    "observed_grid": (str, _REQUIRED),
-    "daily_grids": (list, _REQUIRED),
-    "min_count": (int, 1),
-    "covariate_layers": (list, []),
-    "covariate_names": (list, None),
-    "region_file": (str, None),
-    "buffer_km": ((int, float), 0.0),
-    "report_region_file": (str, None),
-    "output_dir": (str, _REQUIRED),
-    "pca": (bool, False),
-    "method": (str, _REQUIRED),
-    "feature_mode": (str, None),
-    "k": (int, 10),
-    "weighting": (str, "uniform"),
-    "max_degree": (int, 3),
-    "ntree": (int, 500),
-    "mtry": ((int, str), "tune"),
-    "mtry_grid": (list, None),
-    "folds": (int, 10),
-    "min_leaf": (int, 5),
-    "seed": (int, 0),
-    "fine_factor": (int, 27),
-    "fine_header": (dict, None),
-    "workers": (int, 1),
-    "clamp": ((list, type(None)), [0.0, 1.0]),
-    "render": (bool, False),
+    "observed_grid": (str, _UNSET, None),
+    "daily_grids": (list, _UNSET, [str, None]),
+    "min_count": (int, 1, 1),
+    "covariate_layers": (list, [], [str, None]),
+    "covariate_names": ((list, _NONE), None, [str, None]),
+    "region_file": ((str, _NONE), None, None),
+    "buffer_km": (_NUMBER, 0.0, 0),
+    "report_region_file": ((str, _NONE), None, None),
+    "output_dir": (str, _REQUIRED, None),
+    "pca": (bool, False, None),
+    "method": (str, _REQUIRED, set(METHODS)),
+    "feature_mode": ((str, _NONE), None, set(MODES)),
+    "k": (int, 10, None),
+    "weighting": (str, "uniform", set(WEIGHTINGS)),
+    "max_degree": (int, 3, None),
+    "ntree": (int, 500, None),
+    "mtry": ((int, str), "tune", None),
+    "mtry_grid": ((list, _NONE), None, [int, 1]),
+    "folds": (int, 10, 2),
+    "min_leaf": (int, 5, None),
+    "seed": (int, 0, None),
+    "fine_factor": ((int, _NONE), 27, 1),
+    "fine_header": ((dict, _NONE), None, {
+        "ncols": (int, _REQUIRED, 1),
+        "nrows": (int, _REQUIRED, 1),
+        "xll": (_NUMBER, _REQUIRED, None),
+        "yll": (_NUMBER, _REQUIRED, None),
+        "cellsize": (_NUMBER, _REQUIRED, ((lambda v: v > 0), "positive")),
+        "nodata": (_NUMBER, _UNSET, None),  # absent: the observed grid's
+    }),
+    "workers": (int, 1, 1),
+    "clamp": ((list, _NONE), [0.0, 1.0], (
+        lambda v: len(v) == 2 and all(type(b) in _NUMBER for b in v) and v[0] < v[1],
+        "null or a [low, high] pair of numbers with low < high",
+    )),
+    "render": (bool, False, None),
 }
-
-_FINE_HEADER_KEYS = ("ncols", "nrows", "xll", "yll", "cellsize")
 
 
 @dataclass(frozen=True)
@@ -116,63 +129,81 @@ class PipelineConfig:
         return path if path.is_absolute() else self.base_dir / path
 
 
+def _check(name: str, value, types, rule=None) -> None:
+    """Raise a UsageError naming ``name`` unless ``value`` has one of
+    ``types`` (a bool only where bool is the type) and meets ``rule``."""
+    if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
+        raise UsageError(f"config key {name!r} has wrong type {type(value).__name__}")
+    if value is None or rule is None:
+        return
+    if isinstance(rule, list):
+        for i, entry in enumerate(value):
+            _check(f"{name}[{i}]", entry, *rule)
+    elif isinstance(rule, dict):
+        missing = [key for key, (_, d, _) in rule.items() if d is _REQUIRED and key not in value]
+        if missing:
+            raise UsageError(f"{name} is missing key(s) {', '.join(missing)}")
+        unknown = sorted(set(value) - set(rule))
+        if unknown:
+            raise UsageError(f"unknown {name} keys: {', '.join(unknown)}")
+        for key, entry in value.items():
+            types, _, entry_rule = rule[key]
+            _check(key if name == "config" else f"{name}.{key}", entry, types, entry_rule)
+    elif isinstance(rule, set) and value not in rule:
+        raise UsageError(f"config key {name!r} must be one of {sorted(rule)}")
+    elif isinstance(rule, _NUMBER) and value < rule:
+        raise UsageError(f"config key {name!r} must be at least {rule}")
+    elif isinstance(rule, tuple) and not rule[0](value):
+        raise UsageError(f"config key {name!r} must be {rule[1]}")
+
+
+def _layer_names(s: dict) -> list:
+    """Covariate column names: covariate_names, else each layer file's stem."""
+    return s["covariate_names"] or [Path(p).stem for p in s["covariate_layers"]]
+
+
+def _check_mtry(s: dict, limit: int, what: str) -> None:
+    """Refuse an rf mtry, or mtry_grid entry, above the features available."""
+    named = [s["mtry"]] if s["mtry"] != "tune" else s["mtry_grid"] or []
+    if s["method"] == "rf" and max(named, default=0) > limit:
+        raise UsageError(f"mtry {max(named)} exceeds the {limit} {what}; lower mtry or mtry_grid")
+
+
 def validate_config(raw: dict, base_dir=None) -> PipelineConfig:
-    """Check types, key names, and cross-field rules; fill defaults."""
+    """Judge a config, which no stage checks again: each key's type and rule
+    from _SCHEMA, then the rules between keys. Fill defaults."""
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
-    unknown = sorted(set(raw) - set(_SCHEMA))
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    for key, value in raw.items():
-        expected = _SCHEMA[key][0]
-        if value is not None and not isinstance(value, expected):
-            raise UsageError(f"config key {key!r} has wrong type {type(value).__name__}")
-        if isinstance(value, bool) and expected is int:
-            raise UsageError(f"config key {key!r} has wrong type bool")
+    _check("config", raw, dict, _SCHEMA)
+    s = {key: d for key, (_, d, _) in _SCHEMA.items() if d is not _REQUIRED and d is not _UNSET}
+    s.update(raw)
 
-    settings = {key: default for key, (_, default) in _SCHEMA.items() if default is not _REQUIRED}
-    settings.update(raw)
-
-    if "method" not in raw:
-        raise UsageError("config must name a method (knn, hyppo, or rf)")
-    if settings["method"] not in METHODS:
-        raise UsageError(f"method must be one of {METHODS}")
-    if "output_dir" not in raw:
-        raise UsageError("config must name an output_dir")
-    has_observed = "observed_grid" in raw
-    has_daily = "daily_grids" in raw and raw["daily_grids"]
-    if has_observed == bool(has_daily):
+    if ("observed_grid" in raw) == bool(raw.get("daily_grids")):
         raise UsageError("config needs exactly one of observed_grid or daily_grids")
-    if raw.get("fine_factor") is not None and raw.get("fine_header") is not None:
-        raise UsageError("config needs at most one of fine_factor or fine_header")
-    if settings["fine_header"] is not None:
-        missing = [key for key in _FINE_HEADER_KEYS if key not in settings["fine_header"]]
-        if missing:
-            raise UsageError(f"fine_header is missing key(s) {', '.join(missing)}")
-        settings["fine_factor"] = None
-    elif settings["fine_factor"] is None or settings["fine_factor"] < 1:
-        raise UsageError("fine_factor must be at least 1")
-    if settings["weighting"] not in WEIGHTINGS:
-        raise UsageError(f"weighting must be one of {WEIGHTINGS}")
+    if s["fine_header"] is not None:
+        if raw.get("fine_factor") is not None:
+            raise UsageError("config needs at most one of fine_factor or fine_header")
+        s["fine_factor"] = None
+    elif s["fine_factor"] is None:
+        raise UsageError("config needs a fine_factor or a fine_header")
+    s["feature_mode"] = s["feature_mode"] or ("covariates" if s["method"] == "rf" else "coords")
+    if s["method"] == "rf" and s["feature_mode"] != "covariates":
+        raise UsageError("rf operates on covariates; feature_mode must be 'covariates'")
+    if s["clamp"] is not None:
+        s["clamp"] = [float(v) for v in s["clamp"]]
+    _model_config(s)
 
-    if settings["feature_mode"] is None:
-        settings["feature_mode"] = "covariates" if settings["method"] == "rf" else "coords"
-    if settings["feature_mode"] not in MODES:
-        raise UsageError(f"feature_mode must be one of {MODES}")
-    if settings["method"] == "rf" and settings["feature_mode"] == "coords":
-        raise UsageError("rf operates on covariates; feature_mode 'coords' is not valid for it")
-
-    clamp = settings["clamp"]
-    if clamp is not None:
-        if len(clamp) != 2 or not all(isinstance(v, (int, float)) for v in clamp):
-            raise UsageError("clamp must be null or a [low, high] pair")
-        if not clamp[0] < clamp[1]:
-            raise UsageError("clamp low bound must be below the high bound")
-        settings["clamp"] = [float(clamp[0]), float(clamp[1])]
-    if settings["workers"] < 1:
-        raise UsageError("workers must be at least 1")
-    _model_config(settings)
-    return PipelineConfig(settings, Path(base_dir) if base_dir else Path())
+    layers = s["covariate_layers"]
+    if s["covariate_names"] is not None and len(s["covariate_names"]) != len(layers):
+        raise UsageError("covariate_names length does not match covariate_layers")
+    if len(set(_layer_names(s))) != len(layers):
+        raise UsageError("covariate_layers need unique file stems, or unique covariate_names")
+    if not layers and (s["feature_mode"] != "coords" or s["pca"]):
+        raise UsageError(f"method {s['method']!r} with feature_mode {s['feature_mode']!r} "
+                         "needs covariate_layers")
+    if not s["pca"]:
+        _check_mtry(s, len(layers), "covariate layer(s)")
+    return PipelineConfig(s, Path(base_dir) if base_dir else Path())
 
 
 def load_config(path) -> PipelineConfig:
@@ -206,37 +237,27 @@ def _model_config(s: dict):
 
 
 def _fine_grid_header(cfg: PipelineConfig, coarse: Grid) -> Grid:
-    header = cfg.settings["fine_header"]
-    if header is None:
-        factor = cfg.settings["fine_factor"]
-        header = {
-            "ncols": coarse.ncols * factor,
-            "nrows": coarse.nrows * factor,
-            "xll": coarse.xll,
-            "yll": coarse.yll,
-            "cellsize": coarse.cellsize / factor,
-        }
-    ncols, nrows = int(header["ncols"]), int(header["nrows"])
-    nodata = float(header.get("nodata", coarse.nodata))
-    return Grid(
-        ncols=ncols,
-        nrows=nrows,
-        xll=header["xll"],
-        yll=header["yll"],
-        cellsize=header["cellsize"],
-        nodata=nodata,
-        values=np.full((nrows, ncols), nodata),
-    )
+    factor = cfg.settings["fine_factor"]
+    header = cfg.settings["fine_header"] or {
+        "ncols": coarse.ncols * factor,
+        "nrows": coarse.nrows * factor,
+        "xll": coarse.xll,
+        "yll": coarse.yll,
+        "cellsize": coarse.cellsize / factor,
+    }
+    # the header keys are Grid's field names
+    header = {"nodata": coarse.nodata, **header}
+    return Grid(**header, values=np.full((header["nrows"], header["ncols"]), header["nodata"]))
 
 
 def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, derived: dict):
     s = cfg.settings
     model_cfg = _model_config(s)
-    if cfg.method == "knn":
+    if cfg.method != "rf":
         space = FeatureSpace.fit(s["feature_mode"], training)
+    if cfg.method == "knn":
         return knn_predict(training, prediction, model_cfg, space), None
     if cfg.method == "hyppo":
-        space = FeatureSpace.fit(s["feature_mode"], training)
         stats = {}
         values, degrees, rank_deficient = hyppo_predict_with_degrees(
             training, prediction, model_cfg, space, stats=stats
@@ -282,7 +303,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         derived: dict = {}
 
         stage = "load-observed"
-        if "observed_grid" in s and s.get("observed_grid"):
+        if "observed_grid" in s:
             observed = read_ascii_grid(cfg.resolve(s["observed_grid"]))
         else:
             daily = s["daily_grids"]
@@ -303,22 +324,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
                 )
 
         stage = "load-covariates"
-        layer_paths = [cfg.resolve(p) for p in s["covariate_layers"]]
-        layers = [read_ascii_grid(p) for p in layer_paths]
-        if s["covariate_names"] is not None:
-            if len(s["covariate_names"]) != len(layers):
-                raise UsageError("covariate_names length does not match covariate_layers")
-            layer_names = [str(n) for n in s["covariate_names"]]
-        else:
-            layer_names = [p.stem for p in layer_paths]
-        if len(set(layer_names)) != len(layer_names):
-            raise UsageError("covariate layer names must be unique")
-        needs_covs = s["feature_mode"] != "coords" or s["pca"] or cfg.method == "rf"
-        if needs_covs and not layers:
-            raise UsageError(
-                f"method {cfg.method!r} with feature_mode {s['feature_mode']!r} "
-                "needs covariate_layers"
-            )
+        layers = [read_ascii_grid(cfg.resolve(p)) for p in s["covariate_layers"]]
+        layer_names = _layer_names(s)
 
         stage = "load-region"
         region = buffer = None
@@ -361,15 +368,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
 
         stage = "pca"
         if s["pca"]:
-            if training.p == 0:
-                raise UsageError("pca enabled but the tables carry no covariates")
             model = cov.pca_fit(training)
-            mtry = [s["mtry"]] if s["mtry"] != "tune" else s["mtry_grid"] or []
-            if cfg.method == "rf" and max(mtry, default=0) > model.retained:
-                raise UsageError(
-                    f"mtry {max(mtry)} exceeds the {model.retained} component(s) "
-                    "retained by pca; lower mtry or mtry_grid, or disable pca"
-                )
+            _check_mtry(s, model.retained, "component(s) retained by pca")
             training = cov.pca_transform(model, training)
             prediction_points = cov.pca_transform(model, prediction_points)
             cov.write_pca_sidecar(model, staging / "pca_model.csv")

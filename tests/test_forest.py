@@ -337,6 +337,20 @@ class TestSerialization:
                         "tree 0 nodes=1\n0 stump 3.0\n")
         with pytest.raises(ParseError):
             read_forest(path)
+        # node links routing cannot follow: a split that points at itself
+        # (routing would never end) and one whose feature and children lie
+        # outside the forest
+        header = "forest ntree=1 p=2 min_leaf=5 seed=0 mtry=1 oob_rmse=0.1\n"
+        for tree in ("tree 0 nodes=1\n0 split 0 0.5 0 0\n",
+                     "tree 0 nodes=1\n0 split 7 0.5 5 6\n",
+                     "tree 0 nodes=3\n0 split 1 0.5 1 5\n1 leaf 0.0\n2 leaf 1.0\n"):
+            path.write_text(header + tree)
+            with pytest.raises(ParseError, match=r"bad node line: .*:3\)"):
+                read_forest(path)
+        for count in ("x", "-1", "0"):
+            path.write_text(header + f"tree 0 nodes={count}\n")
+            with pytest.raises(ParseError, match=r"node count .*:2\)"):
+                read_forest(path)
 
 
 class TestTuneMtry:

@@ -144,6 +144,40 @@ class TestValidateConfig:
         with pytest.raises(UsageError, match=message):
             validate_config(self.ok(**overrides))
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"folds": 0}, "folds"),
+        ({"folds": 1}, "folds"),
+        ({"mtry_grid": [0]}, "mtry_grid"),
+        ({"mtry_grid": ["a"]}, "mtry_grid"),
+        ({"mtry_grid": [5]}, "mtry_grid"),
+        ({"mtry_grid": [True]}, "mtry_grid"),
+        ({"mtry": 5}, "mtry"),
+        ({"feature_mode": "coords+covariates"}, "feature_mode"),
+        ({"covariate_layers": []}, "covariate_layers"),
+        ({"fine_header": {"ncols": 4, "nrows": 4, "xll": "abc", "yll": 0, "cellsize": 1.0}},
+         "fine_header.xll"),
+        ({"fine_header": {"ncols": 4, "nrows": 4, "xll": 0, "yll": 0, "cellsize": -1}},
+         "fine_header.cellsize"),
+        ({"fine_header": {"ncols": 16.7, "nrows": 4, "xll": 0, "yll": 0, "cellsize": 1.0}},
+         "fine_header.ncols"),
+        ({"fine_header": {"ncols": 4, "nrows": 4, "xll": 0, "yll": 0, "cellsize": 1.0,
+                          "dx": 1.0}}, "fine_header"),
+        ({"min_count": 0}, "min_count"),
+        ({"buffer_km": -5}, "buffer_km"),
+        ({"covariate_layers": [1]}, "covariate_layers"),
+        ({"covariate_layers": ["a/cov.asc", "b/cov.asc"]}, "covariate_layers"),
+    ], ids=["folds0", "folds1", "grid0", "grid-str", "grid-above-layers", "grid-bool",
+            "mtry-above-layers", "rf-coords+covariates", "rf-no-layers", "header-xll-str",
+            "header-cellsize-neg", "header-ncols-float", "header-unknown-key", "min-count0",
+            "buffer-neg", "layer-not-path", "layer-stems-repeat"])
+    def test_config_fails_validation_naming_the_key(self, overrides, key):
+        # each of these passed validation and then failed in a stage, or ran
+        # with a value the engine changed
+        cfg = self.ok(method="rf", ntree=3, covariate_layers=["c1.asc", "c2.asc"])
+        cfg.update(overrides)
+        with pytest.raises(UsageError, match=re.escape(key)):
+            validate_config(cfg)
+
     def test_readme_config_table_lists_schema_keys(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
@@ -294,10 +328,10 @@ class TestCovariatesAndPca:
 
     def test_missing_covariates_for_rf(self, tmp_path):
         _, data_dir = dump_scenario(tmp_path)
-        cfg = validate_config(base_config(data_dir, tmp_path / "out",
-                                          method="rf", ntree=3, mtry=1))
-        with pytest.raises(EngineError, match="stage load-covariates"):
-            run_pipeline(cfg)
+        with pytest.raises(UsageError, match="method 'rf' with feature_mode 'covariates' "
+                                             "needs covariate_layers"):
+            validate_config(base_config(data_dir, tmp_path / "out",
+                                        method="rf", ntree=3, mtry=1))
 
 
 class TestRf:
