@@ -13,11 +13,9 @@ from .analysis import (
 )
 from .covariates import (
     PcaModel,
-    StandardizationStats,
     pca_fit,
     pca_transform,
     read_pca_sidecar,
-    standardize_fit,
     write_pca_sidecar,
 )
 from .errors import EngineError, ParseError, UsageError
@@ -28,10 +26,8 @@ from .grid import (
     grid_to_points,
     monthly_mean,
     read_ascii_grid,
-    read_point_csv,
     sample_covariates,
     write_ascii_grid,
-    write_point_csv,
 )
 from .models.features import FeatureSpace, neighbor_search
 from .models.forest import (
@@ -61,7 +57,6 @@ from .region import (
     boundary_distance_km,
     clip_points,
     contains,
-    haversine_km,
     read_region,
     within_buffer,
     write_region,

@@ -1,9 +1,9 @@
-"""Covariate preparation: standardization and correlation-matrix PCA.
+"""Covariate reduction: correlation-matrix PCA.
 
-PCA is fit on standardized covariates (zero mean, unit population variance),
-so the retained-component rule "eigenvalue at least one" carries its usual
-meaning. The symmetric correlation matrix is decomposed by
-``np.linalg.eigh``.
+PCA is fit on covariates standardized by ``FeatureSpace`` (zero mean, unit
+population variance), so the retained-component rule "eigenvalue at least
+one" carries its usual meaning. The symmetric correlation matrix is
+decomposed by ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ParseError, UsageError
 from .grid import PointTable
+from .models.features import FeatureSpace
 
 # entries within this relative distance of a vector's largest magnitude count
 # as tied for fixing its sign, so rounding cannot flip a component
@@ -22,50 +23,15 @@ SIGN_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class StandardizationStats:
-    """Per-column means and population standard deviations of the covariates.
-
-    Columns with zero variance get stdev 1 (the standardized column is then
-    identically zero) and are listed in ``constant_columns``.
-    """
-
-    means: np.ndarray
-    stdevs: np.ndarray
-    constant_columns: tuple = ()
-
-    def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
-        stdevs = np.asarray(self.stdevs, dtype=float)
-        if means.shape != stdevs.shape or means.ndim != 1:
-            raise UsageError("means and stdevs must be 1-D arrays of equal length")
-        if not (stdevs > 0).all():
-            raise UsageError("stdevs must all be positive")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "stdevs", stdevs)
-        object.__setattr__(self, "constant_columns", tuple(self.constant_columns))
-
-    @property
-    def p(self) -> int:
-        return len(self.means)
-
-    def apply(self, covariates: np.ndarray) -> np.ndarray:
-        covariates = np.asarray(covariates, dtype=float)
-        if covariates.shape[1] != self.p:
-            raise UsageError(
-                f"covariate width {covariates.shape[1]} does not match fitted width {self.p}"
-            )
-        return (covariates - self.means) / self.stdevs
-
-
-@dataclass(frozen=True)
 class PcaModel:
-    """Correlation-matrix PCA: standardization stats, eigenpairs, retained count.
+    """Correlation-matrix PCA: standardization, eigenpairs, retained count.
 
-    ``components`` holds the retained eigenvectors as rows (q x p);
-    ``eigenvalues`` holds all p eigenvalues in descending order.
+    ``stats`` is the :class:`FeatureSpace` of mode ``covariates`` fitted on
+    the training table; ``components`` holds the retained eigenvectors as
+    rows (q x p); ``eigenvalues`` holds all p eigenvalues in descending order.
     """
 
-    stats: StandardizationStats
+    stats: FeatureSpace
     components: np.ndarray
     eigenvalues: np.ndarray
     retained: int
@@ -73,33 +39,18 @@ class PcaModel:
     def __post_init__(self):
         comps = np.asarray(self.components, dtype=float)
         eigs = np.asarray(self.eigenvalues, dtype=float)
-        if comps.shape != (self.retained, self.stats.p):
+        if comps.shape != (self.retained, self.p):
             raise UsageError("components must be a retained x p matrix")
-        if len(eigs) != self.stats.p:
+        if len(eigs) != self.p:
             raise UsageError("need one eigenvalue per covariate column")
-        if not 1 <= self.retained <= self.stats.p:
+        if not 1 <= self.retained <= self.p:
             raise UsageError("retained must lie in [1, p]")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "eigenvalues", eigs)
 
     @property
     def p(self) -> int:
-        return self.stats.p
-
-
-def standardize_fit(table: PointTable) -> StandardizationStats:
-    """Per-column mean and population standard deviation of the covariates."""
-    if table.p == 0:
-        raise UsageError("standardize_fit needs at least one covariate column")
-    if len(table) < 2:
-        raise UsageError("standardize_fit needs at least 2 records")
-    means = table.covariates.mean(axis=0)
-    stdevs = table.covariates.std(axis=0)
-    constant = tuple(int(j) for j in np.nonzero(stdevs == 0)[0])
-    if constant:
-        stdevs = stdevs.copy()
-        stdevs[list(constant)] = 1.0
-    return StandardizationStats(means, stdevs, constant)
+        return self.stats.nvars
 
 
 def pca_fit(table: PointTable) -> PcaModel:
@@ -112,12 +63,10 @@ def pca_fit(table: PointTable) -> PcaModel:
     only by rounding, so a plain argmax would let rounding pick the sign.
     """
     p = table.p
-    if p == 0:
-        raise UsageError("pca_fit needs at least one covariate column")
     if len(table) < p + 1:
         raise UsageError(f"pca_fit needs at least p + 1 = {p + 1} records, got {len(table)}")
-    stats = standardize_fit(table)
-    z = stats.apply(table.covariates)
+    stats = FeatureSpace.fit("covariates", table)
+    z = stats.features(table)
     corr = (z.T @ z) / len(table)
     eigenvalues, vectors = np.linalg.eigh(corr)
     # eigh returns the eigenvalues in ascending order
@@ -136,9 +85,7 @@ def pca_transform(model: PcaModel, table: PointTable) -> PointTable:
     The same fitted model must be applied to the training and prediction
     tables so both live in one feature space.
     """
-    if table.p != model.p:
-        raise UsageError(f"covariate width {table.p} does not match model width {model.p}")
-    scores = model.stats.apply(table.covariates) @ model.components.T
+    scores = model.stats.features(table) @ model.components.T
     names = tuple(f"pc{i + 1}" for i in range(model.retained))
     return PointTable(table.lon, table.lat, table.target, scores, names)
 
@@ -160,7 +107,8 @@ def write_pca_sidecar(model: PcaModel, path) -> None:
 
 
 def read_pca_sidecar(path) -> PcaModel:
-    """Read a sidecar written by :func:`write_pca_sidecar`."""
+    """Read a sidecar written by :func:`write_pca_sidecar`; a malformed file
+    raises :class:`ParseError`."""
     path = Path(path)
     rows = {}
     components = []
@@ -179,8 +127,19 @@ def read_pca_sidecar(path) -> PcaModel:
     for key in ("means", "stdevs", "eigenvalues", "retained"):
         if key not in rows:
             raise ParseError(f"missing row '{key}'", path=path)
-    retained = int(rows["retained"][0])
+    retained = rows["retained"]
+    if len(retained) != 1 or not retained[0].is_integer() or retained[0] < 1:
+        raise ParseError("row 'retained' must hold one positive integer", path=path)
+    retained = int(retained[0])
     if len(components) != retained:
         raise ParseError(f"expected {retained} component rows, found {len(components)}", path=path)
-    stats = StandardizationStats(np.array(rows["means"]), np.array(rows["stdevs"]))
-    return PcaModel(stats, np.array(components), np.array(rows["eigenvalues"]), retained)
+    means, stdevs = np.array(rows["means"]), np.array(rows["stdevs"])
+    if len(stdevs) != len(means) or any(len(row) != len(means) for row in components):
+        raise ParseError("rows 'stdevs' and 'component*' need one value per mean", path=path)
+    if not (np.isfinite(means).all() and np.isfinite(stdevs).all() and (stdevs > 0).all()):
+        raise ParseError("means must be finite and stdevs finite and positive", path=path)
+    try:
+        return PcaModel(FeatureSpace("covariates", means, stdevs), np.array(components),
+                        np.array(rows["eigenvalues"]), retained)
+    except UsageError as exc:
+        raise ParseError(str(exc), path=path) from exc

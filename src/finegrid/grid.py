@@ -181,10 +181,6 @@ class PointTable:
         """Covariate width."""
         return self.covariates.shape[1]
 
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return ("lon", "lat", "target") + self.covariate_names
-
     def subset(self, mask_or_indices) -> "PointTable":
         """Rows selected by a boolean mask or index array, order preserved."""
         return PointTable(
@@ -397,51 +393,3 @@ def sample_covariates(points: PointTable, layers: list[Grid], layer_names: list[
     covs = np.hstack([kept.covariates, sampled[keep]])
     return PointTable(kept.lon, kept.lat, kept.target, covs, names)
 
-
-def write_point_csv(table: PointTable, path) -> None:
-    """Write a point table as CSV: ``lon,lat[,target][,<covariates>]``.
-
-    The target column is included when any record has one; missing targets
-    are empty fields.
-    """
-    include_target = bool(np.isfinite(table.target).any())
-    cols = ["lon", "lat"] + (["target"] if include_target else []) + list(table.covariate_names)
-    lines = [",".join(cols)]
-    for i in range(len(table)):
-        row = [repr(float(table.lon[i])), repr(float(table.lat[i]))]
-        if include_target:
-            row.append("" if not np.isfinite(table.target[i]) else repr(float(table.target[i])))
-        row.extend(repr(float(v)) for v in table.covariates[i])
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_point_csv(path) -> PointTable:
-    """Read a point table written by :func:`write_point_csv`."""
-    path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty point CSV", path=path)
-    cols = lines[0].split(",")
-    if cols[:2] != ["lon", "lat"]:
-        raise ParseError("point CSV must start with lon,lat columns", path=path, line=1)
-    has_target = len(cols) > 2 and cols[2] == "target"
-    cov_names = cols[3:] if has_target else cols[2:]
-    lon, lat, target, covs = [], [], [], []
-    for i, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != len(cols):
-            raise ParseError(f"row has {len(fields)} fields, expected {len(cols)}", path=path, line=i)
-        try:
-            lon.append(float(fields[0]))
-            lat.append(float(fields[1]))
-            if has_target:
-                target.append(float(fields[2]) if fields[2] != "" else np.nan)
-                covs.append([float(v) for v in fields[3:]])
-            else:
-                target.append(np.nan)
-                covs.append([float(v) for v in fields[2:]])
-        except ValueError as exc:
-            raise ParseError("non-numeric field", path=path, line=i) from exc
-    covariates = np.array(covs) if cov_names else empty_covariates(len(lon))
-    return PointTable(np.array(lon), np.array(lat), np.array(target), covariates, tuple(cov_names))

@@ -52,6 +52,10 @@ class FeatureSpace:
 
     @classmethod
     def fit(cls, mode: str, table: PointTable) -> "FeatureSpace":
+        """Scaling to zero mean and unit population variance per feature; a
+        constant feature gets stdev 1, so it scales to zero."""
+        if len(table) == 0:
+            raise UsageError("a feature space needs at least one training record")
         raw = _finite(raw_features(table, mode), mode)
         means = raw.mean(axis=0)
         stdevs = raw.std(axis=0)

@@ -382,7 +382,7 @@ def read_forest(path) -> Forest:
             ntree=ntree, mtry=mtry, min_leaf=int(header["min_leaf"]), seed=int(header["seed"])
         )
         oob_rmse = float(header["oob_rmse"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, UsageError) as exc:
         raise ParseError(f"bad forest header: {exc}", path=path, line=1) from exc
 
     trees = []

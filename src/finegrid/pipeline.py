@@ -77,7 +77,6 @@ _SCHEMA = {
     "daily_grids": (list, _UNSET, [str, None]),
     "min_count": (int, 1, 1),
     "covariate_layers": (list, [], [str, None]),
-    "covariate_names": ((list, _NONE), None, [str, None]),
     "region_file": ((str, _NONE), None, None),
     "buffer_km": (_NUMBER, 0.0, 0),
     "report_region_file": ((str, _NONE), None, None),
@@ -157,11 +156,6 @@ def _check(name: str, value, types, rule=None) -> None:
         raise UsageError(f"config key {name!r} must be {rule[1]}")
 
 
-def _layer_names(s: dict) -> list:
-    """Covariate column names: covariate_names, else each layer file's stem."""
-    return s["covariate_names"] or [Path(p).stem for p in s["covariate_layers"]]
-
-
 def _check_mtry(s: dict, limit: int, what: str) -> None:
     """Refuse an rf mtry, or mtry_grid entry, above the features available."""
     named = [s["mtry"]] if s["mtry"] != "tune" else s["mtry_grid"] or []
@@ -194,13 +188,10 @@ def validate_config(raw: dict, base_dir=None) -> PipelineConfig:
     _model_config(s)
 
     layers = s["covariate_layers"]
-    if s["covariate_names"] is not None and len(s["covariate_names"]) != len(layers):
-        raise UsageError("covariate_names length does not match covariate_layers")
-    if len(set(_layer_names(s))) != len(layers):
-        raise UsageError("covariate_layers need unique file stems, or unique covariate_names")
     if not layers and (s["feature_mode"] != "coords" or s["pca"]):
-        raise UsageError(f"method {s['method']!r} with feature_mode {s['feature_mode']!r} "
-                         "needs covariate_layers")
+        needs = (f"method {s['method']!r} with feature_mode {s['feature_mode']!r}"
+                 if s["feature_mode"] != "coords" else "pca")
+        raise UsageError(f"{needs} needs covariate_layers")
     if not s["pca"]:
         _check_mtry(s, len(layers), "covariate layer(s)")
     return PipelineConfig(s, Path(base_dir) if base_dir else Path())
@@ -325,7 +316,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
 
         stage = "load-covariates"
         layers = [read_ascii_grid(cfg.resolve(p)) for p in s["covariate_layers"]]
-        layer_names = _layer_names(s)
+        # the columns are named by position; no output records a column name
+        layer_names = [f"cov{j + 1}" for j in range(len(layers))]
 
         stage = "load-region"
         region = buffer = None

@@ -40,7 +40,12 @@ class Region:
             raise UsageError("region needs at least one ring")
         cleaned = []
         for ring in self.rings:
-            pts = [(float(lon), float(lat)) for lon, lat in ring]
+            try:
+                pts = [(float(lon), float(lat)) for lon, lat in ring]
+            except (TypeError, ValueError) as exc:
+                raise UsageError("each ring must be a sequence of (lon, lat) numbers") from exc
+            if not np.isfinite(pts).all():
+                raise UsageError("ring vertices must be finite")
             if len(pts) > 1 and pts[0] == pts[-1]:
                 pts = pts[:-1]
             if len(set(pts)) < 3:
@@ -112,15 +117,6 @@ def contains(region: Region, lon, lat) -> np.ndarray:
     return result
 
 
-def haversine_km(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
-    """Great-circle distance in km between two lon/lat points."""
-    phi1, phi2 = math.radians(lat1), math.radians(lat2)
-    dphi = phi2 - phi1
-    dlam = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
-
-
 def boundary_distance_km(region: Region, lon, lat) -> np.ndarray:
     """Distance in km from each point to the nearest boundary segment of any ring.
 
@@ -179,9 +175,9 @@ def read_region(path) -> Region:
         raise ParseError("region document must be a JSON object", path=path)
     kind = doc.get("type")
     if kind == "FeatureCollection":
-        features = doc.get("features") or []
-        if not features:
-            raise ParseError("FeatureCollection has no features", path=path)
+        features = doc.get("features")
+        if not isinstance(features, list) or not features:
+            raise ParseError("FeatureCollection needs a non-empty features list", path=path)
         feature = features[0]
     elif kind == "Feature":
         feature = doc
@@ -190,23 +186,29 @@ def read_region(path) -> Region:
     else:
         raise ParseError(f"unsupported GeoJSON type: {kind!r}", path=path)
 
+    if not isinstance(feature, dict):
+        raise ParseError("a feature must be a JSON object", path=path)
     geometry = feature.get("geometry") or {}
-    if geometry.get("type") != "Polygon":
-        raise ParseError(
-            f"first feature must be a Polygon, got {geometry.get('type')!r}", path=path
-        )
+    kind = geometry.get("type") if isinstance(geometry, dict) else None
+    if kind != "Polygon":
+        raise ParseError(f"first feature must be a Polygon, got {kind!r}", path=path)
     props = feature.get("properties") or {}
     if isinstance(props, dict):
         name = str(props.get("name", ""))
 
+    coordinates = geometry.get("coordinates") or []
+    if not isinstance(coordinates, list) or not all(isinstance(r, list) for r in coordinates):
+        raise ParseError("polygon coordinates must be a list of rings, each a list", path=path)
     rings = []
-    for ring in geometry.get("coordinates") or []:
+    for ring in coordinates:
         if len(ring) < 4:
             raise ParseError("polygon ring needs at least 4 on-disk vertices", path=path)
         for pt in ring:
-            if not (isinstance(pt, (list, tuple)) and len(pt) >= 2):
-                raise ParseError("ring coordinates must be [lon, lat] pairs", path=path)
-        rings.append(tuple((float(p[0]), float(p[1])) for p in ring))
+            # JSON numbers only: float() would also take "1.5" and true
+            if not (isinstance(pt, (list, tuple)) and len(pt) >= 2
+                    and all(type(v) in (int, float) for v in pt[:2])):
+                raise ParseError("ring coordinates must be [lon, lat] number pairs", path=path)
+        rings.append(tuple((p[0], p[1]) for p in ring))
     if not rings:
         raise ParseError("polygon has no rings", path=path)
     try:

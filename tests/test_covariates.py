@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from finegrid import (
+    FeatureSpace,
+    ParseError,
     PcaModel,
     PointTable,
-    StandardizationStats,
     UsageError,
     pca_fit,
     pca_transform,
     read_pca_sidecar,
-    standardize_fit,
     write_pca_sidecar,
 )
 
@@ -20,37 +20,39 @@ def make_table(covs, names=()):
                       np.full(n, np.nan), covs, tuple(names))
 
 
+def standardize(covs):
+    """Covariates standardized by the feature space PCA fits on them."""
+    table = make_table(covs)
+    return FeatureSpace.fit("covariates", table).features(table)
+
+
 class TestStandardize:
     def test_two_point_example(self):
-        stats = standardize_fit(make_table(np.array([[0.0], [2.0]])))
+        table = make_table(np.array([[0.0], [2.0]]))
+        stats = FeatureSpace.fit("covariates", table)
         assert stats.means[0] == 1.0
         assert stats.stdevs[0] == 1.0  # population std of {0, 2}
-        out = stats.apply(np.array([[0.0], [2.0]]))
+        out = stats.features(table)
         np.testing.assert_array_equal(out[:, 0], [-1.0, 1.0])
 
     def test_output_moments(self, rng):
-        x = rng.normal(3.0, 2.5, (200, 4))
-        z = standardize_fit(make_table(x)).apply(x)
+        z = standardize(rng.normal(3.0, 2.5, (200, 4)))
         np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-12)
 
     def test_idempotent_on_standardized_data(self, rng):
-        x = rng.normal(0, 1, (100, 3))
-        z = standardize_fit(make_table(x)).apply(x)
-        z2 = standardize_fit(make_table(z)).apply(z)
-        np.testing.assert_allclose(z2, z, atol=1e-12)
+        z = standardize(rng.normal(0, 1, (100, 3)))
+        np.testing.assert_allclose(standardize(z), z, atol=1e-12)
 
-    def test_constant_column_flagged_and_zeroed(self):
-        x = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-        stats = standardize_fit(make_table(x))
-        assert stats.constant_columns == (1,)
+    def test_constant_column_zeroed(self):
+        table = make_table(np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]]))
+        stats = FeatureSpace.fit("covariates", table)
         assert stats.stdevs[1] == 1.0
-        out = stats.apply(x)
-        np.testing.assert_array_equal(out[:, 1], 0.0)
+        np.testing.assert_array_equal(stats.features(table)[:, 1], 0.0)
 
     def test_empty_rows_rejected(self):
         with pytest.raises(UsageError):
-            standardize_fit(make_table(np.zeros((0, 2))))
+            FeatureSpace.fit("covariates", make_table(np.zeros((0, 2))))
 
 
 class TestPcaFit:
@@ -95,7 +97,7 @@ class TestPcaFit:
     def test_matches_numpy_eigh_oracle(self, rng):
         covs = rng.normal(0, 1, (200, 5)) @ rng.normal(0, 1, (5, 5))
         model = pca_fit(make_table(covs))
-        z = standardize_fit(make_table(covs)).apply(covs)
+        z = standardize(covs)
         corr = (z.T @ z) / z.shape[0]
         expected = np.linalg.eigvalsh(corr)[::-1]
         np.testing.assert_allclose(model.eigenvalues, expected, atol=1e-8)
@@ -169,7 +171,7 @@ class TestPcaTransform:
             model = PcaModel(model.stats, _full_components(table, model),
                              model.eigenvalues, 3)
         scores = pca_transform(model, table).covariates
-        z = model.stats.apply(covs)
+        z = model.stats.features(table)
         d_scores = np.linalg.norm(scores[:1] - scores, axis=1)
         d_z = np.linalg.norm(z[:1] - z, axis=1)
         np.testing.assert_allclose(d_scores, d_z, atol=1e-8)
@@ -201,7 +203,7 @@ class TestPcaTransform:
 
 
 def _full_components(table, model):
-    z = model.stats.apply(table.covariates)
+    z = model.stats.features(table)
     corr = (z.T @ z) / z.shape[0]
     vals, vecs = np.linalg.eigh(corr)
     vecs = vecs[:, ::-1].T
@@ -224,7 +226,6 @@ class TestSidecar:
         np.testing.assert_array_equal(back.components, model.components)
         np.testing.assert_array_equal(back.stats.means, model.stats.means)
         np.testing.assert_array_equal(back.stats.stdevs, model.stats.stdevs)
-        assert back.stats.constant_columns == model.stats.constant_columns
 
     def test_round_trip_transform_identical(self, rng, tmp_path):
         covs = rng.normal(0, 1, (40, 3))
@@ -236,3 +237,20 @@ class TestSidecar:
         a = pca_transform(model, table).covariates
         b = pca_transform(back, table).covariates
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("row, value", [
+        ("retained", ""), ("retained", "1.5"), ("retained", "0"), ("retained", "1,1"),
+        ("stdevs", "1.0,0.0"), ("stdevs", "1.0,inf"), ("stdevs", "1.0"), ("means", "nan,0.0"),
+        ("means", "0.0,0.0,0.0"), ("eigenvalues", "1.0"),
+    ], ids=["retained-empty", "retained-fraction", "retained-zero", "retained-two",
+            "stdev-zero", "stdev-inf", "stdevs-short", "means-nan", "means-long",
+            "eigenvalues-short"])
+    def test_malformed_row_rejected(self, rng, tmp_path, row, value):
+        model = pca_fit(make_table(rng.normal(0, 1, (40, 2))))
+        path = tmp_path / "m.csv"
+        write_pca_sidecar(model, path)
+        lines = [f"{row},{value}" if line.split(",")[0] == row else line
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError):
+            read_pca_sidecar(path)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -350,6 +351,12 @@ class TestSerialization:
         for count in ("x", "-1", "0"):
             path.write_text(header + f"tree 0 nodes={count}\n")
             with pytest.raises(ParseError, match=r"node count .*:2\)"):
+                read_forest(path)
+        # header values the forest's own config refuses
+        for bad in ("ntree=0", "min_leaf=0", "mtry=0", "mtry=auto"):
+            key = bad.partition("=")[0]
+            path.write_text(re.sub(rf"{key}=\S+", bad, header) + "tree 0 nodes=1\n0 leaf 0.5\n")
+            with pytest.raises(ParseError, match=r"bad forest header: .*:1\)"):
                 read_forest(path)
 
 

@@ -13,10 +13,8 @@ from finegrid import (
     grid_to_points,
     monthly_mean,
     read_ascii_grid,
-    read_point_csv,
     sample_covariates,
     write_ascii_grid,
-    write_point_csv,
 )
 from finegrid.grid import grid_centroids
 
@@ -496,7 +494,6 @@ class TestPointTable:
     def test_zero_covariates_allowed(self):
         t = PointTable([0.0], [1.0], [np.nan], np.zeros((1, 0)))
         assert t.p == 0
-        assert t.columns == ("lon", "lat", "target")
 
     def test_subset_preserves_order(self, rng):
         from conftest import random_table
@@ -504,25 +501,6 @@ class TestPointTable:
         keep = rng.random(20) < 0.5
         s = t.subset(keep)
         np.testing.assert_array_equal(s.lon, t.lon[keep])
-
-    def test_csv_round_trip(self, rng, tmp_path):
-        from conftest import random_table
-        t = random_table(rng, 15, 2, names=["slope", "aspect"])
-        target = t.target.copy()
-        target[3] = np.nan
-        t = t.with_target(target)
-        path = tmp_path / "pts.csv"
-        write_point_csv(t, path)
-        assert path.read_text().splitlines()[0] == "lon,lat,target,slope,aspect"
-        assert read_point_csv(path) == t
-
-    def test_csv_without_target(self, tmp_path):
-        t = PointTable([1.0, 2.0], [3.0, 4.0], [np.nan, np.nan],
-                       np.array([[5.0], [6.0]]), ("z",))
-        path = tmp_path / "nt.csv"
-        write_point_csv(t, path)
-        assert path.read_text().splitlines()[0] == "lon,lat,z"
-        assert read_point_csv(path) == t
 
     def test_grid_centroids_covers_every_cell(self, small_grid):
         pts = grid_centroids(small_grid)

@@ -13,7 +13,6 @@ from finegrid import (
     boundary_distance_km,
     clip_points,
     contains,
-    haversine_km,
     read_region,
     within_buffer,
     write_region,
@@ -39,14 +38,6 @@ def winding_inside(ring, lon, lat):
         x2, y2 = ring[(i + 1) % n][0] - lon, ring[(i + 1) % n][1] - lat
         angle += math.atan2(x1 * y2 - y1 * x2, x1 * x2 + y1 * y2)
     return abs(angle) > math.pi
-
-
-def law_of_cosines_km(lon1, lat1, lon2, lat2):
-    """Independent great-circle formula for oracle comparison."""
-    p1, p2 = math.radians(lat1), math.radians(lat2)
-    dl = math.radians(lon2 - lon1)
-    c = math.sin(p1) * math.sin(p2) + math.cos(p1) * math.cos(p2) * math.cos(dl)
-    return 6371.0088 * math.acos(max(-1.0, min(1.0, c)))
 
 
 def _ring_crossings_ref(ring, lon, lat):
@@ -120,6 +111,19 @@ class TestRegionConstruction:
         with pytest.raises(UsageError):
             Region(rings=(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)),))
 
+    def test_non_numeric_vertex(self):
+        with pytest.raises(UsageError):
+            Region(rings=((("a", 0.0),) + UNIT_SQUARE,))
+
+    def test_ring_not_a_sequence(self):
+        with pytest.raises(UsageError):
+            Region(rings=(UNIT_SQUARE, 5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_vertex(self, bad):
+        with pytest.raises(UsageError, match="finite"):
+            Region(rings=(((bad, 0.0),) + UNIT_SQUARE,))
+
 
 class TestGeoJson:
     def test_unit_square_feature_collection(self, tmp_path):
@@ -178,6 +182,20 @@ class TestGeoJson:
         with pytest.raises(ParseError, match="4"):
             read_region(path)
 
+    @pytest.mark.parametrize("text", [
+        '{"type": "Polygon", "coordinates": [[["a", 0], [1, 0], [1, 1], [0, 1], ["a", 0]]]}',
+        '{"type": "Polygon", "coordinates": [[[true, 0], [1, 0], [1, 1], [0, 1], [true, 0]]]}',
+        '{"type": "FeatureCollection", "features": [5]}',
+        '{"type": "Polygon", "coordinates": [5]}',
+        '{"type": "Polygon", "coordinates": [[[NaN, 0], [1, 0], [1, 1], [0, 1], [NaN, 0]]]}',
+        '{"type": "Polygon", "coordinates": [[[0, 0], [Infinity, 0], [1, 1], [0, 1], [0, 0]]]}',
+    ], ids=["non-numeric", "boolean", "feature-not-object", "ring-not-list", "nan", "infinity"])
+    def test_malformed_coordinates_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.geojson"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            read_region(path)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.geojson"
         path.write_text("{not json")
@@ -226,20 +244,6 @@ class TestContains:
                 assert contains(region, lon, lat) == winding_inside(
                     region.rings[0], lon, lat
                 )
-
-
-class TestHaversine:
-    def test_against_independent_formula(self, rng):
-        for _ in range(200):
-            lon1, lon2 = rng.uniform(-179, 179, 2)
-            lat1, lat2 = rng.uniform(-85, 85, 2)
-            a = haversine_km(lon1, lat1, lon2, lat2)
-            b = law_of_cosines_km(lon1, lat1, lon2, lat2)
-            assert a == pytest.approx(b, abs=1e-6, rel=1e-9)
-
-    def test_known_distances(self):
-        assert haversine_km(0, 60, 1, 60) == pytest.approx(55.59701086493189, abs=1e-9)
-        assert haversine_km(0, 0, 0, 0) == 0.0
 
 
 class TestWithinBuffer:
