@@ -52,7 +52,6 @@ from .models.hyppo import (
 from .models.knn import KnnConfig, knn_predict
 from .pipeline import PipelineConfig, RunResult, load_config, run_pipeline, validate_config
 from .region import (
-    BufferSpec,
     Region,
     boundary_distance_km,
     clip_points,

@@ -86,8 +86,7 @@ def pca_transform(model: PcaModel, table: PointTable) -> PointTable:
     tables so both live in one feature space.
     """
     scores = model.stats.features(table) @ model.components.T
-    names = tuple(f"pc{i + 1}" for i in range(model.retained))
-    return PointTable(table.lon, table.lat, table.target, scores, names)
+    return PointTable(table.lon, table.lat, table.target, scores)
 
 
 def write_pca_sidecar(model: PcaModel, path) -> None:

@@ -125,42 +125,34 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class PointTable:
-    """Point records with lon/lat coordinates, optional target, and covariates.
+    """Point records: lon/lat coordinates, a target, and covariates.
 
-    ``target`` uses NaN for missing values. ``covariates`` is an (n, p) array;
-    p = 0 is allowed for coordinates-only modeling.
+    ``target`` uses NaN for missing values. ``covariates`` is an (n, p) array
+    whose columns are known by position only; p = 0 is allowed for
+    coordinates-only modeling.
     """
 
     lon: np.ndarray
     lat: np.ndarray
     target: np.ndarray
     covariates: np.ndarray
-    covariate_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         lon = np.atleast_1d(np.asarray(self.lon, dtype=float))
         lat = np.atleast_1d(np.asarray(self.lat, dtype=float))
         target = np.atleast_1d(np.asarray(self.target, dtype=float))
         covs = np.asarray(self.covariates, dtype=float)
-        if covs.ndim == 1:
-            covs = covs.reshape(len(lon), -1) if covs.size else covs.reshape(len(lon), 0)
+        if covs.ndim != 2:
+            raise UsageError("covariates must be an (n, p) array")
         n = len(lon)
         if len(lat) != n or len(target) != n or covs.shape[0] != n:
             raise UsageError("lon, lat, target, and covariates must have matching lengths")
         if n and not (np.isfinite(lon).all() and np.isfinite(lat).all()):
             raise UsageError("point coordinates must be finite")
-        names = tuple(self.covariate_names)
-        if not names and covs.shape[1]:
-            names = tuple(f"cov{i + 1}" for i in range(covs.shape[1]))
-        if len(names) != covs.shape[1]:
-            raise UsageError(
-                f"{len(names)} covariate names for {covs.shape[1]} covariate columns"
-            )
         object.__setattr__(self, "lon", lon)
         object.__setattr__(self, "lat", lat)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "covariates", covs)
-        object.__setattr__(self, "covariate_names", names)
 
     def __len__(self) -> int:
         return len(self.lon)
@@ -169,8 +161,7 @@ class PointTable:
         if not isinstance(other, PointTable):
             return NotImplemented
         return (
-            self.covariate_names == other.covariate_names
-            and np.array_equal(self.lon, other.lon)
+            np.array_equal(self.lon, other.lon)
             and np.array_equal(self.lat, other.lat)
             and np.array_equal(self.target, other.target, equal_nan=True)
             and np.array_equal(self.covariates, other.covariates)
@@ -188,11 +179,10 @@ class PointTable:
             self.lat[mask_or_indices],
             self.target[mask_or_indices],
             self.covariates[mask_or_indices],
-            self.covariate_names,
         )
 
     def with_target(self, target: np.ndarray) -> "PointTable":
-        return PointTable(self.lon, self.lat, target, self.covariates, self.covariate_names)
+        return PointTable(self.lon, self.lat, target, self.covariates)
 
     def require_targets(self) -> np.ndarray:
         """Targets as an array, raising if any record is missing one."""
@@ -201,10 +191,6 @@ class PointTable:
         if not np.isfinite(self.target).all():
             raise UsageError("operation requires a target value on every record")
         return self.target
-
-
-def empty_covariates(n: int) -> np.ndarray:
-    return np.zeros((n, 0))
 
 
 def read_ascii_grid(path) -> Grid:
@@ -347,7 +333,7 @@ def grid_to_points(grid: Grid) -> PointTable:
     """One record per non-nodata cell: centroid coordinates and the cell value."""
     mask = grid.data_mask
     lons, lats = grid.centroid_arrays()
-    return PointTable(lons[mask], lats[mask], grid.values[mask], empty_covariates(mask.sum()))
+    return PointTable(lons[mask], lats[mask], grid.values[mask], np.zeros((mask.sum(), 0)))
 
 
 def grid_centroids(grid: Grid) -> PointTable:
@@ -355,15 +341,17 @@ def grid_centroids(grid: Grid) -> PointTable:
     lons, lats = grid.centroid_arrays()
     n = grid.nrows * grid.ncols
     return PointTable(
-        lons.ravel().copy(), lats.ravel().copy(), np.full(n, np.nan), empty_covariates(n)
+        lons.ravel().copy(), lats.ravel().copy(), np.full(n, np.nan), np.zeros((n, 0))
     )
 
 
 def sample_covariates(points: PointTable, layers: list[Grid], layer_names: list[str]) -> PointTable:
     """Append one covariate per layer, read by nearest-cell lookup.
 
-    Records that fall outside the layers' extent, or that hit nodata in any
-    layer, are dropped; the drop count is ``len(points) - len(result)``.
+    ``layer_names`` must hold one entry per layer; it names no column, since
+    a table's columns are known by position only. Records that fall outside
+    the layers' extent, or that hit nodata in any layer, are dropped; the
+    drop count is ``len(points) - len(result)``.
     """
     if len(points) == 0:
         raise UsageError("sample_covariates needs a non-empty point table")
@@ -387,9 +375,4 @@ def sample_covariates(points: PointTable, layers: list[Grid], layer_names: list[
         sampled[:, j] = vals
 
     kept = points.subset(keep)
-    names = kept.covariate_names + tuple(layer_names)
-    if len(set(names)) != len(names):
-        raise UsageError("covariate names must be unique")
-    covs = np.hstack([kept.covariates, sampled[keep]])
-    return PointTable(kept.lon, kept.lat, kept.target, covs, names)
-
+    return PointTable(kept.lon, kept.lat, kept.target, np.hstack([kept.covariates, sampled[keep]]))

@@ -200,7 +200,6 @@ def hyppo_predict_with_degrees(
     queries: PointTable,
     cfg: HyppoConfig,
     space: FeatureSpace,
-    target_range: tuple[float, float] | None = None,
     chunk: int | None = None,
     stats: dict | None = None,
 ):
@@ -251,9 +250,6 @@ def hyppo_predict_with_degrees(
             coef, rank = _lstsq(design_matrix(centered, exps), z[idx[sel]])
             predictions[sel] = coef[:, 0]
             rank_deficient[sel] = rank < len(exps)
-    if target_range is not None:
-        lo, hi = target_range
-        predictions = np.clip(predictions, lo, hi)
     return predictions, degrees, rank_deficient
 
 
@@ -264,5 +260,7 @@ def hyppo_predict(
     space: FeatureSpace,
     target_range: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """Local polynomial prediction at each query; see module docstring."""
-    return hyppo_predict_with_degrees(train, queries, cfg, space, target_range)[0]
+    """Local polynomial prediction at each query, clipped to ``target_range``
+    if given; see module docstring."""
+    predictions = hyppo_predict_with_degrees(train, queries, cfg, space)[0]
+    return predictions if target_range is None else np.clip(predictions, *target_range)

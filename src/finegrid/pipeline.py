@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import shutil
+import sys
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -45,7 +46,7 @@ from .models.features import MODES, FeatureSpace
 from .models.forest import RfConfig, default_mtry_grid, rf_fit, rf_predict, tune_mtry, write_forest
 from .models.hyppo import HyppoConfig, hyppo_predict_with_degrees
 from .models.knn import WEIGHTINGS, KnnConfig, knn_predict
-from .region import BufferSpec, Region, clip_points, contains, read_region
+from .region import clip_points, contains, read_region
 from .render import render_heatmap
 
 METHODS = ("knn", "hyppo", "rf")
@@ -67,6 +68,8 @@ OUTPUT_FILES = (
 _REQUIRED, _UNSET = object(), object()
 _NONE = type(None)
 _NUMBER = (int, float)
+# finite as a float: also refuses a JSON integer too large to convert
+_FINITE = ((lambda v: abs(v) <= sys.float_info.max), "finite")
 
 # key: (accepted types, default, rule). A rule is what a value set in the
 # config must meet beyond its type: a set of allowed values, a number (the
@@ -97,10 +100,11 @@ _SCHEMA = {
     "fine_header": ((dict, _NONE), None, {
         "ncols": (int, _REQUIRED, 1),
         "nrows": (int, _REQUIRED, 1),
-        "xll": (_NUMBER, _REQUIRED, None),
-        "yll": (_NUMBER, _REQUIRED, None),
-        "cellsize": (_NUMBER, _REQUIRED, ((lambda v: v > 0), "positive")),
-        "nodata": (_NUMBER, _UNSET, None),  # absent: the observed grid's
+        "xll": (_NUMBER, _REQUIRED, _FINITE),
+        "yll": (_NUMBER, _REQUIRED, _FINITE),
+        "cellsize": (_NUMBER, _REQUIRED,
+                     ((lambda v: 0 < v <= sys.float_info.max), "positive and finite")),
+        "nodata": (_NUMBER, _UNSET, _FINITE),  # absent: the observed grid's
     }),
     "workers": (int, 1, 1),
     "clamp": ((list, _NONE), [0.0, 1.0], (
@@ -150,7 +154,7 @@ def _check(name: str, value, types, rule=None) -> None:
             _check(key if name == "config" else f"{name}.{key}", entry, types, entry_rule)
     elif isinstance(rule, set) and value not in rule:
         raise UsageError(f"config key {name!r} must be one of {sorted(rule)}")
-    elif isinstance(rule, _NUMBER) and value < rule:
+    elif isinstance(rule, _NUMBER) and not value >= rule:  # NaN too
         raise UsageError(f"config key {name!r} must be at least {rule}")
     elif isinstance(rule, tuple) and not rule[0](value):
         raise UsageError(f"config key {name!r} must be {rule[1]}")
@@ -316,14 +320,11 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
 
         stage = "load-covariates"
         layers = [read_ascii_grid(cfg.resolve(p)) for p in s["covariate_layers"]]
-        # the columns are named by position; no output records a column name
-        layer_names = [f"cov{j + 1}" for j in range(len(layers))]
 
         stage = "load-region"
-        region = buffer = None
+        region = None
         if s["region_file"]:
             region = read_region(cfg.resolve(s["region_file"]))
-            buffer = BufferSpec(float(s["buffer_km"]))
         report_region = None
         if s["report_region_file"]:
             report_region = read_region(cfg.resolve(s["report_region_file"]))
@@ -335,7 +336,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             raise UsageError("observed grid has no data cells to train on")
         if layers:
             before = len(training)
-            training = sample_covariates(training, layers, layer_names)
+            training = sample_covariates(training, layers, s["covariate_layers"])
             derived["train_dropped_sampling"] = before - len(training)
 
         stage = "fine-grid"
@@ -344,13 +345,13 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         derived["predict_count_initial"] = len(prediction_points)
         if layers:
             before = len(prediction_points)
-            prediction_points = sample_covariates(prediction_points, layers, layer_names)
+            prediction_points = sample_covariates(prediction_points, layers, s["covariate_layers"])
             derived["predict_dropped_sampling"] = before - len(prediction_points)
 
         stage = "clip"
         if region is not None:
-            training = clip_points(training, region, buffer)
-            prediction_points = clip_points(prediction_points, region, buffer)
+            training = clip_points(training, region, s["buffer_km"])
+            prediction_points = clip_points(prediction_points, region, s["buffer_km"])
             derived["train_count_after_clip"] = len(training)
             derived["predict_count_after_clip"] = len(prediction_points)
             if len(training) == 0:

@@ -3,7 +3,7 @@
 A region is an outer lon/lat ring plus optional hole rings. Membership uses
 the even-odd ray-casting rule with boundary points counting as inside. The
 buffer is a point predicate: a point passes when it is inside the polygon or
-within ``distance_km`` of the nearest boundary segment, each segment measured
+within ``buffer_km`` of the nearest boundary segment, each segment measured
 on an equirectangular tangent plane at its midpoint latitude (Earth radius
 6371.0088 km).
 
@@ -54,17 +54,6 @@ class Region:
         if _ring_area(cleaned[0]) <= 0:
             raise UsageError("outer ring must enclose positive area")
         object.__setattr__(self, "rings", tuple(cleaned))
-
-
-@dataclass(frozen=True)
-class BufferSpec:
-    """Buffer distance around the region boundary; 0 means no buffer."""
-
-    distance_km: float = 0.0
-
-    def __post_init__(self):
-        if self.distance_km < 0:
-            raise UsageError("buffer distance must be non-negative")
 
 
 def _edges(ring):
@@ -138,21 +127,24 @@ def boundary_distance_km(region: Region, lon, lat) -> np.ndarray:
     return best
 
 
-def within_buffer(region: Region, lon, lat, buffer: BufferSpec) -> np.ndarray:
-    """Bool array: each point is inside the region or within the buffer
-    distance of its boundary. Distances are computed for outside points only."""
+def within_buffer(region: Region, lon, lat, buffer_km: float) -> np.ndarray:
+    """Bool array: each point is inside the region or within ``buffer_km`` of
+    its boundary; 0 means no buffer. Distances are computed for outside
+    points only."""
+    if not buffer_km >= 0:
+        raise UsageError(f"buffer distance must be a non-negative number of km, got {buffer_km}")
     lon, lat = np.broadcast_arrays(np.asarray(lon, dtype=float), np.asarray(lat, dtype=float))
     keep = np.asarray(contains(region, lon, lat))  # writable, also for 0-d input
-    if buffer.distance_km == 0.0:
+    if buffer_km == 0.0:
         return keep
     outside = ~keep
-    keep[outside] = boundary_distance_km(region, lon[outside], lat[outside]) <= buffer.distance_km
+    keep[outside] = boundary_distance_km(region, lon[outside], lat[outside]) <= buffer_km
     return keep
 
 
-def clip_points(points: PointTable, region: Region, buffer: BufferSpec) -> PointTable:
+def clip_points(points: PointTable, region: Region, buffer_km: float) -> PointTable:
     """Records with within_buffer true, order preserved."""
-    return points.subset(within_buffer(region, points.lon, points.lat, buffer))
+    return points.subset(within_buffer(region, points.lon, points.lat, buffer_km))
 
 
 def read_region(path) -> Region:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import ParseError, UsageError
 from .grid import Grid
 
 PALETTES = ("sequential", "diverging")
@@ -83,11 +83,23 @@ def render_heatmap(grid: Grid, palette: str, path) -> None:
 
 
 def read_ppm(path):
-    """Read back a P6 pixmap as ((width, height), (h, w, 3) uint8 array)."""
-    data = Path(path).read_bytes()
-    parts = data.split(b"\n", 3)
+    """Read back a P6 pixmap as ((width, height), (h, w, 3) uint8 array).
+
+    Reads the layout :func:`render_heatmap` writes: magic, size and maxval
+    255 on one line each, then the pixels. Anything else raises
+    :class:`ParseError` naming the file.
+    """
+    path = Path(path)
+    parts = path.read_bytes().split(b"\n", 3)
     if len(parts) < 4 or parts[0] != b"P6":
-        raise UsageError(f"{path} is not a binary PPM")
-    width, height = (int(v) for v in parts[1].split())
-    pixels = np.frombuffer(parts[3], dtype=np.uint8, count=width * height * 3)
-    return (width, height), pixels.reshape(height, width, 3)
+        raise ParseError("not a binary PPM (P6) with a three-line header", path=path)
+    size = parts[1].split()
+    if len(size) != 2 or not all(v.isdigit() for v in size):
+        raise ParseError("expected a 'width height' line", path=path, line=2)
+    if parts[2] != b"255":
+        raise ParseError("maxval must be 255", path=path, line=3)
+    width, height = int(size[0]), int(size[1])
+    if len(parts[3]) != width * height * 3:
+        raise ParseError(f"pixel data holds {len(parts[3])} bytes, not {width * height * 3}",
+                         path=path)
+    return (width, height), np.frombuffer(parts[3], dtype=np.uint8).reshape(height, width, 3)

@@ -136,6 +136,8 @@ def make_scenario(
     become nodata, drawn as contiguous blobs.
     """
     nrows, ncols = fine_shape
+    if nrows < 1 or ncols < 1:
+        raise UsageError(f"fine shape {fine_shape} needs at least one row and one column")
     if coarse_factor < 2:
         raise UsageError("coarse_factor must be at least 2")
     if nrows % coarse_factor or ncols % coarse_factor:

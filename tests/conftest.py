@@ -36,11 +36,10 @@ def random_grid(rng, max_side=12):
     )
 
 
-def random_table(rng, n, p, names=None):
+def random_table(rng, n, p):
     return PointTable(
         lon=rng.uniform(-10, 10, n),
         lat=rng.uniform(-10, 10, n),
         target=rng.uniform(0, 1, n),
         covariates=rng.normal(size=(n, p)),
-        covariate_names=tuple(names) if names else (),
     )

@@ -445,7 +445,6 @@ class TestSampleCovariates:
         out = sample_covariates(pts, [layer], ["elev"])
         assert out.p == 1
         assert out.covariates[0, 0] == 7.5
-        assert out.covariate_names == ("elev",)
 
     def test_outside_point_dropped(self):
         layer = self.layer([[7.5]])
@@ -490,6 +489,11 @@ class TestPointTable:
             PointTable([0.0], [0.0, 1.0], [0.1], np.zeros((1, 0)))
         with pytest.raises(UsageError):
             PointTable([np.inf], [0.0], [0.1], np.zeros((1, 0)))
+
+    @pytest.mark.parametrize("covs", [np.zeros(1), np.zeros((1, 1, 1)), 0.5])
+    def test_covariates_must_be_two_dimensional(self, covs):
+        with pytest.raises(UsageError, match=r"\(n, p\) array"):
+            PointTable([0.0], [1.0], [0.1], covs)
 
     def test_zero_covariates_allowed(self):
         t = PointTable([0.0], [1.0], [np.nan], np.zeros((1, 0)))

@@ -168,10 +168,25 @@ class TestValidateConfig:
         ({"buffer_km": -5}, "buffer_km"),
         ({"covariate_layers": [1]}, "covariate_layers"),
         ({"method": "knn", "pca": True, "covariate_layers": []}, "pca"),
+        ({"buffer_km": float("nan")}, "buffer_km"),
+        ({"fine_header": {"ncols": 4, "nrows": 4, "xll": float("nan"), "yll": 0,
+                          "cellsize": 1.0}}, "fine_header.xll"),
+        ({"fine_header": {"ncols": 4, "nrows": 4, "xll": 0, "yll": float("nan"),
+                          "cellsize": 1.0}}, "fine_header.yll"),
+        ({"fine_header": {"ncols": 4, "nrows": 4, "xll": float("-inf"), "yll": 0,
+                          "cellsize": 1.0}}, "fine_header.xll"),
+        ({"fine_header": {"ncols": 4, "nrows": 4, "xll": 0, "yll": 0,
+                          "cellsize": float("inf")}}, "fine_header.cellsize"),
+        ({"fine_header": {"ncols": 4, "nrows": 4, "xll": 10**400, "yll": 0,
+                          "cellsize": 1.0}}, "fine_header.xll"),
+        ({"fine_header": {"ncols": 4, "nrows": 4, "xll": 0, "yll": 0, "cellsize": 1.0,
+                          "nodata": float("nan")}}, "fine_header.nodata"),
     ], ids=["folds0", "folds1", "grid0", "grid-str", "grid-above-layers", "grid-bool",
             "mtry-above-layers", "rf-coords+covariates", "rf-no-layers", "header-xll-str",
             "header-cellsize-neg", "header-ncols-float", "header-unknown-key", "min-count0",
-            "buffer-neg", "layer-not-path", "pca-no-layers"])
+            "buffer-neg", "layer-not-path", "pca-no-layers", "buffer-nan", "header-xll-nan",
+            "header-yll-nan", "header-xll-inf", "header-cellsize-inf", "header-xll-huge-int",
+            "header-nodata-nan"])
     def test_config_fails_validation_naming_the_key(self, overrides, key):
         # each of these passed validation and then failed in a stage, or ran
         # with a value the engine changed
@@ -289,6 +304,51 @@ class TestRunKnn:
                                       np.clip(raw.values, 0.0, 1.0))
         vals = clamped.values[clamped.data_mask]
         assert vals.min() >= 0.0 and vals.max() <= 1.0
+
+
+class TestFineHeader:
+    def derived_header(self, data_dir, factor=2):
+        observed = read_ascii_grid(data_dir / "observed.asc")
+        return {"ncols": observed.ncols * factor, "nrows": observed.nrows * factor,
+                "xll": observed.xll, "yll": observed.yll,
+                "cellsize": observed.cellsize / factor}
+
+    def test_header_equal_to_fine_factor_gives_same_outputs(self, tmp_path):
+        _, data_dir = dump_scenario(tmp_path)
+        by_factor, by_header = tmp_path / "factor", tmp_path / "header"
+        run_pipeline(validate_config(base_config(data_dir, by_factor, render=True)))
+        cfg = base_config(data_dir, by_header, render=True,
+                          fine_header=self.derived_header(data_dir))
+        del cfg["fine_factor"]
+        run_pipeline(validate_config(cfg))
+        da, db = output_digest(by_factor), output_digest(by_header)
+        del da["manifest.json"], db["manifest.json"]  # config differs in the two keys
+        assert da == db
+        derived = [json.loads((out / "manifest.json").read_text())["derived"]
+                   for out in (by_factor, by_header)]
+        assert derived[0] == derived[1]
+
+    def test_nodata_override_reaches_prediction_only(self, tmp_path):
+        scenario, data_dir = dump_scenario(tmp_path)
+        plain, override = tmp_path / "plain", tmp_path / "override"
+        region = str(data_dir / "region.geojson")
+        header = self.derived_header(data_dir)
+        for out, extra in ((plain, {}), (override, {"nodata": -1.0})):
+            cfg = base_config(data_dir, out, report_region_file=region,
+                              fine_header={**header, **extra})
+            del cfg["fine_factor"]
+            run_pipeline(validate_config(cfg))
+        a = read_ascii_grid(plain / "prediction.asc")
+        b = read_ascii_grid(override / "prediction.asc")
+        assert (a.nodata, b.nodata) == (scenario.observed.nodata, -1.0)
+        # the report region leaves nodata cells; the override marks the same ones
+        assert (~a.data_mask).any()
+        np.testing.assert_array_equal(a.data_mask, b.data_mask)
+        np.testing.assert_array_equal(a.values[a.data_mask], b.values[b.data_mask])
+        for name in ("aggregated.asc", "residual.asc", "relative_residual.asc",
+                     "scatter.csv", "metrics.txt"):
+            assert (plain / name).read_bytes() == (override / name).read_bytes(), name
+        assert read_ascii_grid(override / "aggregated.asc").nodata == scenario.observed.nodata
 
 
 class TestCovariatesAndPca:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from finegrid import (
-    BufferSpec,
     ParseError,
     PointTable,
     Region,
@@ -249,7 +248,7 @@ class TestContains:
 class TestWithinBuffer:
     def test_interior_with_zero_buffer(self):
         r = Region(rings=(UNIT_SQUARE,))
-        assert within_buffer(r, 0.5, 0.5, BufferSpec(0.0))
+        assert within_buffer(r, 0.5, 0.5, 0.0)
 
     def test_one_km_east_with_100km_buffer(self):
         # point 1 km due east of the east edge of the unit square, on the equator
@@ -257,27 +256,33 @@ class TestWithinBuffer:
         lon = 1.0 + DEG_PER_KM_EQUATOR
         assert not contains(r, lon, 0.5)
         assert boundary_distance_km(r, lon, 0.5) == pytest.approx(1.0, abs=0.01)
-        assert within_buffer(r, lon, 0.5, BufferSpec(100.0))
+        assert within_buffer(r, lon, 0.5, 100.0)
 
     def test_200km_away_not_within_100km_buffer(self):
         r = Region(rings=(UNIT_SQUARE,))
         lon = 1.0 + 200.0 * DEG_PER_KM_EQUATOR
         assert boundary_distance_km(r, lon, 0.5) == pytest.approx(200.0, rel=0.01)
-        assert not within_buffer(r, lon, 0.5, BufferSpec(100.0))
+        assert not within_buffer(r, lon, 0.5, 100.0)
 
     def test_monotone_in_distance(self, rng):
         r = Region(rings=(UNIT_SQUARE,))
         for _ in range(100):
             lon, lat = rng.uniform(-2, 3, 2)
             d1, d2 = sorted(rng.uniform(0, 300, 2))
-            if within_buffer(r, lon, lat, BufferSpec(d1)):
-                assert within_buffer(r, lon, lat, BufferSpec(d2))
+            if within_buffer(r, lon, lat, d1):
+                assert within_buffer(r, lon, lat, d2)
 
     def test_zero_buffer_equals_contains_off_boundary(self, rng):
         r = Region(rings=ANNULUS)
         for _ in range(200):
             lon, lat = rng.uniform(-1, 5, 2)
-            assert within_buffer(r, lon, lat, BufferSpec(0.0)) == contains(r, lon, lat)
+            assert within_buffer(r, lon, lat, 0.0) == contains(r, lon, lat)
+
+    @pytest.mark.parametrize("km", [-1.0, -1e-300, math.nan])
+    def test_negative_or_nan_distance_rejected(self, km):
+        r = Region(rings=(UNIT_SQUARE,))
+        with pytest.raises(UsageError, match="non-negative number of km"):
+            within_buffer(r, 0.5, 0.5, km)
 
 
 class TestClipPoints:
@@ -288,21 +293,21 @@ class TestClipPoints:
     def test_all_interior_is_identity(self, rng):
         r = Region(rings=(UNIT_SQUARE,))
         pts = PointTable([0.2, 0.8], [0.3, 0.6], [0.1, 0.2], np.zeros((2, 0)))
-        out = clip_points(pts, r, BufferSpec(0.0))
+        out = clip_points(pts, r, 0.0)
         assert out == pts
 
     def test_zero_buffer_equals_contains_clip(self, rng):
         r = Region(rings=(UNIT_SQUARE,))
         pts = self.make_points(rng, 100)
-        out = clip_points(pts, r, BufferSpec(0.0))
+        out = clip_points(pts, r, 0.0)
         expect = [i for i in range(100) if contains(r, pts.lon[i], pts.lat[i])]
         np.testing.assert_array_equal(out.lon, pts.lon[expect])
 
     def test_buffer_monotonicity(self, rng):
         r = Region(rings=(UNIT_SQUARE,))
         pts = self.make_points(rng, 150)
-        small = clip_points(pts, r, BufferSpec(20.0))
-        large = clip_points(pts, r, BufferSpec(120.0))
+        small = clip_points(pts, r, 20.0)
+        large = clip_points(pts, r, 120.0)
         assert len(large) >= len(small)
         assert set(small.lon) <= set(large.lon)
 
@@ -310,14 +315,14 @@ class TestClipPoints:
         world = Region(rings=(((-180.0, -89.0), (180.0, -89.0),
                                (180.0, 89.0), (-180.0, 89.0)),))
         pts = self.make_points(rng, 40)
-        assert clip_points(pts, world, BufferSpec(0.0)) == pts
+        assert clip_points(pts, world, 0.0) == pts
 
     def test_order_preserved(self, rng):
         r = Region(rings=(UNIT_SQUARE,))
         pts = self.make_points(rng, 60)
-        out = clip_points(pts, r, BufferSpec(50.0))
+        out = clip_points(pts, r, 50.0)
         kept = [i for i in range(60)
-                if within_buffer(r, pts.lon[i], pts.lat[i], BufferSpec(50.0))]
+                if within_buffer(r, pts.lon[i], pts.lat[i], 50.0)]
         np.testing.assert_array_equal(out.lat, pts.lat[kept])
 
 
@@ -384,11 +389,11 @@ class TestVectorisedMatchesScalarReference:
         assert np.all(np.abs(dist - ref) <= np.spacing(ref))
 
         for km in (0.0, 37.5, 150.0):
-            keep = within_buffer(region, lon, lat, BufferSpec(km))
+            keep = within_buffer(region, lon, lat, km)
             expect = [within_buffer_ref(region, x, y, km) for x, y in zip(lon, lat)]
             np.testing.assert_array_equal(keep, expect)
             pts = PointTable(lon, lat, np.arange(len(lon), dtype=float), np.zeros((len(lon), 0)))
-            assert clip_points(pts, region, BufferSpec(km)) == pts.subset(np.array(expect))
+            assert clip_points(pts, region, km) == pts.subset(np.array(expect))
 
     def test_overlapping_holes_follow_ring_order(self):
         outer = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))
@@ -416,14 +421,14 @@ class TestVectorisedMatchesScalarReference:
         ref = np.array([boundary_distance_km_ref(region, x, y) for x, y in zip(lon, lat)])
         assert np.all(np.abs(boundary_distance_km(region, lon, lat) - ref) <= np.spacing(ref))
         expect = [within_buffer_ref(region, x, y, 60.0) for x, y in zip(lon, lat)]
-        np.testing.assert_array_equal(within_buffer(region, lon, lat, BufferSpec(60.0)), expect)
+        np.testing.assert_array_equal(within_buffer(region, lon, lat, 60.0), expect)
 
     def test_scalar_inputs_act_as_bools(self, rng):
         region = Region(rings=ANNULUS)
         for lon, lat in [(0.5, 0.5), (2.0, 2.0), (1.5, 1.5), (4.5, 2.0), (9.0, 9.0)]:
             assert bool(contains(region, lon, lat)) is contains_ref(region, lon, lat)
             for km in (0.0, 80.0):
-                assert bool(within_buffer(region, lon, lat, BufferSpec(km))) is \
+                assert bool(within_buffer(region, lon, lat, km)) is \
                     within_buffer_ref(region, lon, lat, km)
             d = float(boundary_distance_km(region, lon, lat))
             ref = boundary_distance_km_ref(region, lon, lat)

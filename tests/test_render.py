@@ -6,6 +6,7 @@ import pytest
 
 from finegrid import (
     Grid,
+    ParseError,
     UsageError,
     make_scenario,
     read_ascii_grid,
@@ -91,6 +92,22 @@ class TestRenderHeatmap:
     def test_unknown_palette(self, tmp_path):
         with pytest.raises(UsageError):
             render_heatmap(grid_of([[0.1]]), "plasma", tmp_path / "x.ppm")
+
+    @pytest.mark.parametrize("data", [
+        b"P3\n2 1\n255\n" + bytes(6),
+        b"P6\nx y\n255\n" + bytes(6),
+        b"P6\n2\n255\n" + bytes(6),
+        b"P6\n2 1\n65535\n" + bytes(12),
+        b"P6\n2 1\n255\n" + bytes(5),
+        b"P6\n2 1\n255\n" + bytes(7),
+        b"P6\n2 1\n",
+    ], ids=["magic", "size-not-numbers", "size-missing-field", "maxval", "truncated-pixels",
+            "trailing-bytes", "no-pixel-line"])
+    def test_read_ppm_malformed_rejected(self, tmp_path, data):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="bad.ppm"):
+            read_ppm(path)
 
     def test_all_nodata_grid(self, tmp_path):
         path = tmp_path / "n.ppm"
@@ -185,6 +202,13 @@ class TestCli:
                          "--fine-shape", "32x32", "--coarse-factor", "4"]) == 0
         assert (a / "observed.asc").read_text() == (b / "observed.asc").read_text()
         assert (a / "truth.asc").read_text() == (b / "truth.asc").read_text()
+
+    @pytest.mark.parametrize("shape", ["0x8", "-8x8"])
+    def test_synth_rejects_empty_or_negative_shape(self, tmp_path, capsys, shape):
+        assert main(["synth", "--seed", "1", "--out", str(tmp_path / "s"),
+                     f"--fine-shape={shape}", "--coarse-factor", "4"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_render_matches_library_call(self, tmp_path):
         scenario = make_scenario(seed=4, fine_shape=(32, 32), coarse_factor=4)

@@ -107,6 +107,11 @@ class TestMakeScenario:
             make_scenario(seed=0, fine_shape=(32, 32), coarse_factor=4,
                           noise_stdev=-0.1)
 
+    @pytest.mark.parametrize("shape", [(0, 8), (8, 0), (-8, 8)])
+    def test_empty_or_negative_fine_shape_rejected(self, shape):
+        with pytest.raises(UsageError, match="at least one row and one column"):
+            make_scenario(seed=0, fine_shape=shape, coarse_factor=4)
+
     def test_dump_round_trips(self, tmp_path):
         s = make_scenario(seed=21, fine_shape=(32, 32), coarse_factor=4,
                           n_covariates=2, gap_fraction=0.1)
