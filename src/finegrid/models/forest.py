@@ -2,13 +2,14 @@
 
 Each tree draws its bootstrap sample and all split randomness from an
 independent stream seeded by (seed, tree index). The trees of a fit grow in
-lockstep: every tree walks its own explicit preorder stack, settling leaves
+lockstep: every tree walks its own explicit preorder stack, recording leaves
 as it pops them, until it pops a node that needs a split search (at least
 2·min_leaf records and more than one target value). That node draws its
 mtry features, and one batched search (:func:`_split_search`) then finds the
-best split of every tree's pending node at once. The forest equals the one
-that growing each tree alone by recursion gives, bit for bit, for four
-reasons:
+best split of every tree's pending node at once. The leaf test of both
+children of every split in a step is one batched pass too. The forest equals
+the one that growing each tree alone by recursion gives, bit for bit, for
+five reasons:
 
 - streams are per tree, so interleaving the trees changes no tree's draws;
 - each tree pops its nodes in preorder (right child pushed before left),
@@ -18,10 +19,22 @@ reasons:
   orders its records exactly as sorting them alone does, and the cumulative
   sums, midpoints and scores over that prefix are the same float operations;
 - padding sorts last (+inf features) and adds nothing (0.0 targets); every
-  padded position fails the size or midpoint test, so it never wins.
+  padded position fails the size or midpoint test, so it never wins;
+- leaf values are settled after growth, one ``np.mean(axis=1)`` per distinct
+  leaf size over a (leaves, size) block, which sums each row in the same
+  pairwise order as ``np.mean`` over that leaf alone. Rows are never padded:
+  numpy's pairwise sum groups by length.
 
 Fitting is therefore bit-identical run to run, for any batch size and any
 number of worker threads.
+
+Routing (:func:`_route`) walks every (tree, query) pair at once over the
+trees' node arrays laid end to end, reading covariates feature-major. It
+works in chunks of at most ROUTE_PAIRS pairs, so prediction memory does not
+grow with the query count. Comparisons are exact, so every pair reaches the
+leaf that routing it alone does; ``rf_predict`` adds each query's leaves in
+tree order from 0.0 and the out-of-bag sums add them tree by tree, the same
+float additions as a per-tree loop.
 """
 
 from __future__ import annotations
@@ -40,6 +53,10 @@ _SEED_MASK = (1 << 64) - 1
 
 # stream tag separating the fold shuffle in tune_mtry from tree streams
 _TUNE_STREAM = 0x7E5
+
+# (tree, query) pairs one routing pass walks at once; rf_predict routes as
+# many queries through all trees as fit, so memory does not grow with the query count
+ROUTE_PAIRS = 1 << 15
 
 # bytes the padded (nodes, mtry, largest node) float stack of one batched
 # split search may take; the search holds about ten arrays of that shape.
@@ -77,14 +94,7 @@ class Tree:
     value: np.ndarray
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        nodes = np.zeros(len(x), dtype=np.int64)
-        active = np.nonzero(self.feature[nodes] >= 0)[0]
-        while len(active):
-            ids = nodes[active]
-            go_left = x[active, self.feature[ids]] <= self.threshold[ids]
-            nodes[active] = np.where(go_left, self.left[ids], self.right[ids])
-            active = active[self.feature[nodes[active]] >= 0]
-        return self.value[nodes]
+        return _route(_stack((self,)), x, np.zeros(len(x), dtype=np.int64), np.arange(len(x)))
 
     @property
     def n_nodes(self) -> int:
@@ -115,6 +125,38 @@ class Forest:
     @property
     def ntree(self) -> int:
         return len(self.trees)
+
+
+def _stack(trees) -> tuple:
+    """(roots, feature, threshold, children, value): the trees' nodes end to
+    end, each tree's root id, and node i's right and left child ids, offset
+    into the joint arrays, at children[2i] and children[2i + 1]."""
+    sizes = np.array([tree.n_nodes for tree in trees], dtype=np.int64)
+    roots = np.cumsum(sizes) - sizes
+    children = [np.stack([t.right, t.left], axis=1) + root for t, root in zip(trees, roots)]
+    return (
+        roots,
+        np.concatenate([tree.feature for tree in trees]),
+        np.concatenate([tree.threshold for tree in trees]),
+        np.concatenate(children).ravel(),
+        np.concatenate([tree.value for tree in trees]),
+    )
+
+
+def _route(stacked: tuple, x: np.ndarray, trees: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Value of the leaf that row ``rows[k]`` of x reaches in tree ``trees[k]``
+    of the :func:`_stack` arrays, for every pair k."""
+    roots, feature, threshold, children, value = stacked
+    # feature-major, so row q's feature f sits at f * len(x) + q
+    xt = x.T.ravel()
+    nodes = roots[trees]
+    active = np.flatnonzero(feature[nodes] >= 0)
+    while len(active):
+        ids = nodes[active]
+        go_left = xt[feature[ids] * len(x) + rows[active]] <= threshold[ids]
+        nodes[active] = children[2 * ids + go_left]
+        active = active[feature[nodes[active]] >= 0]
+    return value[nodes]
 
 
 def _split_search(x: np.ndarray, z: np.ndarray, rows: list, feats: np.ndarray, min_leaf: int):
@@ -180,44 +222,72 @@ def _batches(sizes: list, row_bytes: int):
     yield slice(start, len(sizes))
 
 
+def _leaf_flags(z: np.ndarray, rows: list, min_leaf: int) -> np.ndarray:
+    """Whether each node, holding the records ``rows[k]``, is a leaf: fewer
+    than 2·min_leaf records, or a single target value."""
+    sizes = np.array([len(r) for r in rows], dtype=np.int64)
+    small = sizes < 2 * min_leaf
+    if small.all():  # no purity to test, an empty list included
+        return small
+    zs = z[np.concatenate(rows)]
+    starts = np.cumsum(sizes) - sizes
+    return small | (np.minimum.reduceat(zs, starts) == np.maximum.reduceat(zs, starts))
+
+
 def _grow_trees(x: np.ndarray, z: np.ndarray, boots: list, rngs: list, mtry: int, min_leaf: int):
     """Grow one tree per bootstrap sample, all in lockstep (see the module docstring)."""
     p = x.shape[1]
     # per tree, one [feature, threshold, left, right, value] record per node
     built = [[] for _ in boots]
-    # stack entries: (records, parent's node record or None, 2 for a left child, 3 for a right)
-    stacks = [[(boot, None, 0)] for boot in boots]
+    # (node record, records) of every leaf; values are settled after growth
+    leaves = []
+    # stack entries: (records, is a leaf, parent's node record or None,
+    # 2 for a left child, 3 for a right)
+    stacks = [[(boot, leaf, None, 0)] for boot, leaf in zip(boots, _leaf_flags(z, boots, min_leaf))]
     while True:
         pending = []
         for tree, stack, rng in zip(built, stacks, rngs):
             while stack:
-                rows, parent, side = stack.pop()
+                rows, leaf, parent, side = stack.pop()
                 node = [-1, 0.0, -1, -1, 0.0]
                 if parent is not None:
                     parent[side] = len(tree)
                 tree.append(node)
-                zn = z[rows]
-                if len(rows) < 2 * min_leaf or zn.min() == zn.max():
-                    node[4] = float(np.mean(zn))
+                if leaf:
+                    leaves.append((node, rows))
                     continue
                 pending.append((stack, node, rows, rng.choice(p, size=mtry, replace=False)))
                 break
         if not pending:
             break
+        splits = []
         for part in _batches([len(rows) for _, _, rows, _ in pending], 8 * mtry):
             batch = pending[part]
-            splits = _split_search(
+            splits += _split_search(
                 x, z, [rows for _, _, rows, _ in batch], np.array([f for *_, f in batch]), min_leaf
             )
-            for (stack, node, rows, _), split in zip(batch, splits):
-                if split is None:
-                    node[4] = float(np.mean(z[rows]))
-                    continue
-                node[:2] = split
-                go_left = x[rows, split[0]] <= split[1]
-                # right first, so the left subtree is popped, and numbered, first
-                stack.append((rows[~go_left], node, 3))
-                stack.append((rows[go_left], node, 2))
+        children = []
+        for (stack, node, rows, _), split in zip(pending, splits):
+            if split is None:
+                leaves.append((node, rows))
+                continue
+            node[:2] = split
+            go_left = x[rows, split[0]] <= split[1]
+            children.append((stack, node, rows[go_left], rows[~go_left]))
+        flags = _leaf_flags(z, [r for *_, lo, hi in children for r in (lo, hi)], min_leaf)
+        for (stack, node, lo, hi), lo_leaf, hi_leaf in zip(children, flags[::2], flags[1::2]):
+            # right first, so the left subtree is popped, and numbered, first
+            stack.append((hi, hi_leaf, node, 3))
+            stack.append((lo, lo_leaf, node, 2))
+    # np.mean over the rows of a (leaves, size) block sums each row as np.mean
+    # over that row alone does, so one call per distinct size settles them all
+    by_size = {}
+    for node, rows in leaves:
+        by_size.setdefault(len(rows), []).append((node, rows))
+    for group in by_size.values():
+        means = np.mean(z[np.stack([rows for _, rows in group])], axis=1)
+        for (node, _), mean in zip(group, means.tolist()):
+            node[4] = mean
     return [
         Tree(
             np.array(feature, dtype=np.int64),
@@ -262,14 +332,20 @@ def rf_fit(train: PointTable, cfg: RfConfig, workers: int = 1) -> Forest:
     else:
         trees = tuple(grow(groups[0]))
 
+    # every (tree, out-of-bag record) pair, tree by tree
+    oob = [np.flatnonzero(np.bincount(boot, minlength=n) == 0) for boot in in_bag]
+    sizes = [len(rows) for rows in oob]
+    pair_tree = np.repeat(np.arange(cfg.ntree), sizes)
+    pair_row = np.concatenate(oob)
+    stacked = _stack(trees)
+    routed = np.empty(len(pair_row))
+    for lo in range(0, len(pair_row), ROUTE_PAIRS):
+        part = slice(lo, lo + ROUTE_PAIRS)
+        routed[part] = _route(stacked, x, pair_tree[part], pair_row[part])
     oob_sum = np.zeros(n)
-    oob_count = np.zeros(n, dtype=np.int64)
-    all_idx = np.arange(n)
-    for tree, boot in zip(trees, in_bag):
-        oob = np.setdiff1d(all_idx, boot, assume_unique=False)
-        if len(oob):
-            oob_sum[oob] += tree.predict(x[oob])
-            oob_count[oob] += 1
+    for rows, values in zip(oob, np.split(routed, np.cumsum(sizes)[:-1])):
+        oob_sum[rows] += values
+    oob_count = np.bincount(pair_row, minlength=n)
     covered = oob_count > 0
     if covered.any():
         residual = oob_sum[covered] / oob_count[covered] - z[covered]
@@ -283,11 +359,21 @@ def rf_predict(forest: Forest, queries: PointTable) -> np.ndarray:
     """Mean over all trees of the leaf each query routes to."""
     if queries.p != forest.p:
         raise UsageError(f"query covariate width {queries.p} does not match fitted {forest.p}")
-    x = queries.covariates
-    total = np.zeros(len(queries))
-    for tree in forest.trees:
-        total += tree.predict(x)
-    return total / forest.ntree
+    x, ntree = queries.covariates, forest.ntree
+    stacked = _stack(forest.trees)
+    step = max(1, ROUTE_PAIRS // ntree)
+    total = np.empty(len(x))
+    for lo in range(0, len(x), step):
+        chunk = x[lo : lo + step]
+        nc = len(chunk)
+        values = _route(
+            stacked, chunk, np.repeat(np.arange(ntree), nc), np.tile(np.arange(nc), ntree)
+        ).reshape(ntree, nc)
+        # the sum starts from 0.0, as a per-tree loop's would: -0.0 + 0.0 is 0.0
+        values[0] += 0.0
+        # accumulate adds row after row, so each query's leaves are summed in tree order
+        total[lo : lo + step] = np.add.accumulate(values, axis=0)[-1]
+    return total / ntree
 
 
 def default_mtry_grid(p: int) -> list[int]:
@@ -423,4 +509,6 @@ def read_forest(path) -> Forest:
                 raise ParseError(f"bad node line: {exc}", path=path, line=i + 1) from exc
         trees.append(Tree(feature, threshold, left, right, value))
         i += 1
+    if i < len(lines):
+        raise ParseError(f"line after the last of {ntree} trees", path=path, line=i + 1)
     return Forest(tuple(trees), (), oob_rmse, p, cfg)

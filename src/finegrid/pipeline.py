@@ -276,6 +276,9 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
     derived["forest_nodes"] = sum(tree.n_nodes for tree in forest.trees)
     derived["forest_max_depth"] = max(tree.depth for tree in forest.trees)
     derived["mtry_used"] = model_cfg.mtry
+    logger.info("rf: %s mtry %d, oob_rmse %r, forest_nodes %d, forest_max_depth %d",
+                "tuned" if s["mtry"] == "tune" else "fixed", model_cfg.mtry,
+                forest.oob_rmse, derived["forest_nodes"], derived["forest_max_depth"])
     return rf_predict(forest, prediction), forest
 
 

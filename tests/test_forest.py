@@ -108,6 +108,45 @@ def _grow_tree_ref(x, z, rng, mtry, min_leaf):
     )
 
 
+# The per-tree routing that the forest-wide pass replaced, kept as the bitwise
+# reference: each tree routes its queries alone, and rf_predict and the
+# out-of-bag sums add the trees' leaves one tree at a time, from 0.0.
+
+
+def tree_predict_ref(tree, x):
+    nodes = np.zeros(len(x), dtype=np.int64)
+    active = np.nonzero(tree.feature[nodes] >= 0)[0]
+    while len(active):
+        ids = nodes[active]
+        go_left = x[active, tree.feature[ids]] <= tree.threshold[ids]
+        nodes[active] = np.where(go_left, tree.left[ids], tree.right[ids])
+        active = active[tree.feature[nodes[active]] >= 0]
+    return tree.value[nodes]
+
+
+def rf_predict_ref(forest, queries):
+    total = np.zeros(len(queries))
+    for tree in forest.trees:
+        total += tree_predict_ref(tree, queries.covariates)
+    return total / forest.ntree
+
+
+def oob_rmse_ref(trees, in_bag, train):
+    z, n, x = train.target, len(train), train.covariates
+    oob_sum = np.zeros(n)
+    oob_count = np.zeros(n, dtype=np.int64)
+    for tree, boot in zip(trees, in_bag):
+        oob = np.setdiff1d(np.arange(n), boot)
+        if len(oob):
+            oob_sum[oob] += tree_predict_ref(tree, x[oob])
+            oob_count[oob] += 1
+    covered = oob_count > 0
+    if not covered.any():
+        return float("nan")
+    residual = oob_sum[covered] / oob_count[covered] - z[covered]
+    return float(np.sqrt(np.mean(residual * residual)))
+
+
 def rf_fit_ref(train, cfg):
     z = train.require_targets()
     n, x = len(train), train.covariates
@@ -117,19 +156,7 @@ def rf_fit_ref(train, cfg):
         boot = rng.integers(0, n, size=n)
         trees.append(_grow_tree_ref(x[boot], z[boot], rng, cfg.mtry, cfg.min_leaf))
         in_bag.append(boot)
-    oob_sum = np.zeros(n)
-    oob_count = np.zeros(n, dtype=np.int64)
-    for tree, boot in zip(trees, in_bag):
-        oob = np.setdiff1d(np.arange(n), boot)
-        if len(oob):
-            oob_sum[oob] += tree.predict(x[oob])
-            oob_count[oob] += 1
-    covered = oob_count > 0
-    if covered.any():
-        residual = oob_sum[covered] / oob_count[covered] - z[covered]
-        oob_rmse = float(np.sqrt(np.mean(residual * residual)))
-    else:
-        oob_rmse = float("nan")
+    oob_rmse = oob_rmse_ref(trees, in_bag, train)
     return Forest(tuple(trees), tuple(in_bag), oob_rmse, train.p, cfg)
 
 
@@ -210,6 +237,72 @@ class TestLockstepOracle:
         choice = tune_mtry(train, cfg, grid, folds=3)
         monkeypatch.setattr(forest_module, "rf_fit", rf_fit_ref)
         assert tune_mtry(train, cfg, grid, folds=3) == choice
+
+
+def same_bits(a, b):
+    """Equal float arrays, bit for bit (so 0.0 and -0.0 differ)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRoutingOracle:
+    """One routing pass over every (tree, query) pair must give the per-tree
+    loop's leaves and sums bit for bit, for any pair budget."""
+
+    @staticmethod
+    def forest_and_queries():
+        train, mtry, min_leaf = oracle_case("rounded")
+        forest = rf_fit(train, RfConfig(ntree=12, mtry=mtry, min_leaf=min_leaf, seed=8))
+        # training rows sit on the 0.1 lattice, so midpoint thresholds are
+        # hit exactly by the rounded queries and straddled by the others
+        rng = np.random.default_rng(97)
+        covs = np.vstack([train.covariates, np.round(rng.normal(0, 1, (90, train.p)), 2)])
+        return train, forest, table(covs, np.zeros(len(covs)))
+
+    @pytest.mark.parametrize("pairs", [1, 7, forest_module.ROUTE_PAIRS])
+    def test_predict_and_oob_match_per_tree_loop(self, pairs, monkeypatch):
+        train, forest, queries = self.forest_and_queries()
+        monkeypatch.setattr(forest_module, "ROUTE_PAIRS", pairs)
+        assert same_bits(rf_predict(forest, queries), rf_predict_ref(forest, queries))
+        refit = rf_fit(train, forest.config)
+        assert refit.oob_rmse == oob_rmse_ref(forest.trees, forest.in_bag, train)
+        assert refit.oob_rmse == forest.oob_rmse
+
+    def test_tree_predict_matches_per_tree_loop(self):
+        _, forest, queries = self.forest_and_queries()
+        for tree in forest.trees:
+            assert same_bits(tree.predict(queries.covariates),
+                             tree_predict_ref(tree, queries.covariates))
+
+    def test_zero_queries(self):
+        train, forest, _ = self.forest_and_queries()
+        empty = table(np.zeros((0, train.p)), np.zeros(0))
+        assert same_bits(rf_predict(forest, empty), rf_predict_ref(forest, empty))
+
+    def test_negative_zero_leaves_sum_from_zero(self, tmp_path):
+        # a per-tree loop adds -0.0 leaves to 0.0 and gets 0.0
+        path = tmp_path / "forest.txt"
+        path.write_text("forest ntree=3 p=2 min_leaf=5 seed=0 mtry=1 oob_rmse=0.1\n"
+                        + "".join(f"tree {t} nodes=1\n0 leaf -0.0\n" for t in range(3)))
+        forest = read_forest(path)
+        queries = table(np.zeros((4, 2)), np.zeros(4))
+        assert same_bits(rf_predict(forest, queries), rf_predict_ref(forest, queries))
+        assert same_bits(rf_predict(forest, queries), np.zeros(4))
+
+    @pytest.mark.parametrize("distinct", [0, 60])
+    def test_leaves_over_128_records(self, distinct):
+        # duplicated covariate rows with differing targets cannot be split, so
+        # they settle as one leaf whose mean crosses numpy's 128-element
+        # pairwise-sum block; with no distinct rows every tree is that leaf
+        rng = np.random.default_rng(128)
+        covs = np.vstack([np.ones((300, 2)), rng.normal(0, 1, (distinct, 2))])
+        train = table(covs, rng.random(len(covs)))
+        cfg = RfConfig(ntree=6, mtry=2, min_leaf=1, seed=3)
+        ref = rf_fit_ref(train, cfg)
+        assert all(np.count_nonzero(boot < 300) > 128 for boot in ref.in_bag)
+        forest = rf_fit(train, cfg)
+        TestLockstepOracle.assert_same(forest, ref)
+        assert same_bits(rf_predict(forest, train), rf_predict_ref(ref, train))
 
 
 class TestDeterminism:
@@ -351,6 +444,15 @@ class TestSerialization:
         for count in ("x", "-1", "0"):
             path.write_text(header + f"tree 0 nodes={count}\n")
             with pytest.raises(ParseError, match=r"node count .*:2\)"):
+                read_forest(path)
+        # nothing may follow the last tree the header declares
+        two = (header.replace("ntree=1", "ntree=2")
+               + "tree 0 nodes=1\n0 leaf 0.5\ntree 1 nodes=1\n0 leaf 0.25\n")
+        path.write_text(two)
+        assert read_forest(path).ntree == 2
+        for extra in ("tree 2 nodes=1\n0 leaf 0.0\n", "garbage here\n"):
+            path.write_text(two + extra)
+            with pytest.raises(ParseError, match=r"after the last of 2 trees .*:6\)"):
                 read_forest(path)
         # header values the forest's own config refuses
         for bad in ("ntree=0", "min_leaf=0", "mtry=0", "mtry=auto"):

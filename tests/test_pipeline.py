@@ -432,14 +432,32 @@ class TestRf:
         direct = np.clip(rf_predict(forest, queries), 0.0, 1.0)
         np.testing.assert_array_equal(raster_vals, direct[inside])
 
-    def test_tuned_mtry_recorded(self, tmp_path):
+    @staticmethod
+    def rf_log_line(derived, how):
+        return (f"rf: {how} mtry {derived['mtry_used']}, oob_rmse {derived['oob_rmse']!r}, "
+                f"forest_nodes {derived['forest_nodes']}, "
+                f"forest_max_depth {derived['forest_max_depth']}")
+
+    def test_fixed_mtry_logged(self, tmp_path, caplog):
+        _, data_dir = dump_scenario(tmp_path)
+        out = tmp_path / "out"
+        with caplog.at_level("INFO", logger="finegrid"):
+            run_pipeline(validate_config(base_config(
+                data_dir, out, method="rf", ntree=3, mtry=1,
+                covariate_layers=[str(data_dir / "cov01.asc"), str(data_dir / "cov02.asc")])))
+        derived = json.loads((out / "manifest.json").read_text())["derived"]
+        assert caplog.records[0].getMessage() == self.rf_log_line(derived, "fixed")
+
+    def test_tuned_mtry_recorded(self, tmp_path, caplog):
         _, data_dir = dump_scenario(tmp_path, n_covariates=3)
         out = tmp_path / "out"
-        run_pipeline(validate_config(base_config(
-            data_dir, out, method="rf", ntree=4, folds=3,
-            covariate_layers=[str(data_dir / f"cov{i:02d}.asc")
-                              for i in (1, 2, 3)])))
+        with caplog.at_level("INFO", logger="finegrid"):
+            run_pipeline(validate_config(base_config(
+                data_dir, out, method="rf", ntree=4, folds=3,
+                covariate_layers=[str(data_dir / f"cov{i:02d}.asc")
+                                  for i in (1, 2, 3)])))
         derived = json.loads((out / "manifest.json").read_text())["derived"]
+        assert caplog.records[0].getMessage() == self.rf_log_line(derived, "tuned")
         assert derived["tuned_mtry"] == derived["mtry_used"]
         assert derived["tuned_mtry"] in (1, 2)
         assert np.isfinite(derived["oob_rmse"])
