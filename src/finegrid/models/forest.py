@@ -28,13 +28,15 @@ five reasons:
 Fitting is therefore bit-identical run to run, for any batch size and any
 number of worker threads.
 
-Routing (:func:`_route`) walks every (tree, query) pair at once over the
-trees' node arrays laid end to end, reading covariates feature-major. It
-works in chunks of at most ROUTE_PAIRS pairs, so prediction memory does not
-grow with the query count. Comparisons are exact, so every pair reaches the
-leaf that routing it alone does; ``rf_predict`` adds each query's leaves in
-tree order from 0.0 and the out-of-bag sums add them tree by tree, the same
-float additions as a per-tree loop.
+Routing (:func:`_route`) walks every (tree, row) pair at once over the
+trees' node arrays laid end to end, reading covariates feature-major.
+Comparisons are exact, so every pair reaches the leaf that routing it alone
+does. One pass (:func:`_leaf_sums`) routes and sums for both ``rf_predict``,
+over all trees, and the out-of-bag error, over each record's out-of-bag
+trees. It takes rows in chunks of at most ROUTE_PAIRS pairs, and at least one
+row of ntree pairs, so memory does not grow with the query count. bincount
+adds each row's leaves in tree order from 0.0: the same float additions as a
+per-tree loop.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ _SEED_MASK = (1 << 64) - 1
 # stream tag separating the fold shuffle in tune_mtry from tree streams
 _TUNE_STREAM = 0x7E5
 
-# (tree, query) pairs one routing pass walks at once; rf_predict routes as
-# many queries through all trees as fit, so memory does not grow with the query count
+# (tree, row) pairs one routing chunk walks at most; a chunk is still at least
+# one row of ntree pairs, and memory does not grow with the query count
 ROUTE_PAIRS = 1 << 15
 
 # bytes the padded (nodes, mtry, largest node) float stack of one batched
@@ -157,6 +159,22 @@ def _route(stacked: tuple, x: np.ndarray, trees: np.ndarray, rows: np.ndarray) -
         nodes[active] = children[2 * ids + go_left]
         active = active[feature[nodes[active]] >= 0]
     return value[nodes]
+
+
+def _leaf_sums(stacked: tuple, x: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Per row q of x, the sum of the leaves q reaches in the trees t of the
+    :func:`_stack` arrays where ``member[t, q]`` holds, added in tree order
+    from 0.0 (see the module docstring)."""
+    ntree, nq = member.shape
+    step = max(1, ROUTE_PAIRS // ntree)
+    sums = np.empty(nq)
+    for lo in range(0, nq, step):
+        chunk = x[lo : lo + step]
+        # tree-major pairs, so bincount adds each row's leaves in tree order
+        trees, rows = np.nonzero(member[:, lo : lo + step])
+        leaves = _route(stacked, chunk, trees, rows)
+        sums[lo : lo + step] = np.bincount(rows, weights=leaves, minlength=len(chunk))
+    return sums
 
 
 def _split_search(x: np.ndarray, z: np.ndarray, rows: list, feats: np.ndarray, min_leaf: int):
@@ -332,20 +350,10 @@ def rf_fit(train: PointTable, cfg: RfConfig, workers: int = 1) -> Forest:
     else:
         trees = tuple(grow(groups[0]))
 
-    # every (tree, out-of-bag record) pair, tree by tree
-    oob = [np.flatnonzero(np.bincount(boot, minlength=n) == 0) for boot in in_bag]
-    sizes = [len(rows) for rows in oob]
-    pair_tree = np.repeat(np.arange(cfg.ntree), sizes)
-    pair_row = np.concatenate(oob)
-    stacked = _stack(trees)
-    routed = np.empty(len(pair_row))
-    for lo in range(0, len(pair_row), ROUTE_PAIRS):
-        part = slice(lo, lo + ROUTE_PAIRS)
-        routed[part] = _route(stacked, x, pair_tree[part], pair_row[part])
-    oob_sum = np.zeros(n)
-    for rows, values in zip(oob, np.split(routed, np.cumsum(sizes)[:-1])):
-        oob_sum[rows] += values
-    oob_count = np.bincount(pair_row, minlength=n)
+    # tree t's out-of-bag records are those its bootstrap never drew
+    oob = np.stack([np.bincount(boot, minlength=n) == 0 for boot in in_bag])
+    oob_sum = _leaf_sums(_stack(trees), x, oob)
+    oob_count = oob.sum(axis=0)
     covered = oob_count > 0
     if covered.any():
         residual = oob_sum[covered] / oob_count[covered] - z[covered]
@@ -360,20 +368,7 @@ def rf_predict(forest: Forest, queries: PointTable) -> np.ndarray:
     if queries.p != forest.p:
         raise UsageError(f"query covariate width {queries.p} does not match fitted {forest.p}")
     x, ntree = queries.covariates, forest.ntree
-    stacked = _stack(forest.trees)
-    step = max(1, ROUTE_PAIRS // ntree)
-    total = np.empty(len(x))
-    for lo in range(0, len(x), step):
-        chunk = x[lo : lo + step]
-        nc = len(chunk)
-        values = _route(
-            stacked, chunk, np.repeat(np.arange(ntree), nc), np.tile(np.arange(nc), ntree)
-        ).reshape(ntree, nc)
-        # the sum starts from 0.0, as a per-tree loop's would: -0.0 + 0.0 is 0.0
-        values[0] += 0.0
-        # accumulate adds row after row, so each query's leaves are summed in tree order
-        total[lo : lo + step] = np.add.accumulate(values, axis=0)[-1]
-    return total / ntree
+    return _leaf_sums(_stack(forest.trees), x, np.broadcast_to(True, (ntree, len(x)))) / ntree
 
 
 def default_mtry_grid(p: int) -> list[int]:
@@ -463,7 +458,7 @@ def read_forest(path) -> Forest:
     try:
         ntree = int(header["ntree"])
         p = int(header["p"])
-        mtry = header["mtry"] if header["mtry"] == "tune" else int(header["mtry"])
+        mtry = int(header["mtry"])
         cfg = RfConfig(
             ntree=ntree, mtry=mtry, min_leaf=int(header["min_leaf"]), seed=int(header["seed"])
         )

@@ -184,6 +184,8 @@ def validate_config(raw: dict, base_dir=None) -> PipelineConfig:
         s["fine_factor"] = None
     elif s["fine_factor"] is None:
         raise UsageError("config needs a fine_factor or a fine_header")
+    if s["mtry_grid"] == []:
+        raise UsageError("config key 'mtry_grid' is empty; list candidates or use null")
     s["feature_mode"] = s["feature_mode"] or ("covariates" if s["method"] == "rf" else "coords")
     if s["method"] == "rf" and s["feature_mode"] != "covariates":
         raise UsageError("rf operates on covariates; feature_mode must be 'covariates'")

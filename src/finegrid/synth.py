@@ -169,14 +169,11 @@ def make_scenario(
         names.append(f"cov{j + 1:02d}")
 
     crows, ccols = nrows // coarse_factor, ncols // coarse_factor
-    observed_values = np.empty((crows, ccols))
-    for r in range(crows):
-        for c in range(ccols):
-            block = truth_values[
-                r * coarse_factor:(r + 1) * coarse_factor,
-                c * coarse_factor:(c + 1) * coarse_factor,
-            ]
-            observed_values[r, c] = float(np.mean(block))
+    f = coarse_factor
+    # each block's values laid out contiguously, so each mean is the pairwise
+    # sum np.mean over that block alone takes (a mean over axes (1, 3) is not)
+    blocks = truth_values.reshape(crows, f, ccols, f).swapaxes(1, 2).reshape(crows, ccols, f * f)
+    observed_values = blocks.mean(axis=2)
     if noise_stdev > 0:
         observed_values = observed_values + rng.normal(0.0, noise_stdev, observed_values.shape)
         observed_values = np.clip(observed_values, 0.0, 1.0)

@@ -454,8 +454,9 @@ class TestSerialization:
             path.write_text(two + extra)
             with pytest.raises(ParseError, match=r"after the last of 2 trees .*:6\)"):
                 read_forest(path)
-        # header values the forest's own config refuses
-        for bad in ("ntree=0", "min_leaf=0", "mtry=0", "mtry=auto"):
+        # header values the forest's own config refuses, and mtry=tune, which
+        # no fitted forest carries
+        for bad in ("ntree=0", "min_leaf=0", "mtry=0", "mtry=auto", "mtry=tune"):
             key = bad.partition("=")[0]
             path.write_text(re.sub(rf"{key}=\S+", bad, header) + "tree 0 nodes=1\n0 leaf 0.5\n")
             with pytest.raises(ParseError, match=r"bad forest header: .*:1\)"):

@@ -181,12 +181,13 @@ class TestValidateConfig:
                           "cellsize": 1.0}}, "fine_header.xll"),
         ({"fine_header": {"ncols": 4, "nrows": 4, "xll": 0, "yll": 0, "cellsize": 1.0,
                           "nodata": float("nan")}}, "fine_header.nodata"),
+        ({"mtry_grid": []}, "mtry_grid"),
     ], ids=["folds0", "folds1", "grid0", "grid-str", "grid-above-layers", "grid-bool",
             "mtry-above-layers", "rf-coords+covariates", "rf-no-layers", "header-xll-str",
             "header-cellsize-neg", "header-ncols-float", "header-unknown-key", "min-count0",
             "buffer-neg", "layer-not-path", "pca-no-layers", "buffer-nan", "header-xll-nan",
             "header-yll-nan", "header-xll-inf", "header-cellsize-inf", "header-xll-huge-int",
-            "header-nodata-nan"])
+            "header-nodata-nan", "grid-empty"])
     def test_config_fails_validation_naming_the_key(self, overrides, key):
         # each of these passed validation and then failed in a stage, or ran
         # with a value the engine changed
@@ -686,3 +687,16 @@ def test_traced_attributes_exist():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert all(callable(bound) for bound in tracing.current_bindings())
+
+
+def test_readme_library_example_runs():
+    # the README's "Library use" block, run as written, so the documented API
+    # cannot drift from the package
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    pred = namespace["pred"]
+    assert pred.shape == (128 * 128,)
+    assert np.isfinite(pred).all()

@@ -49,10 +49,13 @@ class TestMakeScenario:
         assert s.truth.yll == pytest.approx(-64 * FINE_CELLSIZE / 2)
         assert s.observed.xll == s.truth.xll
 
-    def test_zero_noise_observed_is_block_means(self):
-        s = make_scenario(seed=3, fine_shape=(48, 48), coarse_factor=4,
+    # factor 27 puts 729 values in a block, past numpy's 128-value pairwise
+    # sum blocking; (54, 108) is non-square
+    @pytest.mark.parametrize("shape, f", [((48, 48), 4), ((108, 108), 27), ((54, 108), 27)],
+                             ids=["square-4", "square-27", "nonsquare-27"])
+    def test_zero_noise_observed_is_block_means(self, shape, f):
+        s = make_scenario(seed=3, fine_shape=shape, coarse_factor=f,
                           noise_stdev=0.0, gap_fraction=0.0)
-        f = 4
         for r in range(s.observed.nrows):
             for c in range(s.observed.ncols):
                 block = s.truth.values[r * f:(r + 1) * f, c * f:(c + 1) * f]
