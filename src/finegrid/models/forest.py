@@ -459,6 +459,8 @@ def read_forest(path) -> Forest:
         ntree = int(header["ntree"])
         p = int(header["p"])
         mtry = int(header["mtry"])
+        if mtry > p:
+            raise ValueError(f"mtry = {mtry} exceeds covariate count {p}")
         cfg = RfConfig(
             ntree=ntree, mtry=mtry, min_leaf=int(header["min_leaf"]), seed=int(header["seed"])
         )

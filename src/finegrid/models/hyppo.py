@@ -8,12 +8,16 @@ picked once, with the set's features centered on its centroid, and every
 query that shares the set takes that degree. Each query then refits its
 degree on its k neighbors with features centered on the query, so the
 fitted constant term is the prediction and the basis stays well
-conditioned; degree 0 is the neighbor mean in distance order.
+conditioned. Every refit goes through fit_polynomial, one stacked call per
+degree and chunk of queries; degree 0 is the neighbor mean in distance
+order.
 
-Every fit, leave-one-out fold or final refit, is solved by pseudo-inverse
-with cutoff sigma <= 1e-10 * sigma_max, so rank-deficient neighborhoods (the
-rule when training points sit on a lattice) need no separate path. All folds
-of a chunk of neighbor sets are fit by one batched SVD per candidate degree.
+Every fit of degree >= 1, leave-one-out fold or final refit, is solved by
+pseudo-inverse with cutoff sigma <= 1e-10 * sigma_max, so rank-deficient
+neighborhoods (the rule when training points sit on a lattice) need no
+separate path. All folds of a chunk of neighbor sets are fit by one batched
+SVD per candidate degree, and each stacked SVD is computed per matrix, so
+how queries are grouped into stacks changes no bit.
 """
 
 from __future__ import annotations
@@ -98,36 +102,25 @@ def _lstsq(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("...rm,...r->...m", vt, scaled), keep.sum(axis=-1)
 
 
-@dataclass(frozen=True)
-class PolyFit:
-    """A fitted polynomial in nvars variables."""
+def fit_polynomial(
+    features: np.ndarray, targets: np.ndarray, degree: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fits over the full monomial basis of total degree <=
+    degree, one per set of a stack: features (..., n, nvars), targets (..., n).
 
-    coefficients: np.ndarray
-    degree: int
-    nvars: int
-    rank_deficient: bool = False
-
-    def __call__(self, features: np.ndarray) -> np.ndarray:
-        x = design_matrix(np.atleast_2d(np.asarray(features, dtype=float)),
-                          monomial_exponents(self.nvars, self.degree))
-        return x @ self.coefficients
-
-
-def fit_polynomial(features: np.ndarray, targets: np.ndarray, degree: int) -> PolyFit:
-    """Least-squares fit over the full monomial basis of total degree <= degree.
-
-    Rank-deficient systems are resolved by the pseudo-inverse with cutoff
-    sigma <= 1e-10 * sigma_max and flagged on the result.
+    Returns the coefficients (..., m), constant term first, and whether each
+    fit is rank-deficient (...). Degree 0 is the neighbor mean; any other
+    degree is solved by pseudo-inverse with cutoff sigma <= 1e-10 * sigma_max.
     """
-    feats = np.atleast_2d(np.asarray(features, dtype=float))
+    feats = np.asarray(features, dtype=float)
     z = np.asarray(targets, dtype=float)
-    if len(feats) < 1:
+    if z.shape[-1] < 1:
         raise UsageError("fit_polynomial needs at least one point")
     if degree == 0:
-        return PolyFit(np.array([neighbor_mean(z)]), 0, feats.shape[1])
-    exps = monomial_exponents(feats.shape[1], degree)
+        return neighbor_mean(z)[..., None], np.zeros(z.shape[:-1], dtype=bool)
+    exps = monomial_exponents(feats.shape[-1], degree)
     coef, rank = _lstsq(design_matrix(feats, exps), z)
-    return PolyFit(coef, degree, feats.shape[1], bool(rank < len(exps)))
+    return coef, rank < len(exps)
 
 
 def _tie_tolerance(targets: np.ndarray) -> np.ndarray:
@@ -233,23 +226,19 @@ def hyppo_predict_with_degrees(
     if stats is not None:
         stats["neighbor_sets"] = len(sets)
 
-    nq = len(queries)
-    predictions = np.empty(nq)
-    rank_deficient = np.zeros(nq, dtype=bool)
+    predictions = np.empty(len(queries))
+    rank_deficient = np.empty(len(queries), dtype=bool)
     # a refit stack (c, k, m) holds k - 1 times as many queries as the fold
     # stack holds sets in the same bytes
     step = chunk * (cfg.k - 1)
-    for start in range(0, nq, step):
-        selected = degrees[start:start + step]
-        zero = start + np.nonzero(selected == 0)[0]
-        predictions[zero] = neighbor_mean(z[idx[zero]])
-        for d in np.unique(selected[selected > 0]):
-            sel = start + np.nonzero(selected == d)[0]
+    for d in np.unique(degrees):
+        of_degree = np.nonzero(degrees == d)[0]
+        for start in range(0, len(of_degree), step):
+            sel = of_degree[start:start + step]
             centered = train_f[idx[sel]] - query_f[sel][:, None, :]
-            exps = monomial_exponents(space.nvars, int(d))
-            coef, rank = _lstsq(design_matrix(centered, exps), z[idx[sel]])
+            coef, deficient = fit_polynomial(centered, z[idx[sel]], d)
             predictions[sel] = coef[:, 0]
-            rank_deficient[sel] = rank < len(exps)
+            rank_deficient[sel] = deficient
     return predictions, degrees, rank_deficient
 
 

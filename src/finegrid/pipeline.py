@@ -43,7 +43,7 @@ from .grid import (
     write_ascii_grid,
 )
 from .models.features import MODES, FeatureSpace
-from .models.forest import RfConfig, default_mtry_grid, rf_fit, rf_predict, tune_mtry, write_forest
+from .models.forest import RfConfig, rf_fit, rf_predict, tune_mtry, write_forest
 from .models.hyppo import HyppoConfig, hyppo_predict_with_degrees
 from .models.knn import WEIGHTINGS, KnnConfig, knn_predict
 from .region import clip_points, contains, read_region
@@ -269,8 +269,7 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
                     stats["neighbor_sets"], len(prediction), derived["hyppo_degree_counts"])
         return values, None
     if model_cfg.mtry == "tune":
-        grid = s["mtry_grid"] or default_mtry_grid(training.p)
-        tuned = tune_mtry(training, model_cfg, grid, folds=s["folds"])
+        tuned = tune_mtry(training, model_cfg, s["mtry_grid"], folds=s["folds"])
         derived["tuned_mtry"] = tuned
         model_cfg = replace(model_cfg, mtry=tuned)
     forest = rf_fit(training, model_cfg, workers=s["workers"])

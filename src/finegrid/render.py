@@ -27,14 +27,11 @@ _DIVERGING_STOPS = ((33, 102, 172), (247, 247, 247), (178, 24, 43))
 
 
 def _interpolate(stops, t: np.ndarray) -> np.ndarray:
-    """Piecewise-linear color ramp; t in [0, 1] -> (n, 3) uint8."""
-    stops = np.asarray(stops, dtype=float)
-    segments = len(stops) - 1
-    scaled = np.clip(t, 0.0, 1.0) * segments
-    seg = np.minimum(scaled.astype(int), segments - 1)
-    frac = scaled - seg
-    color = stops[seg] + (stops[seg + 1] - stops[seg]) * frac[:, None]
-    return np.clip(np.rint(color), 0, 255).astype(np.uint8)
+    """Piecewise-linear color ramp through evenly spaced stops; t in [0, 1]
+    -> (n, 3) uint8, and t outside [0, 1] takes the end colors."""
+    at = np.linspace(0.0, 1.0, len(stops))
+    color = np.column_stack([np.interp(t, at, channel) for channel in np.transpose(stops)])
+    return np.rint(color).astype(np.uint8)
 
 
 def render_heatmap(grid: Grid, palette: str, path) -> None:

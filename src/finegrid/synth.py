@@ -144,8 +144,8 @@ def make_scenario(
         raise UsageError(f"fine shape {fine_shape} not divisible by coarse_factor {coarse_factor}")
     if not 0.0 <= gap_fraction < 1.0:
         raise UsageError("gap_fraction must lie in [0, 1)")
-    if noise_stdev < 0:
-        raise UsageError("noise_stdev must be non-negative")
+    if not 0.0 <= noise_stdev < np.inf:
+        raise UsageError(f"noise_stdev must be a finite number >= 0, got {noise_stdev}")
     if n_covariates < 0:
         raise UsageError("n_covariates must be non-negative")
 

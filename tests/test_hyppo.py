@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import finegrid.models.hyppo as hyppo
 from finegrid import (
     FeatureSpace,
     HyppoConfig,
@@ -23,6 +24,7 @@ from finegrid.models.hyppo import (
     neighbor_sets,
 )
 from finegrid.models.features import neighbor_search
+from finegrid.models.knn import neighbor_mean
 
 
 def points(lon, lat, z):
@@ -97,43 +99,71 @@ class TestMonomials:
         assert admissible_degrees(2, 11, 1) == [0, 1]
 
 
+def evaluate(coef, features, degree):
+    """A fitted polynomial's values at features (n, nvars)."""
+    return design_matrix(features, monomial_exponents(features.shape[1], degree)) @ coef
+
+
 class TestFitPolynomial:
     def test_degree0_is_mean(self, rng):
         z = rng.random(9)
-        fit = fit_polynomial(rng.normal(0, 1, (9, 2)), z, 0)
-        assert fit.coefficients[0] == float(np.mean(z))
-        assert fit(np.zeros((3, 2))) == pytest.approx([np.mean(z)] * 3)
+        coef, rank_deficient = fit_polynomial(rng.normal(0, 1, (9, 2)), z, 0)
+        assert coef.shape == (1,) and not rank_deficient
+        assert coef[0] == float(np.mean(z))
+        assert evaluate(coef, np.zeros((3, 2)), 0) == pytest.approx([np.mean(z)] * 3)
+
+    def test_degree0_equals_neighbor_mean_bitwise(self, rng):
+        z = rng.random((7, 12))
+        coef, rank_deficient = fit_polynomial(rng.normal(0, 1, (7, 12, 2)), z, 0)
+        np.testing.assert_array_equal(coef[:, 0], neighbor_mean(z))
+        assert coef.shape == (7, 1)
+        np.testing.assert_array_equal(rank_deficient, np.zeros(7, dtype=bool))
 
     def test_degree1_interpolates_three_points(self):
         feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         z = np.array([1.0, 3.0, 2.0])  # plane 1 + 2x + y
-        fit = fit_polynomial(feats, z, 1)
-        np.testing.assert_allclose(fit.coefficients, [1.0, 2.0, 1.0], atol=1e-12)
-        assert fit(np.array([[2.0, 2.0]]))[0] == pytest.approx(7.0, abs=1e-10)
+        coef, _ = fit_polynomial(feats, z, 1)
+        np.testing.assert_allclose(coef, [1.0, 2.0, 1.0], atol=1e-12)
+        assert evaluate(coef, np.array([[2.0, 2.0]]), 1)[0] == pytest.approx(7.0, abs=1e-10)
 
     def test_least_squares_optimality(self, rng):
         # residual orthogonal to the column space beats any perturbed fit
         feats = rng.normal(0, 1, (30, 2))
         z = rng.normal(0, 1, 30)
-        fit = fit_polynomial(feats, z, 2)
+        coef, _ = fit_polynomial(feats, z, 2)
         x = design_matrix(feats, monomial_exponents(2, 2))
-        base = float(((x @ fit.coefficients - z) ** 2).sum())
+        base = float(((x @ coef - z) ** 2).sum())
         expect = np.linalg.pinv(x, rcond=1e-10) @ z
-        np.testing.assert_allclose(fit.coefficients, expect, atol=1e-8)
+        np.testing.assert_allclose(coef, expect, atol=1e-8)
         for _ in range(20):
-            perturbed = fit.coefficients + rng.normal(0, 1e-3, len(fit.coefficients))
+            perturbed = coef + rng.normal(0, 1e-3, len(coef))
             assert float(((x @ perturbed - z) ** 2).sum()) >= base - 1e-12
 
     def test_rank_deficiency_flag(self):
         # collinear points cannot pin down a full degree-1 basis
         feats = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         z = np.array([0.0, 1.0, 2.0, 3.0])
-        fit = fit_polynomial(feats, z, 1)
-        assert fit.rank_deficient
-        np.testing.assert_allclose(fit(feats), z, atol=1e-10)
-        full = fit_polynomial(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                              np.array([1.0, 2.0, 3.0]), 1)
-        assert not full.rank_deficient
+        coef, rank_deficient = fit_polynomial(feats, z, 1)
+        assert rank_deficient
+        np.testing.assert_allclose(evaluate(coef, feats, 1), z, atol=1e-10)
+        _, full = fit_polynomial(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                                 np.array([1.0, 2.0, 3.0]), 1)
+        assert not full
+
+    def test_stack_equals_per_set_fits_bitwise(self, rng):
+        # full-rank and collinear sets in one stack, as lattice refits mix them
+        feats = rng.normal(0, 1, (6, 12, 2))
+        feats[2, :, 1] = feats[2, :, 0]
+        feats[4, :, :] = np.repeat(np.arange(4.0), 3)[:, None] * [1.0, 0.0]
+        z = rng.normal(0, 1, (6, 12))
+        for degree in range(4):
+            coef, rank_deficient = fit_polynomial(feats, z, degree)
+            assert coef.shape == (6, monomial_count(2, degree))
+            for i in range(6):
+                one, flag = fit_polynomial(feats[i], z[i], degree)
+                np.testing.assert_array_equal(coef[i], one)
+                assert rank_deficient[i] == flag
+            assert rank_deficient[[2, 4]].all() == (degree > 0)
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
@@ -257,6 +287,37 @@ class TestHyppoPredict:
                     assert rank_deficient[qi] == ((sv > 1e-10 * sv.max()).sum() < x.shape[1])
                 assert pred[qi] == pytest.approx(expect, abs=1e-8)
         assert rank_deficient.any()
+
+    def test_every_query_refit_once_through_fit_polynomial(self, rng, monkeypatch):
+        # the wrapper hands back each stack slot's number as the constant
+        # term, so the predictions name the slot that refit each query
+        original = hyppo.fit_polynomial
+        slots = []
+
+        def numbered(features, targets, degree):
+            coef, rank_deficient = original(features, targets, degree)
+            numbers = len(slots) + np.arange(len(coef))
+            slots.extend((int(degree), c, r) for c, r in zip(coef[:, 0], rank_deficient))
+            return np.column_stack([numbers, coef[:, 1:]]), rank_deficient
+
+        seen = set()
+        for (train, queries), k in ((lattice_case(rng, 60), 12), (scattered_case(rng, 60), 8)):
+            space = FeatureSpace.fit("coords", train)
+            cfg = HyppoConfig(k=k, max_degree=3)
+            pred, deg, rank_deficient = hyppo_predict_with_degrees(
+                train, queries, cfg, space, chunk=2)
+            monkeypatch.setattr(hyppo, "fit_polynomial", numbered)
+            slots.clear()
+            named, named_deg, named_rd = hyppo_predict_with_degrees(
+                train, queries, cfg, space, chunk=2)
+            monkeypatch.setattr(hyppo, "fit_polynomial", original)
+            assert sorted(named.astype(int)) == list(range(len(queries))) == list(range(len(slots)))
+            for q, slot in enumerate(named.astype(int)):
+                assert slots[slot] == (deg[q], pred[q], rank_deficient[q])
+            np.testing.assert_array_equal(named_deg, deg)
+            np.testing.assert_array_equal(named_rd, rank_deficient)
+            seen.update(deg.tolist())
+        assert seen == {0, 1, 2, 3}
 
     def test_max_degree_zero_matches_knn_bitwise(self, rng):
         train = points(rng.uniform(0, 1, 25), rng.uniform(0, 1, 25),

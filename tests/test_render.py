@@ -15,7 +15,7 @@ from finegrid import (
     write_ascii_grid,
 )
 from finegrid.cli import main
-from finegrid.render import NODATA_COLOR
+from finegrid.render import _DIVERGING_STOPS, _SEQUENTIAL_STOPS, NODATA_COLOR, _interpolate
 
 NODATA = -9999.0
 
@@ -60,6 +60,19 @@ class TestRenderHeatmap:
         low, high = pixels[0, 0], pixels[0, 1]
         assert low[0] > low[2]    # red-dominant
         assert high[2] > high[0]  # blue-dominant
+
+    @pytest.mark.parametrize("stops", [_SEQUENTIAL_STOPS, _DIVERGING_STOPS])
+    def test_ramp_matches_segment_formula(self, rng, stops):
+        # the explicit per-segment formula the ramp replaced, byte for byte on
+        # a dense sweep, every segment end, and t clipped from outside [0, 1]
+        t = np.concatenate([np.linspace(0.0, 1.0, 200_001), rng.random(100_000),
+                            np.arange(65) / 64, [-0.5, -1e-300, 1.0 + 1e-15, 3.0]])
+        ends = np.asarray(stops, dtype=float)
+        scaled = np.clip(t, 0.0, 1.0) * (len(ends) - 1)
+        seg = np.minimum(scaled.astype(int), len(ends) - 2)
+        color = ends[seg] + (ends[seg + 1] - ends[seg]) * (scaled - seg)[:, None]
+        expect = np.clip(np.rint(color), 0, 255).astype(np.uint8)
+        np.testing.assert_array_equal(_interpolate(stops, t), expect)
 
     def test_diverging_symmetric_span(self, tmp_path):
         # span is [-m, m]: equal magnitudes map to mirrored ramp positions

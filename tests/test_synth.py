@@ -106,9 +106,12 @@ class TestMakeScenario:
         with pytest.raises(UsageError):
             make_scenario(seed=0, fine_shape=(32, 32), coarse_factor=4,
                           gap_fraction=1.0)
-        with pytest.raises(UsageError):
-            make_scenario(seed=0, fine_shape=(32, 32), coarse_factor=4,
-                          noise_stdev=-0.1)
+        # NaN would silently mean no noise, and inf would clip every observed
+        # cell to 0 or 1
+        for noise in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(UsageError, match="noise_stdev must be a finite number"):
+                make_scenario(seed=0, fine_shape=(32, 32), coarse_factor=4,
+                              noise_stdev=noise)
 
     @pytest.mark.parametrize("shape", [(0, 8), (8, 0), (-8, 8)])
     def test_empty_or_negative_fine_shape_rejected(self, shape):
