@@ -47,18 +47,14 @@ def aggregate_fine_to_coarse(fine: PointTable, coarse: Grid) -> Grid:
         raise UsageError("aggregate_fine_to_coarse needs a non-empty point table")
     values = fine.require_targets()
     rows, cols, inside = coarse.cell_index_arrays(fine.lon, fine.lat)
+    flat = rows[inside] * coarse.ncols + cols[inside]
+    order = np.argsort(flat, kind="stable")
+    cells, starts = np.unique(flat[order], return_index=True)
+    # the split before starts[0] == 0 is empty, and so is the only one when
+    # no point lands inside
+    groups = np.split(values[inside][order], starts)[1:]
     out = np.full((coarse.nrows, coarse.ncols), coarse.nodata)
-    if inside.any():
-        flat = rows[inside] * coarse.ncols + cols[inside]
-        vals = values[inside]
-        order = np.argsort(flat, kind="stable")
-        flat = flat[order]
-        vals = vals[order]
-        starts = np.nonzero(np.r_[True, flat[1:] != flat[:-1]])[0]
-        bounds = np.r_[starts, len(flat)]
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            cell = flat[s]
-            out[cell // coarse.ncols, cell % coarse.ncols] = math.fsum(vals[s:e]) / (e - s)
+    out.flat[cells] = [math.fsum(g) / len(g) for g in groups]
     return coarse.with_values(out)
 
 

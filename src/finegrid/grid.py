@@ -48,6 +48,8 @@ class Grid:
         object.__setattr__(self, "nodata", float(self.nodata))
         if self.ncols < 1 or self.nrows < 1:
             raise UsageError("grid needs at least one row and one column")
+        if not all(map(math.isfinite, (self.xll, self.yll, self.cellsize, self.nodata))):
+            raise UsageError("xll, yll, cellsize and nodata must be finite")
         if not self.cellsize > 0:
             raise UsageError("cellsize must be positive")
         v = np.asarray(self.values, dtype=float)
@@ -203,6 +205,7 @@ def read_ascii_grid(path) -> Grid:
     :class:`Grid` then rejects) and gives the same doubles as ``float``.
     Tokens that only Python's ``float`` accepts, digit-group underscores
     (``1_0``) and non-ASCII digits, are not ESRI ASCII and are rejected.
+    Header values must also be finite.
     Raises :class:`ParseError` naming the offending line on any format
     violation.
     """
@@ -226,6 +229,8 @@ def read_ascii_grid(path) -> Grid:
             header[key] = int(parts[1]) if key in ("ncols", "nrows") else float(parts[1])
         except ValueError as exc:
             raise ParseError(f"non-numeric header value for '{key}'", path=path, line=i + 1) from exc
+        if not math.isfinite(header[key]):
+            raise ParseError(f"non-finite header value for '{key}'", path=path, line=i + 1)
 
     ncols, nrows = header["ncols"], header["nrows"]
     if ncols < 1 or nrows < 1:
@@ -318,12 +323,15 @@ def monthly_mean(days: list[Grid], min_count: int = 1) -> Grid:
     for g in days[1:]:
         if not first.same_header(g) or g.nodata != first.nodata:
             raise UsageError("monthly_mean inputs must share an identical header")
-    total = np.zeros_like(first.values)
-    count = np.zeros(first.values.shape, dtype=int)
-    for g in days:
-        mask = g.data_mask
-        total[mask] += g.values[mask]
-        count += mask
+    stack = np.stack([g.values for g in days])
+    mask = stack != first.nodata
+    count = mask.sum(axis=0)
+    # a running sum adds the days in day order whatever the grid shape (a sum
+    # with where= goes pairwise on a one-cell grid). A nodata day adds +0.0;
+    # the final + 0.0 turns an all -0.0 total into the +0.0 that a per-day
+    # sum starting from +0.0 gives.
+    stack[~mask] = 0.0
+    total = np.add.accumulate(stack, axis=0, out=stack)[-1] + 0.0
     mean = np.divide(total, count, out=np.full_like(total, first.nodata), where=count > 0)
     result = np.where(count >= min_count, mean, first.nodata)
     return first.with_values(result)
@@ -345,20 +353,17 @@ def grid_centroids(grid: Grid) -> PointTable:
     )
 
 
-def sample_covariates(points: PointTable, layers: list[Grid], layer_names: list[str]) -> PointTable:
+def sample_covariates(points: PointTable, layers: list[Grid]) -> PointTable:
     """Append one covariate per layer, read by nearest-cell lookup.
 
-    ``layer_names`` must hold one entry per layer; it names no column, since
-    a table's columns are known by position only. Records that fall outside
-    the layers' extent, or that hit nodata in any layer, are dropped; the
-    drop count is ``len(points) - len(result)``.
+    Columns follow the order of ``layers``. Records that fall outside the
+    layers' extent, or that hit nodata in any layer, are dropped; the drop
+    count is ``len(points) - len(result)``.
     """
     if len(points) == 0:
         raise UsageError("sample_covariates needs a non-empty point table")
     if not layers:
         raise UsageError("sample_covariates needs at least one layer")
-    if len(layers) != len(layer_names):
-        raise UsageError(f"{len(layers)} layers but {len(layer_names)} names")
     first = layers[0]
     for g in layers[1:]:
         if not first.same_header(g):

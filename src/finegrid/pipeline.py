@@ -340,7 +340,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             raise UsageError("observed grid has no data cells to train on")
         if layers:
             before = len(training)
-            training = sample_covariates(training, layers, s["covariate_layers"])
+            training = sample_covariates(training, layers)
             derived["train_dropped_sampling"] = before - len(training)
 
         stage = "fine-grid"
@@ -349,7 +349,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         derived["predict_count_initial"] = len(prediction_points)
         if layers:
             before = len(prediction_points)
-            prediction_points = sample_covariates(prediction_points, layers, s["covariate_layers"])
+            prediction_points = sample_covariates(prediction_points, layers)
             derived["predict_dropped_sampling"] = before - len(prediction_points)
 
         stage = "clip"

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ResidualReport, aggregate_fine_to_coarse, pearson_r2, residual_report
+from .analysis import ResidualReport, aggregate_fine_to_coarse, residual_report
 from .errors import UsageError
 from .grid import Grid, PointTable, write_ascii_grid
 from .region import Region, write_region
@@ -203,11 +203,10 @@ def make_scenario(
 
 @dataclass(frozen=True)
 class SynthEval:
-    """Agreement with the hidden truth plus the usual observed-grid report."""
+    """Two reports: ``truth`` scores the predictions, averaged onto the truth
+    grid, against the truth; ``report`` scores them against the observed grid."""
 
-    truth_r2: float
-    truth_rmse: float
-    truth_degenerate: bool
+    truth: ResidualReport
     coverage: float
     report: ResidualReport
 
@@ -220,19 +219,12 @@ def holdout_eval(scenario: Scenario, predictions: PointTable) -> SynthEval:
     """
     on_truth = aggregate_fine_to_coarse(predictions, scenario.truth)
     truth_cells = scenario.truth.data_mask
-    covered = on_truth.data_mask & truth_cells
-    coverage = covered.sum() / truth_cells.sum()
+    coverage = (on_truth.data_mask & truth_cells).sum() / truth_cells.sum()
     if coverage < 0.99:
         raise UsageError(f"predictions cover {coverage:.1%} of truth cells; need 99%")
-    truth_r2, degenerate = pearson_r2(on_truth.values[covered], scenario.truth.values[covered])
-    diff = on_truth.values[covered] - scenario.truth.values[covered]
-    truth_rmse = float(np.sqrt(np.mean(diff * diff)))
     agg = aggregate_fine_to_coarse(predictions, scenario.observed)
-    report = residual_report(agg, scenario.observed)
     return SynthEval(
-        truth_r2=truth_r2,
-        truth_rmse=truth_rmse,
-        truth_degenerate=degenerate,
+        truth=residual_report(on_truth, scenario.truth),
         coverage=float(coverage),
-        report=report,
+        report=residual_report(agg, scenario.observed),
     )

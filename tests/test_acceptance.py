@@ -271,11 +271,10 @@ def test_criterion_08_directional_echo():
                                  coarse_factor=8, n_covariates=4,
                                  noise_stdev=0.01, gap_fraction=0.2)
         layers = list(scenario.covariate_layers)
-        names = list(scenario.covariate_names)
         train = grid_to_points(scenario.observed)
-        train_cov = sample_covariates(train, layers, names)
+        train_cov = sample_covariates(train, layers)
         queries = grid_centroids(scenario.truth)
-        queries_cov = sample_covariates(queries, layers, names)
+        queries_cov = sample_covariates(queries, layers)
         space = FeatureSpace.fit("coords", train)
 
         knn_pred = knn_predict(train, queries, KnnConfig(k=12), space)
@@ -287,9 +286,9 @@ def test_criterion_08_directional_echo():
         rf_pred = np.clip(rf_predict(forest, queries_cov), 0.0, 1.0)
 
         results.append((
-            holdout_eval(scenario, queries.with_target(knn_pred)).truth_rmse,
-            holdout_eval(scenario, queries.with_target(hyppo_pred)).truth_rmse,
-            holdout_eval(scenario, queries_cov.with_target(rf_pred)).truth_rmse,
+            holdout_eval(scenario, queries.with_target(knn_pred)).truth.rmse,
+            holdout_eval(scenario, queries.with_target(hyppo_pred)).truth.rmse,
+            holdout_eval(scenario, queries_cov.with_target(rf_pred)).truth.rmse,
         ))
     elapsed = time.perf_counter() - start
 

@@ -67,21 +67,24 @@ class TestAggregate:
     def test_matches_slow_oracle(self, rng):
         import math
         coarse = coarse_grid(np.zeros((4, 5)), cellsize=0.5, xll=-1.0, yll=2.0)
-        lon = rng.uniform(-1.2, 2.0, 300)
-        lat = rng.uniform(1.8, 4.4, 300)
-        z = rng.random(300)
-        out = aggregate_fine_to_coarse(pts(lon, lat, z), coarse)
-        for r in range(4):
-            for c in range(5):
-                members = []
-                for i in range(300):
-                    cell = coarse.cell_index(lon[i], lat[i])
-                    if cell == (r, c):
-                        members.append(z[i])
-                if members:
-                    assert out.values[r, c] == math.fsum(members) / len(members)
-                else:
-                    assert out.values[r, c] == NODATA
+        # the grid spans lon [-1, 1.5) and lat [2, 4): some points outside,
+        # then every point outside
+        for lon_range, lat_range in (((-1.2, 2.0), (1.8, 4.4)), ((1.5, 3.0), (1.8, 4.4))):
+            lon = rng.uniform(*lon_range, 300)
+            lat = rng.uniform(*lat_range, 300)
+            z = rng.random(300)
+            out = aggregate_fine_to_coarse(pts(lon, lat, z), coarse)
+            for r in range(4):
+                for c in range(5):
+                    members = []
+                    for i in range(300):
+                        cell = coarse.cell_index(lon[i], lat[i])
+                        if cell == (r, c):
+                            members.append(z[i])
+                    if members:
+                        assert out.values[r, c] == math.fsum(members) / len(members)
+                    else:
+                        assert out.values[r, c] == NODATA
 
     def test_grid_to_points_round_trip(self, rng):
         # aggregating a grid's own centroids returns the grid

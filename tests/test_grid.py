@@ -122,6 +122,14 @@ class TestGridBasics:
             Grid(ncols=3, nrows=2, xll=0, yll=0, cellsize=1, nodata=-9999,
                  values=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("field", ["xll", "yll", "cellsize", "nodata"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_grid_header_rejected(self, field, bad):
+        header = dict(ncols=2, nrows=2, xll=0.0, yll=0.0, cellsize=1.0, nodata=-9999.0)
+        header[field] = bad
+        with pytest.raises(UsageError, match="must be finite"):
+            Grid(values=np.zeros((2, 2)), **header)
+
     def test_centroid_formula(self, small_grid):
         # cell (0,0) is the northwest cell
         assert small_grid.centroid(0, 0) == (10.125, 40.375)
@@ -362,6 +370,22 @@ class TestAsciiOracle:
         (tmp_path / "plain.asc").write_text(HEADER_3x2 + body)
         assert _read_ascii_grid_ref(path) == read_ascii_grid(tmp_path / "plain.asc")
 
+    @pytest.mark.parametrize("plain, spelled, line", [
+        ("xllcorner 10.0", "xllcorner nan", 3),
+        ("yllcorner 40.0", "yllcorner -inf", 4),
+        ("cellsize 0.25", "cellsize inf", 5),
+        ("cellsize 0.25", "cellsize 1e999", 5),
+        ("NODATA_value -9999.0", "NODATA_value nan", 6),
+        ("NODATA_value -9999.0", "NODATA_value inf", 6),
+    ])
+    def test_non_finite_header_values_rejected(self, tmp_path, plain, spelled, line):
+        # refused at the header line, not deep in a later pipeline stage
+        path = tmp_path / "nonfinite.asc"
+        path.write_text(HEADER_3x2.replace(plain, spelled) + "1 2 3\n4 5 6\n")
+        with pytest.raises(ParseError, match="non-finite header value") as info:
+            read_ascii_grid(path)
+        assert info.value.line == line
+
     def test_empty_body_raises_without_warning(self, tmp_path):
         path = tmp_path / "empty.asc"
         path.write_text(HEADER_3x2 + "\n \n")
@@ -403,6 +427,35 @@ class TestMonthlyMean:
         b = monthly_mean([grids[i] for i in order])
         np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-15)
 
+    # a one-cell grid is where numpy's sum with where= would add pairwise
+    @pytest.mark.parametrize("shape, n_days, min_count", [
+        ((5, 6), 1, 1), ((5, 6), 4, 2), ((5, 6), 9, 3), ((1, 1), 9, 1), ((1, 1), 17, 2),
+    ])
+    def test_matches_per_day_loop_bitwise(self, rng, shape, n_days, min_count):
+        # reference: one day at a time, in day order, from a +0.0 start
+        def per_day_loop(days, min_count):
+            total = np.zeros_like(days[0].values)
+            count = np.zeros(days[0].values.shape, dtype=int)
+            for g in days:
+                mask = g.data_mask
+                total[mask] += g.values[mask]
+                count += mask
+            mean = np.divide(total, count, out=np.full_like(total, -9999.0), where=count > 0)
+            return np.where(count >= min_count, mean, -9999.0)
+
+        for _ in range(20):
+            stack = rng.choice([-0.0, 0.0, 0.1, -9999.0], size=(n_days, *shape))
+            stack = np.where(rng.random(stack.shape) < 0.4, rng.normal(size=stack.shape), stack)
+            if stack[0].size > 1:
+                cells = stack.reshape(n_days, -1)
+                cells[:, 0] = -9999.0  # no data on any day
+                cells[:, 1] = np.where(rng.random(n_days) < 0.3, -9999.0, -0.0)
+            days = [Grid(ncols=shape[1], nrows=shape[0], xll=0, yll=0, cellsize=1,
+                         nodata=-9999.0, values=v) for v in stack]
+            got = monthly_mean(days, min_count=min_count).values
+            want = per_day_loop(days, min_count)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
     def test_errors(self, small_grid):
         with pytest.raises(UsageError):
             monthly_mean([])
@@ -442,36 +495,36 @@ class TestSampleCovariates:
     def test_appends_value_at_centroid(self):
         layer = self.layer([[7.5]])
         pts = PointTable([0.5], [0.5], [0.2], np.zeros((1, 0)))
-        out = sample_covariates(pts, [layer], ["elev"])
+        out = sample_covariates(pts, [layer])
         assert out.p == 1
         assert out.covariates[0, 0] == 7.5
 
     def test_outside_point_dropped(self):
         layer = self.layer([[7.5]])
         pts = PointTable([0.5, 3.0], [0.5, 0.5], [0.2, 0.3], np.zeros((2, 0)))
-        out = sample_covariates(pts, [layer], ["elev"])
+        out = sample_covariates(pts, [layer])
         assert len(pts) - len(out) == 1
         assert out.target[0] == 0.2
 
     def test_nodata_hit_dropped(self):
         layer = self.layer([[-9999.0, 1.0]])
         pts = PointTable([0.5, 1.5], [0.5, 0.5], [0.1, 0.2], np.zeros((2, 0)))
-        out = sample_covariates(pts, [layer], ["a"])
+        out = sample_covariates(pts, [layer])
         assert len(out) == 1
         assert out.covariates[0, 0] == 1.0
 
     def test_fifteen_layers_grow_p_by_fifteen(self, rng):
         layers = [self.layer(rng.random((4, 4))) for _ in range(15)]
         pts = PointTable([1.5], [2.5], [0.1], np.zeros((1, 0)))
-        out = sample_covariates(pts, layers, [f"t{i}" for i in range(15)])
+        out = sample_covariates(pts, layers)
         assert out.p == 15
 
     def test_resampling_is_deterministic(self, rng):
         layers = [self.layer(rng.random((5, 5))) for _ in range(3)]
         pts = PointTable(rng.uniform(0, 5, 30), rng.uniform(0, 5, 30),
                          rng.random(30), np.zeros((30, 0)))
-        a = sample_covariates(pts, layers, ["a", "b", "c"])
-        b = sample_covariates(pts, layers, ["a", "b", "c"])
+        a = sample_covariates(pts, layers)
+        b = sample_covariates(pts, layers)
         assert a == b
 
     def test_mismatched_headers_rejected(self):
@@ -480,7 +533,7 @@ class TestSampleCovariates:
                  values=np.array([[2.0]]))
         pts = PointTable([0.5], [0.5], [0.1], np.zeros((1, 0)))
         with pytest.raises(UsageError):
-            sample_covariates(pts, [a, b], ["a", "b"])
+            sample_covariates(pts, [a, b])
 
 
 class TestPointTable:

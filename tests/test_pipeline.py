@@ -117,6 +117,8 @@ class TestValidateConfig:
             validate_config(self.ok(fine_factor=3, fine_header=header))
         cfg = validate_config(self.ok(fine_header=header))
         assert cfg.settings["fine_factor"] is None
+        with pytest.raises(UsageError, match="a fine_factor or a fine_header"):
+            validate_config(self.ok(fine_factor=None))
 
     def test_clamp_validation(self):
         with pytest.raises(UsageError, match="clamp"):
@@ -425,8 +427,7 @@ class TestRf:
         assert forest.ntree == 8
 
         queries = grid_centroids(scenario.observed)
-        queries = sample_covariates(
-            queries, list(scenario.covariate_layers), ["cov01", "cov02"])
+        queries = sample_covariates(queries, list(scenario.covariate_layers))
         pred = read_ascii_grid(out / "prediction.asc")
         rows, cols, inside = pred.cell_index_arrays(queries.lon, queries.lat)
         raster_vals = pred.values[rows[inside], cols[inside]]
@@ -507,6 +508,16 @@ class TestDailyGrids:
         pred = read_ascii_grid(out / "prediction.asc")
         np.testing.assert_array_equal(pred.values, scenario.observed.values)
 
+    def test_empty_directory_is_stage_labeled(self, tmp_path):
+        _, data_dir = dump_scenario(tmp_path)
+        days = tmp_path / "days"
+        days.mkdir()
+        cfg = base_config(data_dir, tmp_path / "out")
+        del cfg["observed_grid"]
+        cfg["daily_grids"] = [str(days)]
+        with pytest.raises(EngineError, match="stage load-observed: daily_grids matched no files"):
+            run_pipeline(validate_config(cfg))
+
 
 class TestRegions:
     def test_buffer_monotonicity_of_training_count(self, tmp_path):
@@ -543,13 +554,26 @@ class TestRegions:
         far = Region(rings=(((50.0, 50.0), (51.0, 50.0), (51.0, 51.0),
                              (50.0, 51.0)),))
         write_region(far, tmp_path / "far.geojson")
-        cfg = validate_config(base_config(
-            data_dir, tmp_path / "out", region_file=str(tmp_path / "far.geojson")))
-        with pytest.raises(EngineError, match="stage clip"):
-            run_pipeline(cfg)
+        for key, message in (
+            ("region_file", "stage clip"),
+            ("report_region_file", "stage report-clip: no predictions fall inside"),
+        ):
+            cfg = validate_config(base_config(
+                data_dir, tmp_path / "out", **{key: str(tmp_path / "far.geojson")}))
+            with pytest.raises(EngineError, match=message):
+                run_pipeline(cfg)
 
 
 class TestFailureCleanup:
+    def test_all_nodata_observed_is_stage_labeled(self, tmp_path):
+        scenario, data_dir = dump_scenario(tmp_path)
+        obs = scenario.observed
+        write_ascii_grid(obs.with_values(np.full_like(obs.values, obs.nodata)),
+                         data_dir / "observed.asc")
+        cfg = validate_config(base_config(data_dir, tmp_path / "out"))
+        with pytest.raises(EngineError, match="stage assemble-training: observed grid has no"):
+            run_pipeline(cfg)
+
     def test_error_carries_stage_and_removes_outputs(self, tmp_path):
         _, data_dir = dump_scenario(tmp_path)
         out = tmp_path / "out"
@@ -578,8 +602,8 @@ class TestFailureCleanup:
             # put it in the sampled table, as a table built in code could
             import finegrid.pipeline as pipeline_module
 
-            def sample_with_nan(points, layers, names):
-                table = sample_covariates(points, layers, names)
+            def sample_with_nan(points, layers):
+                table = sample_covariates(points, layers)
                 table.covariates[len(table) // 2, 0] = np.nan
                 return table
 

@@ -195,6 +195,18 @@ class TestGeoJson:
         with pytest.raises(ParseError):
             read_region(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ('[{"type": "Polygon"}]', "must be a JSON object"),
+        ('{"type": "FeatureCollection", "features": []}', "non-empty features list"),
+        ('{"type": "GeometryCollection", "geometries": []}', "unsupported GeoJSON type"),
+        ('{"type": "Polygon", "coordinates": []}', "polygon has no rings"),
+    ], ids=["not-an-object", "no-features", "unsupported-type", "no-rings"])
+    def test_document_shape_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.geojson"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            read_region(path)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.geojson"
         path.write_text("{not json")

@@ -118,6 +118,15 @@ class TestMakeScenario:
         with pytest.raises(UsageError, match="at least one row and one column"):
             make_scenario(seed=0, fine_shape=shape, coarse_factor=4)
 
+    def test_cli_rejects_malformed_fine_shape(self, tmp_path, capsys):
+        from finegrid.cli import main
+        with pytest.raises(SystemExit) as info:
+            main(["synth", "--seed", "0", "--out", str(tmp_path / "s"),
+                  "--fine-shape", "10x"])
+        assert info.value.code == 2
+        assert "expected ROWSxCOLS" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_dump_round_trips(self, tmp_path):
         s = make_scenario(seed=21, fine_shape=(32, 32), coarse_factor=4,
                           n_covariates=2, gap_fraction=0.1)
@@ -143,9 +152,9 @@ class TestHoldoutEval:
     def test_truth_predictions_score_perfectly(self):
         s = self.scenario()
         ev = holdout_eval(s, grid_to_points(s.truth))
-        assert ev.truth_r2 == 1.0
-        assert ev.truth_rmse == 0.0
-        assert not ev.truth_degenerate
+        assert ev.truth.r2 == 1.0
+        assert ev.truth.rmse == 0.0
+        assert not ev.truth.r2_degenerate
         assert ev.coverage == 1.0
 
     def test_constant_predictions_degenerate(self):
@@ -153,8 +162,8 @@ class TestHoldoutEval:
         pts = grid_to_points(s.truth)
         const = pts.with_target(np.full(len(pts), float(s.truth.values.mean())))
         ev = holdout_eval(s, const)
-        assert ev.truth_r2 == 0.0
-        assert ev.truth_degenerate
+        assert ev.truth.r2 == 0.0
+        assert ev.truth.r2_degenerate
 
     def test_low_coverage_rejected(self):
         s = self.scenario()
@@ -175,7 +184,7 @@ class TestHoldoutEval:
         baseline = float(train.target.mean())
         truth_vals = s.truth.values[s.truth.data_mask]
         baseline_rmse = float(np.sqrt(np.mean((truth_vals - baseline) ** 2)))
-        assert ev.truth_rmse < baseline_rmse
+        assert ev.truth.rmse < baseline_rmse
 
     def test_observed_report_consistency(self):
         # containing-cell predictor reproduces the observed grid exactly
