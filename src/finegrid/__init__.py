@@ -47,7 +47,6 @@ from .models.hyppo import (
     fit_polynomial,
     hyppo_predict,
     hyppo_predict_with_degrees,
-    hyppo_select_degree,
 )
 from .models.knn import KnnConfig, knn_predict
 from .pipeline import PipelineConfig, RunResult, load_config, run_pipeline, validate_config

@@ -49,9 +49,12 @@ def aggregate_fine_to_coarse(fine: PointTable, coarse: Grid) -> Grid:
     rows, cols, inside = coarse.cell_index_arrays(fine.lon, fine.lat)
     flat = rows[inside] * coarse.ncols + cols[inside]
     order = np.argsort(flat, kind="stable")
-    cells, starts = np.unique(flat[order], return_index=True)
-    # the split before starts[0] == 0 is empty, and so is the only one when
-    # no point lands inside
+    ranked = flat[order]
+    # each run of equal cells starts where the sorted cell changes; -1, below
+    # every cell, makes starts[0] == 0, so the split before it is empty, and
+    # so is the only one when no point lands inside
+    starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+    cells = ranked[starts]
     groups = np.split(values[inside][order], starts)[1:]
     out = np.full((coarse.nrows, coarse.ncols), coarse.nodata)
     out.flat[cells] = [math.fsum(g) / len(g) for g in groups]

@@ -87,24 +87,13 @@ class Grid:
         lat = self.yll + (self.nrows - row - 0.5) * self.cellsize
         return lon, lat
 
-    def cell_index(self, lon: float, lat: float) -> tuple[int, int] | None:
-        """Cell containing the point, or None if outside the grid extent.
+    def cell_index_arrays(self, lons: np.ndarray, lats: np.ndarray):
+        """Cell of each point: ``(rows, cols, inside)``, where rows/cols are
+        only meaningful where ``inside`` is True.
 
         Left and bottom cell edges belong to the cell; right and top edges
         belong to the neighbor, so every point maps to at most one cell and
         a cell's own lower-left corner maps back to it.
-        """
-        col = math.floor((lon - self.xll) / self.cellsize)
-        row_from_bottom = math.floor((lat - self.yll) / self.cellsize)
-        if col < 0 or col >= self.ncols or row_from_bottom < 0 or row_from_bottom >= self.nrows:
-            return None
-        return self.nrows - 1 - row_from_bottom, col
-
-    def cell_index_arrays(self, lons: np.ndarray, lats: np.ndarray):
-        """Vectorized :meth:`cell_index`.
-
-        Returns ``(rows, cols, inside)``; rows/cols are only meaningful where
-        ``inside`` is True.
         """
         lons = np.asarray(lons, dtype=float)
         lats = np.asarray(lats, dtype=float)

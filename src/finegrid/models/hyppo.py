@@ -15,8 +15,10 @@ order.
 Every fit of degree >= 1, leave-one-out fold or final refit, is solved by
 pseudo-inverse with cutoff sigma <= 1e-10 * sigma_max, so rank-deficient
 neighborhoods (the rule when training points sit on a lattice) need no
-separate path. All folds of a chunk of neighbor sets are fit by one batched
-SVD per candidate degree, and each stacked SVD is computed per matrix, so
+separate path. The leave-one-out errors of a set come from one SVD of its
+design per candidate degree, through the hat-matrix (PRESS) identity; a row
+of leverage 1, which the identity cannot score, takes its own fold fit, and
+the count of those is reported. Each stacked SVD is computed per matrix, so
 how queries are grouped into stacks changes no bit.
 """
 
@@ -41,8 +43,13 @@ TIE_REL = 1e-10
 # largest singular value
 RCOND = 1e-10
 
-# size in bytes of the (chunk, k, k-1, m) fold design stack; sets the chunk
-# of neighbor sets, so memory stays flat as k and the monomial count m grow
+# rows whose leverage is within this of 1 take their own leave-one-out fold
+# fit instead of the PRESS identity; see _loo_errors
+LEVERAGE_TOL = 1e-6
+
+# size in bytes a (chunk, k, k-1, m) stack of every fold's design would take;
+# sets the chunk of neighbor sets, whose (chunk, k, m) designs and SVDs take
+# k - 1 times less, so memory stays flat as k and the monomial count m grow
 FOLD_STACK_BYTES = 1 << 20
 
 
@@ -128,47 +135,69 @@ def _tie_tolerance(targets: np.ndarray) -> np.ndarray:
     return TIE_REL * (1.0 + np.mean(targets * targets, axis=-1))
 
 
-def _loo_errors(feats: np.ndarray, z: np.ndarray, degree: int) -> np.ndarray:
-    """Leave-one-out error sums for one degree across a stack of queries.
+def _loo_errors(feats: np.ndarray, z: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leave-one-out errors z_i - zhat_(i) of one degree across a stack of
+    neighbor sets, feats (c, k, nvars) and z (c, k), and which rows (c, k)
+    took their own fold fit.
 
-    feats: (c, k, nvars) neighbor features; z: (c, k) neighbor targets. The
-    k fold design matrices of every query form one (c, k, k-1, m) stack.
+    Degree 0 holds each row out of the mean. Any other degree takes one full
+    SVD X = U S V^T of each set's design. Let W be the columns of U outside
+    those _lstsq keeps (sigma > RCOND * sigma_max). The full fit's residual
+    is e = W W^T z, the leverage h_i has 1 - h_i = |W_i|^2 (taken from W to
+    spare h near 1 the cancellation of 1 - |U_i|^2), and the leave-one-out
+    error is e_i / (1 - h_i) (PRESS: Allen 1974; ESL 7.10).
+
+    Proof, for pseudo-inverse fold fits, rank-deficient ones included: let
+    zhat_(i) = x_i b_(i) for fold i's fit b_(i), and z* be z with z_i
+    replaced by zhat_(i). Row i costs b_(i) nothing on z* and b_(i) is
+    optimal on the other rows, so X b_(i) is the projection of z*; its row i
+    reads zhat_(i) = zhat_i - h_i (z_i - zhat_(i)), so (1 - h_i)(z_i -
+    zhat_(i)) = e_i. That fixes the error unless h_i = 1, which happens
+    exactly when dropping row i lowers the rank (a lattice point that alone
+    supports a monomial): then the fold's least-squares solutions disagree
+    at x_i and the pseudo-inverse picks one.
+
+    Rows with 1 - h_i < LEVERAGE_TOL take their fold fit: the same _lstsq on
+    the same (k - 1, m) matrix as a stack of every fold, so their errors
+    match that stack's bit for bit. A rank-lowering row's 1 - h_i is
+    rounding alone (below 1e-26 on lattices, gapped or not), far under the
+    tolerance; a row that keeps the rank is exact on either side of it.
+    Above it, 1 / (1 - h_i) magnifies the rounding of e_i at most 1e6 times;
+    on gapped lattices and on scattered sets with k barely above m, where h
+    comes within 1e-7 of 1, the error sums stayed within 1e-10 relative of
+    per-fold pseudo-inverse fits.
     """
     k = z.shape[1]
     if degree == 0:
         loo_mean = (z.sum(axis=1, keepdims=True) - z) / (k - 1)
-        return ((z - loo_mean) ** 2).sum(axis=1)
+        return z - loo_mean, np.zeros(z.shape, dtype=bool)
     x = design_matrix(feats, monomial_exponents(feats.shape[2], degree))
-    rest = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)  # fold i drops row i
-    coef, _ = _lstsq(x[:, rest], z[:, rest])
-    pred = np.einsum("ckm,ckm->ck", x, coef)
-    return ((pred - z) ** 2).sum(axis=1)
+    u, s, _ = np.linalg.svd(x)
+    # sigma comes sorted, so the kept columns lead
+    rank = (s > RCOND * s.max(axis=-1, keepdims=True)).sum(axis=-1, keepdims=True)
+    w = u * (np.arange(k) >= rank)[:, None, :]
+    one_minus_leverage = np.einsum("ckr,ckr->ck", w, w)
+    residual = np.einsum("ckr,cr->ck", w, np.einsum("ckr,ck->cr", w, z))
+    folded = one_minus_leverage < LEVERAGE_TOL
+    errors = residual / np.where(folded, 1.0, one_minus_leverage)
+    sets, rows = np.nonzero(folded)
+    rest = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)[rows]  # fold drops the row
+    coef, _ = _lstsq(x[sets[:, None], rest], z[sets[:, None], rest])
+    errors[sets, rows] = z[sets, rows] - np.einsum("nm,nm->n", x[sets, rows], coef)
+    return errors, folded
 
 
-def _select_degrees(feats: np.ndarray, z: np.ndarray, candidates: list[int]) -> np.ndarray:
-    """Selected degree of each query in a (c, k, nvars) stack: the lowest
+def _select_degrees(
+    feats: np.ndarray, z: np.ndarray, candidates: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Selected degree of each set in a (c, k, nvars) stack: the lowest
     leave-one-out error sum, where sums within the tie tolerance of the
-    minimum go to the lower degree."""
-    errors = np.stack([_loo_errors(feats, z, d) for d in candidates])
-    tied = errors <= errors.min(axis=0) + _tie_tolerance(z)
-    return np.asarray(candidates)[tied.argmax(axis=0)]
-
-
-def hyppo_select_degree(features: np.ndarray, targets: np.ndarray, max_degree: int) -> int:
-    """Pick the candidate degree with the lowest leave-one-out error sum.
-
-    Each of the k neighbors is held out once; a polynomial of the candidate
-    degree is fit on the rest and scored at the held-out point. Error sums
-    within a small magnitude-relative tolerance of the minimum count as ties,
-    and ties go to the lower degree.
-    """
-    feats = np.atleast_2d(np.asarray(features, dtype=float))
-    z = np.asarray(targets, dtype=float)
-    k = len(z)
-    if k < 2:
-        raise UsageError("degree selection needs at least 2 neighbors")
-    candidates = admissible_degrees(feats.shape[1], k, max_degree)
-    return int(_select_degrees(feats[None], z[None], candidates)[0])
+    minimum go to the lower degree. Also returns the number of fold fits
+    per candidate degree."""
+    errors, folded = zip(*(_loo_errors(feats, z, d) for d in candidates))
+    sums = (np.stack(errors) ** 2).sum(axis=2)
+    tied = sums <= sums.min(axis=0) + _tie_tolerance(z)
+    return np.asarray(candidates)[tied.argmax(axis=0)], np.stack(folded).sum(axis=(1, 2))
 
 
 def neighbor_sets(idx: np.ndarray, n_train: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +234,8 @@ def hyppo_predict_with_degrees(
     identical neighborhoods. Results do not depend on the chunk size (sets
     per leave-one-out stack), which defaults to FOLD_STACK_BYTES' worth. A
     ``stats`` dict, if given, receives the number of distinct sets as
-    ``neighbor_sets``.
+    ``neighbor_sets`` and, as ``loo_fold_fits``, the number of leave-one-out
+    rows per candidate degree that took their own fold fit.
     """
     z = train.require_targets()
     train_f = space.features(train)
@@ -217,19 +247,22 @@ def hyppo_predict_with_degrees(
 
     sets, inverse = neighbor_sets(idx, len(train))
     set_degrees = np.empty(len(sets), dtype=np.int64)
+    fold_fits = np.zeros(len(candidates), dtype=np.int64)
     for start in range(0, len(sets), chunk):
         members = sets[start:start + chunk]
         feats = train_f[members]
-        set_degrees[start:start + chunk] = _select_degrees(
+        set_degrees[start:start + chunk], fits = _select_degrees(
             feats - feats.mean(axis=1, keepdims=True), z[members], candidates)
+        fold_fits += fits
     degrees = set_degrees[inverse]
     if stats is not None:
         stats["neighbor_sets"] = len(sets)
+        stats["loo_fold_fits"] = {d: int(n) for d, n in zip(candidates, fold_fits)}
 
     predictions = np.empty(len(queries))
     rank_deficient = np.empty(len(queries), dtype=bool)
-    # a refit stack (c, k, m) holds k - 1 times as many queries as the fold
-    # stack holds sets in the same bytes
+    # a refit stack (c, k, m) of FOLD_STACK_BYTES holds k - 1 times as many
+    # queries as the chunk holds sets
     step = chunk * (cfg.k - 1)
     for d in np.unique(degrees):
         of_degree = np.nonzero(degrees == d)[0]

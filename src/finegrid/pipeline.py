@@ -265,8 +265,10 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
         derived["hyppo_rank_deficient"] = {
             int(d): int(np.count_nonzero(rank_deficient[degrees == d])) for d in unique
         }
-        logger.info("hyppo: %d neighbor sets for %d queries, degree counts %s",
-                    stats["neighbor_sets"], len(prediction), derived["hyppo_degree_counts"])
+        derived["hyppo_loo_fold_fits"] = stats["loo_fold_fits"]
+        logger.info("hyppo: %d neighbor sets for %d queries, degree counts %s, "
+                    "leave-one-out fold fits %s", stats["neighbor_sets"], len(prediction),
+                    derived["hyppo_degree_counts"], stats["loo_fold_fits"])
         return values, None
     if model_cfg.mtry == "tune":
         tuned = tune_mtry(training, model_cfg, s["mtry_grid"], folds=s["folds"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,16 @@ def small_grid():
     values = np.array([[0.1, 0.2], [0.3, -9999.0]])
     return Grid(ncols=2, nrows=2, xll=10.0, yll=40.0, cellsize=0.25, nodata=-9999.0,
                 values=values)
+
+
+def cell_index_ref(grid, lon, lat):
+    """Cell of one point, or None outside the grid extent: the scalar oracle
+    of Grid.cell_index_arrays' half-open edge rule."""
+    col = math.floor((lon - grid.xll) / grid.cellsize)
+    row_from_bottom = math.floor((lat - grid.yll) / grid.cellsize)
+    if col < 0 or col >= grid.ncols or row_from_bottom < 0 or row_from_bottom >= grid.nrows:
+        return None
+    return grid.nrows - 1 - row_from_bottom, col
 
 
 def random_grid(rng, max_side=12):

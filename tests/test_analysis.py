@@ -13,6 +13,8 @@ from finegrid import (
     scatter_export,
 )
 
+from conftest import cell_index_ref
+
 NODATA = -9999.0
 
 
@@ -78,7 +80,7 @@ class TestAggregate:
                 for c in range(5):
                     members = []
                     for i in range(300):
-                        cell = coarse.cell_index(lon[i], lat[i])
+                        cell = cell_index_ref(coarse, lon[i], lat[i])
                         if cell == (r, c):
                             members.append(z[i])
                     if members:

