@@ -18,6 +18,7 @@ import os
 import shutil
 import sys
 import tempfile
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -266,9 +267,11 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
             int(d): int(np.count_nonzero(rank_deficient[degrees == d])) for d in unique
         }
         derived["hyppo_loo_fold_fits"] = stats["loo_fold_fits"]
+        derived["hyppo_query_refits"] = stats["query_refits"]
         logger.info("hyppo: %d neighbor sets for %d queries, degree counts %s, "
-                    "leave-one-out fold fits %s", stats["neighbor_sets"], len(prediction),
-                    derived["hyppo_degree_counts"], stats["loo_fold_fits"])
+                    "leave-one-out fold fits %s, query refits %s", stats["neighbor_sets"],
+                    len(prediction), derived["hyppo_degree_counts"], stats["loo_fold_fits"],
+                    stats["query_refits"])
         return values, None
     if model_cfg.mtry == "tune":
         tuned = tune_mtry(training, model_cfg, s["mtry_grid"], folds=s["folds"])
@@ -292,18 +295,29 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     directory and moved into place only once ``manifest.json`` is written.
     Any failure aborts with a stage-labeled EngineError and removes that
     temporary directory, so the outputs of an earlier run stay as they were.
+    Each stage that completes logs its wall time at DEBUG level on the
+    ``finegrid`` logger; no timing enters the manifest, so reruns stay byte
+    for byte the same.
     """
     s = cfg.settings
     out_dir = cfg.resolve(s["output_dir"])
     staging: Path | None = None
-    stage = "setup"
+    stage, started = "setup", time.perf_counter()
+
+    def enter(next_stage: str | None) -> None:
+        """Log the wall time of the stage that ends, then label the next."""
+        nonlocal stage, started
+        now = time.perf_counter()
+        logger.debug("stage %s: %.6f s", stage, now - started)
+        stage, started = next_stage, now
+
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         # inside out_dir, so the final os.replace stays on one filesystem
         staging = Path(tempfile.mkdtemp(prefix=".partial-", dir=out_dir))
         derived: dict = {}
 
-        stage = "load-observed"
+        enter("load-observed")
         if "observed_grid" in s:
             observed = read_ascii_grid(cfg.resolve(s["observed_grid"]))
         else:
@@ -324,10 +338,10 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
                     f"observed values fall outside the declared target range {clamp}"
                 )
 
-        stage = "load-covariates"
+        enter("load-covariates")
         layers = [read_ascii_grid(cfg.resolve(p)) for p in s["covariate_layers"]]
 
-        stage = "load-region"
+        enter("load-region")
         region = None
         if s["region_file"]:
             region = read_region(cfg.resolve(s["region_file"]))
@@ -335,7 +349,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         if s["report_region_file"]:
             report_region = read_region(cfg.resolve(s["report_region_file"]))
 
-        stage = "assemble-training"
+        enter("assemble-training")
         training = grid_to_points(observed)
         derived["train_count_initial"] = len(training)
         if len(training) == 0:
@@ -345,7 +359,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             training = sample_covariates(training, layers)
             derived["train_dropped_sampling"] = before - len(training)
 
-        stage = "fine-grid"
+        enter("fine-grid")
         fine = _fine_grid_header(cfg, observed)
         prediction_points = grid_centroids(fine)
         derived["predict_count_initial"] = len(prediction_points)
@@ -354,7 +368,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             prediction_points = sample_covariates(prediction_points, layers)
             derived["predict_dropped_sampling"] = before - len(prediction_points)
 
-        stage = "clip"
+        enter("clip")
         if region is not None:
             training = clip_points(training, region, s["buffer_km"])
             prediction_points = clip_points(prediction_points, region, s["buffer_km"])
@@ -365,7 +379,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             if len(prediction_points) == 0:
                 raise UsageError("no prediction records remain after region clipping")
 
-        stage = "pca"
+        enter("pca")
         if s["pca"]:
             model = cov.pca_fit(training)
             _check_mtry(s, model.retained, "component(s) retained by pca")
@@ -375,7 +389,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             derived["pca_retained"] = model.retained
             derived["pca_eigenvalues"] = [float(v) for v in model.eigenvalues]
 
-        stage = "model"
+        enter("model")
         values, forest = _predict(cfg, training, prediction_points, derived)
         if clamp is not None:
             values = np.clip(values, clamp[0], clamp[1])
@@ -383,21 +397,21 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         if forest is not None:
             write_forest(forest, staging / "forest.txt")
 
-        stage = "report-clip"
+        enter("report-clip")
         if report_region is not None:
             predicted = predicted.subset(contains(report_region, predicted.lon, predicted.lat))
             derived["report_count"] = len(predicted)
             if len(predicted) == 0:
                 raise UsageError("no predictions fall inside the reporting region")
 
-        stage = "write-prediction"
+        enter("write-prediction")
         raster = np.full((fine.nrows, fine.ncols), fine.nodata)
         rows, cols, inside = fine.cell_index_arrays(predicted.lon, predicted.lat)
         raster[rows[inside], cols[inside]] = predicted.target[inside]
         prediction_grid = fine.with_values(raster)
         write_ascii_grid(prediction_grid, staging / "prediction.asc")
 
-        stage = "analysis"
+        enter("analysis")
         aggregated = aggregate_fine_to_coarse(predicted, observed)
         report = residual_report(aggregated, observed)
         write_ascii_grid(aggregated, staging / "aggregated.asc")
@@ -409,7 +423,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         logger.info("agreement: %s", metrics)
 
         if s["render"]:
-            stage = "render"
+            enter("render")
             # the grids just written, from memory: the .asc round trip is exact
             for grid, name, palette in (
                 (prediction_grid, "prediction", "sequential"),
@@ -419,7 +433,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             ):
                 render_heatmap(grid, palette, staging / f"{name}.ppm")
 
-        stage = "manifest"
+        enter("manifest")
         # the staging directory holds exactly what this run wrote
         outputs = sorted(staging.iterdir())
         derived["output_digests"] = {
@@ -432,6 +446,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         for path in outputs + [manifest_path]:
             os.replace(path, out_dir / path.name)
         staging.rmdir()
+        enter(None)
     except Exception as exc:
         if staging is not None:
             shutil.rmtree(staging, ignore_errors=True)

@@ -50,6 +50,13 @@ def lattice_case(rng, nq):
     return points(lon, lat, z), queries
 
 
+def gapped_lattice_case(rng, nq):
+    """lattice_case with a fifth of the training points dropped, as gaps in
+    the observed grid drop coarse cells."""
+    train, queries = lattice_case(rng, nq)
+    return train.subset(np.sort(rng.permutation(len(train))[:len(train) * 4 // 5])), queries
+
+
 def scattered_case(rng, nq):
     train = points(rng.uniform(0, 1, 40), rng.uniform(0, 1, 40), rng.random(40))
     queries = points(rng.uniform(0, 1, nq), rng.uniform(0, 1, nq), np.full(nq, np.nan))
@@ -262,7 +269,7 @@ class TestLooErrors:
                                         (scattered_case(rng, 40), 11)):
                 feats, z = set_stack(train, queries, k)
                 for degree in (0, 1, 2, 3):
-                    errors, _ = _loo_errors(feats, z, degree)
+                    errors = _loo_errors(feats, z, degree)[0]
                     expect = [loo_oracle(f, t, degree) for f, t in zip(feats, z)]
                     np.testing.assert_allclose((errors ** 2).sum(axis=1), expect,
                                                rtol=1e-9, atol=0)
@@ -280,7 +287,7 @@ class TestLooErrors:
         feats, z = set_stack(train, queries, 12)
         fits = {}
         for degree in (1, 2, 3):
-            errors, folded = _loo_errors(feats, z, degree)
+            errors, folded, _, _ = _loo_errors(feats, z, degree)
             fits[degree] = int(folded.sum())
             np.testing.assert_array_equal(errors[folded],
                                           fold_stack_errors(feats, z, degree)[folded])
@@ -294,6 +301,24 @@ class TestLooErrors:
         hyppo_predict_with_degrees(train, queries, HyppoConfig(k=14, max_degree=3),
                                    FeatureSpace.fit("coords", train), stats=stats)
         assert stats["loo_fold_fits"] == {0: 0, 1: 0, 2: 0, 3: 0}
+
+    def test_fold_lstsq_called_only_with_rows(self, rng, monkeypatch):
+        # no call on an empty stack: the scattered sets at k 14 need no fold
+        # fit, the lattice sets need some at degree 3
+        calls = []
+
+        def counted(x, z):
+            calls.append(len(x))
+            return _lstsq(x, z)
+
+        monkeypatch.setattr(hyppo, "_lstsq", counted)
+        for (train, queries), k, expect in ((scattered_case(rng, 200), 14, 0),
+                                            (lattice_case(rng, 200), 12, 1)):
+            feats, z = set_stack(train, queries, k)
+            calls.clear()
+            folded = [_loo_errors(feats, z, degree)[1].sum() for degree in (1, 2, 3)]
+            assert len(calls) == np.count_nonzero(folded) == expect
+            assert calls == [n for n in folded if n]
 
 
 class TestTieTolerance:
@@ -368,36 +393,65 @@ class TestHyppoPredict:
                 assert pred[qi] == pytest.approx(expect, abs=1e-8)
         assert rank_deficient.any()
 
-    def test_every_query_refit_once_through_fit_polynomial(self, rng, monkeypatch):
-        # the wrapper hands back each stack slot's number as the constant
-        # term, so the predictions name the slot that refit each query
+    def test_refits_degree0_and_rank_deficient_sets_only(self, rng, monkeypatch):
+        # the wrapper hands back OFFSET plus each stack slot's number as the
+        # constant term, far outside any prediction here, so the predictions
+        # name the slot that refit each query and leave the others unchanged
+        OFFSET = 1e9
         original = hyppo.fit_polynomial
         slots = []
 
         def numbered(features, targets, degree):
             coef, rank_deficient = original(features, targets, degree)
-            numbers = len(slots) + np.arange(len(coef))
+            numbers = OFFSET + len(slots) + np.arange(len(coef))
             slots.extend((int(degree), c, r) for c, r in zip(coef[:, 0], rank_deficient))
             return np.column_stack([numbers, coef[:, 1:]]), rank_deficient
 
-        seen = set()
-        for (train, queries), k in ((lattice_case(rng, 60), 12), (scattered_case(rng, 60), 8)):
+        cases = [(lattice_case(rng, 60), 12), (gapped_lattice_case(rng, 60), 12)]
+        cases += [(scattered_case(rng, 60), k) for k in (8, 11, 14)]
+        seen, set_path, deficient_refits = set(), 0, 0
+        for (train, queries), k in cases:
             space = FeatureSpace.fit("coords", train)
             cfg = HyppoConfig(k=k, max_degree=3)
+            stats = {}
             pred, deg, rank_deficient = hyppo_predict_with_degrees(
-                train, queries, cfg, space, chunk=2)
+                train, queries, cfg, space, chunk=2, stats=stats)
             monkeypatch.setattr(hyppo, "fit_polynomial", numbered)
             slots.clear()
             named, named_deg, named_rd = hyppo_predict_with_degrees(
                 train, queries, cfg, space, chunk=2)
             monkeypatch.setattr(hyppo, "fit_polynomial", original)
-            assert sorted(named.astype(int)) == list(range(len(queries))) == list(range(len(slots)))
-            for q, slot in enumerate(named.astype(int)):
-                assert slots[slot] == (deg[q], pred[q], rank_deficient[q])
             np.testing.assert_array_equal(named_deg, deg)
             np.testing.assert_array_equal(named_rd, rank_deficient)
+
+            train_f, query_f = space.features(train), space.features(queries)
+            idx, _ = neighbor_search(train_f, query_f, k)
+            refit = named >= OFFSET
+            assert sorted(named[refit] - OFFSET) == list(range(len(slots)))
+            for q in range(len(queries)):
+                exps = monomial_exponents(2, deg[q])
+                members = train_f[np.sort(idx[q])]
+                x = design_matrix(members - members.mean(axis=0), exps)
+                sv = np.linalg.svd(x, compute_uv=False)
+                set_full_rank = (sv > 1e-10 * sv.max()).sum() == len(exps)
+                assert refit[q] == (deg[q] == 0 or not set_full_rank)
+                if refit[q]:
+                    assert slots[int(named[q] - OFFSET)] == (deg[q], pred[q], rank_deficient[q])
+                    deficient_refits += bool(rank_deficient[q])
+                    continue
+                assert named[q] == pred[q]
+                # the set's fit against the query-centered pinv refit
+                x = design_matrix(train_f[idx[q]] - query_f[q], exps)
+                expect = (np.linalg.pinv(x, rcond=1e-10) @ train.target[idx[q]])[0]
+                assert abs(pred[q] - expect) <= 1e-12
+                sv = np.linalg.svd(x, compute_uv=False)
+                assert rank_deficient[q] == ((sv > 1e-10 * sv.max()).sum() < len(exps))
+                set_path += 1
+            assert stats["query_refits"] == {d: int(np.count_nonzero(refit[deg == d]))
+                                             for d in admissible_degrees(2, k, 3)}
             seen.update(deg.tolist())
         assert seen == {0, 1, 2, 3}
+        assert set_path > 0 and deficient_refits > 0
 
     def test_max_degree_zero_matches_knn_bitwise(self, rng):
         train = points(rng.uniform(0, 1, 25), rng.uniform(0, 1, 25),
@@ -429,14 +483,20 @@ class TestHyppoPredict:
         queries = points(rng.uniform(0, 1, 23), rng.uniform(0, 1, 23),
                          np.full(23, np.nan))
         lattice = lattice_case(rng, 23)
+        # sets of full rank, predicted by their own fit, and rank-deficient
+        # sets, whose queries refit, at one degree
+        mixed = gapped_lattice_case(rng, 120)
         for (train, queries), cfg in (((train, queries), HyppoConfig(k=8)),
-                                      (lattice, HyppoConfig(k=12, max_degree=3))):
+                                      (lattice, HyppoConfig(k=12, max_degree=3)),
+                                      (mixed, HyppoConfig(k=12, max_degree=3))):
             space = FeatureSpace.fit("coords", train)
             runs = [hyppo_predict_with_degrees(train, queries, cfg, space, chunk=c)
                     for c in (1, 5, None)]
             for run in runs[1:]:
                 for a, b in zip(runs[0], run):
                     np.testing.assert_array_equal(a, b)
+        _, degrees, rank_deficient = runs[0]
+        assert 0 < np.count_nonzero(rank_deficient[degrees == 3]) < np.count_nonzero(degrees == 3)
 
     def test_shared_neighbor_set_shares_degree(self, rng):
         train, queries = lattice_case(rng, 300)

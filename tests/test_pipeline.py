@@ -250,6 +250,25 @@ class TestRunKnn:
         metrics = (out / "metrics.txt").read_text().strip()
         assert [r.getMessage() for r in caplog.records] == [f"agreement: {metrics}"]
 
+    def test_stage_wall_times_logged_at_debug(self, tmp_path, caplog):
+        _, data_dir = dump_scenario(tmp_path)
+        out = tmp_path / "out"
+        stages = ["setup", "load-observed", "load-covariates", "load-region",
+                  "assemble-training", "fine-grid", "clip", "pca", "model", "report-clip",
+                  "write-prediction", "analysis", "manifest"]
+        manifests = []
+        for render in (False, True, True):
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="finegrid"):
+                run_pipeline(validate_config(base_config(data_dir, out, render=render)))
+            timed = [re.fullmatch(r"stage ([a-z-]+): \d+\.\d{6} s", r.getMessage())
+                     for r in caplog.records if r.levelname == "DEBUG"]
+            assert all(timed)
+            # one line per stage that ran, in order; render runs only when asked
+            assert [m[1] for m in timed] == stages[:-1] + ["render"] * render + stages[-1:]
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[1] == manifests[2]
+
     def test_manifest_records_config_and_derived(self, tmp_path):
         _, data_dir = dump_scenario(tmp_path)
         out = tmp_path / "out"
@@ -684,10 +703,12 @@ class TestHyppoPipeline:
         # one count per candidate degree; degree 0's mean needs no fold fit
         fold_fits = derived["hyppo_loo_fold_fits"]
         assert fold_fits.keys() == {"0", "1", "2"} and fold_fits["0"] == 0
+        refits = derived["hyppo_query_refits"]
         assert caplog.records[0].getMessage() == (
             f"hyppo: {sets} neighbor sets for {derived['predict_count_initial']} queries, "
             f"degree counts { {int(d): c for d, c in counts.items()} }, "
-            f"leave-one-out fold fits { {int(d): n for d, n in fold_fits.items()} }")
+            f"leave-one-out fold fits { {int(d): n for d, n in fold_fits.items()} }, "
+            f"query refits { {int(d): n for d, n in refits.items()} }")
         assert all(int(d) <= 2 for d in counts)
         # training points are coarse centroids on a lattice, so some
         # degree-2 refits are rank-deficient; degree 0 never is
@@ -695,6 +716,12 @@ class TestHyppoPipeline:
         assert rank_deficient.keys() == counts.keys()
         assert all(0 <= rank_deficient[d] <= counts[d] for d in counts)
         assert rank_deficient["0"] == 0 and rank_deficient["2"] > 0
+        # every degree-0 query refits, and of the others exactly those of a
+        # rank-deficient set, whose query-centered refits are rank-deficient
+        assert refits.keys() == fold_fits.keys()
+        assert refits["0"] == counts.get("0", 0)
+        assert all(refits[d] == rank_deficient.get(d, 0) for d in ("1", "2"))
+        assert refits["2"] < counts["2"]
 
     def test_max_degree_zero_matches_knn(self, tmp_path):
         _, data_dir = dump_scenario(tmp_path)
