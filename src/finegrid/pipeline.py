@@ -273,18 +273,22 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
                     len(prediction), derived["hyppo_degree_counts"], stats["loo_fold_fits"],
                     stats["query_refits"])
         return values, None
+    cv = ""
     if model_cfg.mtry == "tune":
-        tuned = tune_mtry(training, model_cfg, s["mtry_grid"], folds=s["folds"])
+        stats = {}
+        tuned = tune_mtry(training, model_cfg, s["mtry_grid"], folds=s["folds"], stats=stats)
         derived["tuned_mtry"] = tuned
+        derived["mtry_cv_rmse"] = stats["cv_rmse"]
+        cv = f", cv_rmse {stats['cv_rmse']}"
         model_cfg = replace(model_cfg, mtry=tuned)
     forest = rf_fit(training, model_cfg, workers=s["workers"])
     derived["oob_rmse"] = forest.oob_rmse
     derived["forest_nodes"] = sum(tree.n_nodes for tree in forest.trees)
     derived["forest_max_depth"] = max(tree.depth for tree in forest.trees)
     derived["mtry_used"] = model_cfg.mtry
-    logger.info("rf: %s mtry %d, oob_rmse %r, forest_nodes %d, forest_max_depth %d",
+    logger.info("rf: %s mtry %d, oob_rmse %r, forest_nodes %d, forest_max_depth %d%s",
                 "tuned" if s["mtry"] == "tune" else "fixed", model_cfg.mtry,
-                forest.oob_rmse, derived["forest_nodes"], derived["forest_max_depth"])
+                forest.oob_rmse, derived["forest_nodes"], derived["forest_max_depth"], cv)
     return rf_predict(forest, prediction), forest
 
 

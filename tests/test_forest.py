@@ -226,17 +226,69 @@ class TestLockstepOracle:
         monkeypatch.setattr(forest_module, "SPLIT_STACK_BYTES", 8 * mtry * 300)
         self.assert_same(rf_fit(train, cfg), ref)
 
-    def test_tune_mtry_matches_reference(self, monkeypatch):
-        # criterion-05-like input: 15 covariates, candidates 2..14
+
+def tune_case(name):
+    """(train, candidates, min_leaf) for one mtry tuning oracle case."""
+    if name == "covariates_15":  # criterion-05-like input: candidates 2..14
         rng = np.random.default_rng(515)
         covs = np.round(rng.normal(0, 1, (120, 15)), 1)
         z = 0.4 * covs[:, 0] + 0.2 * covs[:, 3] + rng.normal(0, 0.05, 120)
-        train = table(covs, z)
-        cfg = RfConfig(ntree=4, mtry="tune", seed=5)
-        grid = list(range(2, 15))
-        choice = tune_mtry(train, cfg, grid, folds=3)
-        monkeypatch.setattr(forest_module, "rf_fit", rf_fit_ref)
-        assert tune_mtry(train, cfg, grid, folds=3) == choice
+        return table(covs, z), list(range(2, 15)), 5
+    train, _, min_leaf = oracle_case(name)
+    return train, list(range(1, train.p + 1)), min_leaf
+
+
+def tune_rmse_ref(train, cfg, candidates, folds):
+    """(candidate, fold) RMSE of the per-fold loop that tune_mtry replaced:
+    rf_fit_ref on the fold's training records, then rf_predict on its own."""
+    n = len(train)
+    rng = np.random.default_rng([cfg.seed, forest_module._TUNE_STREAM])
+    rmse = np.empty((len(candidates), folds))
+    for fi, test_idx in enumerate(np.array_split(rng.permutation(n), folds)):
+        keep = np.ones(n, dtype=bool)
+        keep[test_idx] = False
+        for ci, cand in enumerate(candidates):
+            fitted = rf_fit_ref(train.subset(keep), RfConfig(
+                ntree=cfg.ntree, mtry=cand, min_leaf=cfg.min_leaf, seed=cfg.seed))
+            err = rf_predict(fitted, train.subset(test_idx)) - train.target[test_idx]
+            rmse[ci, fi] = np.sqrt(np.mean(err * err))
+    return rmse
+
+
+class TestTuneOracle:
+    """tune_mtry's fold forests, grown in grouped locksteps and scored in one
+    routing pass per group, must give the per-fold loop's RMSEs bit for bit."""
+
+    @staticmethod
+    def tune(train, cfg, candidates, folds):
+        stats = {}
+        choice = tune_mtry(train, cfg, candidates, folds=folds, stats=stats)
+        return choice, stats
+
+    @pytest.mark.parametrize("name", ["covariates_15", "rounded", "duplicated", "tiny"])
+    def test_matches_reference_loop(self, name):
+        train, candidates, min_leaf = tune_case(name)
+        cfg = RfConfig(ntree=4, mtry="tune", min_leaf=min_leaf, seed=5)
+        ref = tune_rmse_ref(train, cfg, candidates, 3)
+        choice, stats = self.tune(train, cfg, candidates, 3)
+        assert same_bits(stats["fold_rmse"], ref)
+        means = [np.mean(row) for row in ref]
+        assert stats["cv_rmse"] == dict(zip(candidates, means))
+        assert choice == candidates[int(np.argmin(means))]
+
+    @pytest.mark.parametrize("name", ["covariates_15", "duplicated"])
+    def test_grouping_invariance(self, name, monkeypatch):
+        # a budget of one row grows every fold alone, a huge one all together
+        train, candidates, min_leaf = tune_case(name)
+        cfg = RfConfig(ntree=5, mtry="tune", min_leaf=min_leaf, seed=8)
+        runs = []
+        for budget in (1, 1 << 40):
+            monkeypatch.setattr(forest_module, "TUNE_LOCKSTEP_ROWS", budget)
+            runs.append(self.tune(train, cfg, candidates, 4))
+        (alone, alone_stats), (joint, joint_stats) = runs
+        assert same_bits(alone_stats["fold_rmse"], joint_stats["fold_rmse"])
+        assert alone_stats["cv_rmse"] == joint_stats["cv_rmse"]
+        assert alone == joint
 
 
 def same_bits(a, b):

@@ -12,6 +12,7 @@ from finegrid import (
     EngineError,
     UsageError,
     contains,
+    default_mtry_grid,
     load_config,
     make_scenario,
     read_ascii_grid,
@@ -455,9 +456,13 @@ class TestRf:
 
     @staticmethod
     def rf_log_line(derived, how):
-        return (f"rf: {how} mtry {derived['mtry_used']}, oob_rmse {derived['oob_rmse']!r}, "
+        line = (f"rf: {how} mtry {derived['mtry_used']}, oob_rmse {derived['oob_rmse']!r}, "
                 f"forest_nodes {derived['forest_nodes']}, "
                 f"forest_max_depth {derived['forest_max_depth']}")
+        if how == "tuned":
+            cv_rmse = {int(c): rmse for c, rmse in derived["mtry_cv_rmse"].items()}
+            line += f", cv_rmse {cv_rmse}"
+        return line
 
     def test_fixed_mtry_logged(self, tmp_path, caplog):
         _, data_dir = dump_scenario(tmp_path)
@@ -472,15 +477,19 @@ class TestRf:
     def test_tuned_mtry_recorded(self, tmp_path, caplog):
         _, data_dir = dump_scenario(tmp_path, n_covariates=3)
         out = tmp_path / "out"
+        cfg = validate_config(base_config(
+            data_dir, out, method="rf", ntree=4, folds=3,
+            covariate_layers=[str(data_dir / f"cov{i:02d}.asc") for i in (1, 2, 3)]))
         with caplog.at_level("INFO", logger="finegrid"):
-            run_pipeline(validate_config(base_config(
-                data_dir, out, method="rf", ntree=4, folds=3,
-                covariate_layers=[str(data_dir / f"cov{i:02d}.asc")
-                                  for i in (1, 2, 3)])))
-        derived = json.loads((out / "manifest.json").read_text())["derived"]
+            run_pipeline(cfg)
+        manifest = (out / "manifest.json").read_bytes()
+        derived = json.loads(manifest)["derived"]
         assert caplog.records[0].getMessage() == self.rf_log_line(derived, "tuned")
         assert derived["tuned_mtry"] == derived["mtry_used"]
         assert derived["tuned_mtry"] in (1, 2)
+        cv_rmse = {int(c): rmse for c, rmse in derived["mtry_cv_rmse"].items()}
+        assert list(cv_rmse) == default_mtry_grid(3)
+        assert min(cv_rmse, key=cv_rmse.get) == derived["tuned_mtry"]
         assert np.isfinite(derived["oob_rmse"])
         forest = read_forest(out / "forest.txt")
 
@@ -492,6 +501,8 @@ class TestRf:
         assert derived["forest_nodes"] == sum(len(t.feature) for t in forest.trees)
         assert derived["forest_max_depth"] == max(depth(t) for t in forest.trees)
         assert derived["forest_max_depth"] > 0
+        run_pipeline(cfg)
+        assert (out / "manifest.json").read_bytes() == manifest
 
 
 class TestDailyGrids:
