@@ -1,17 +1,34 @@
 """Random forest regression: bagged CART trees with per-node feature sampling.
 
-Each tree draws its bootstrap sample and all split randomness from an
-independent stream seeded by (seed, tree index). The trees of a fit grow in
-lockstep: every tree walks its own explicit preorder stack, recording leaves
-as it pops them, until it pops a node that needs a split search (at least
-2·min_leaf records and more than one target value). That node draws its
-mtry features, and one batched search (:func:`_split_search`) then finds the
-best split of every tree's pending node at once. The leaf test of both
-children of every split in a step is one batched pass too. The forest equals
-the one that growing each tree alone by recursion gives, bit for bit, for
-five reasons:
+Each tree draws its bootstrap sample, then the mtry features of each node
+it split-searches, from an independent stream seeded by (seed, tree index).
+The trees of a fit grow in lockstep: every tree walks its own explicit
+preorder stack, recording leaves as it pops them, until it pops a node that
+needs a split search (at least 2·min_leaf records and more than one target
+value). One vectorised replay (:func:`_draw_features`) then draws the
+features of every tree's pending node, and one batched search
+(:func:`_split_search`) finds the best split of each at once. The leaf test
+of both children of every split in a step is one batched pass too.
 
-- streams are per tree, so interleaving the trees changes no tree's draws;
+The replay draws what ``Generator.choice(p, size=mtry, replace=False)``
+draws: Floyd's algorithm over j = p − mtry … p − 1, where a pick already
+taken becomes j, then a Fisher–Yates shuffle over i = mtry − 1 … 1. Each
+step is one Lemire draw in [0, bound] from a 32-bit value u: with
+m = u·(bound + 1), the draw is m >> 32, unless m mod 2³² < 2³² mod
+(bound + 1), when the next value is drawn instead; bound 0 takes no value.
+The values come from each tree's tape (:class:`_Tapes`): the half of a
+64-bit output its bit generator holds back after the bootstrap, if any, then
+the low and the high half of each next output. Tapes are read from the
+stream in blocks of TAPE_BLOCK outputs, so a tree's stream ends advanced
+past its last draw, to the end of its last block; nothing draws from it
+after growth. (numpy's ``choice`` takes another path when p > 10 000 and
+mtry > p // 50; the replay does not.) The forest equals the one that
+growing each tree alone by recursion, with one ``choice`` call per
+split-searched node, gives, bit for bit, for five reasons:
+
+- each tree's draws come from its own tape, in its own order, so
+  interleaving the trees, replaying the draws of many trees in one pass, or
+  grouping the trees on worker threads changes no tree's draws;
 - each tree pops its nodes in preorder (right child pushed before left),
   and only split-searching nodes draw, so each draw lands on the same node
   and node ids are the same preorder ids;
@@ -44,7 +61,9 @@ training records each) stay within TUNE_LOCKSTEP_ROWS; each group is one
 lockstep. Fold f's tree t draws its stream and bootstrap as ``rf_fit`` does
 on that fold's training records (one helper serves both), and the bootstrap
 is mapped to full-table rows, so the grower reads the same values in the same
-positions and grows the same tree, bit for bit. Each group's held-out records
+positions and grows the same tree, bit for bit. A group's bootstraps and
+tapes are drawn once and serve every candidate, as the stream that follows
+tree (f, t)'s bootstrap does not depend on mtry. Each group's held-out records
 are scored in one :func:`_leaf_sums` pass whose member mask lets tree (f, t)
 count only for fold f's records, so each record's leaves are added in tree
 order from 0.0, as ``rf_predict`` adds them over its fold's forest. Tuning
@@ -86,6 +105,9 @@ SPLIT_STACK_BYTES = 1 << 16
 # that memory: tuning 720 records over 10 folds of 100 trees peaked at 129 MB
 # RSS unbounded, against 48 MB with each fold alone.
 TUNE_LOCKSTEP_ROWS = 8192
+
+# 64-bit outputs a tree's tape (see _Tapes) takes from its stream at a time
+TAPE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -292,9 +314,87 @@ def _leaf_flags(z: np.ndarray, rows: list, min_leaf: int) -> np.ndarray:
     return small | (np.minimum.reduceat(zs, starts) == np.maximum.reduceat(zs, starts))
 
 
-def _grow_trees(x: np.ndarray, z: np.ndarray, boots: list, rngs: list, mtry: int, min_leaf: int):
+class _Tapes:
+    """Each tree's stream as the 32-bit values its draws take, one row per tree.
+
+    A 32-bit draw takes the half of a 64-bit output that the bit generator
+    holds back, if it holds one, then the low half, then the high half, of
+    each next output. Row t starts with tree t's held-back value, first read
+    at ``start[t]`` = 0 (or skipped, ``start[t]`` = 1, when none is held), and
+    goes on with the halves of its stream's ``random_raw`` blocks of
+    TAPE_BLOCK outputs. Values are held as uint64, ready to multiply. A tape
+    is read, never consumed: every growth starts its own cursors at ``start``.
+    """
+
+    def __init__(self, rngs: list):
+        self.rngs = rngs
+        states = [rng.bit_generator.state for rng in rngs]
+        self.start = np.array([1 - s["has_uint32"] for s in states], dtype=np.int64)
+        self.values = np.array([s["uinteger"] for s in states], dtype=np.uint64)[:, None]
+
+    def take(self, trees: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Value ``at[k]`` of row ``trees[k]``, for every k; a row read past its
+        end first gets one more block appended to every row."""
+        while True:
+            try:
+                return self.values[trees, at]
+            except IndexError:
+                raw = np.array(
+                    [rng.bit_generator.random_raw(TAPE_BLOCK) for rng in self.rngs],
+                    dtype=np.uint64,
+                ).reshape(len(self.rngs), TAPE_BLOCK, 1)
+                halves = np.concatenate([raw & 0xFFFFFFFF, raw >> 32], axis=2)
+                self.values = np.hstack([self.values, halves.reshape(len(self.rngs), -1)])
+
+
+def _bounded(tapes: _Tapes, trees: np.ndarray, at: np.ndarray, bound: int) -> np.ndarray:
+    """One draw in [0, bound] per tree, read at ``at`` (which moves past
+    every value taken), by Lemire's rule as numpy's 32-bit bounded draw
+    applies it: value u gives m = u·(bound + 1) and the draw m >> 32, unless
+    m mod 2³² < 2³² mod (bound + 1); then the tree draws again."""
+    span = np.uint64(bound + 1)
+    threshold = (1 << 32) % (bound + 1)
+    out = np.empty(len(trees), dtype=np.int64)
+    todo = slice(None)
+    while True:
+        m = tapes.take(trees[todo], at[todo]) * span
+        at[todo] += 1
+        out[todo] = m >> 32
+        redraw = (m & 0xFFFFFFFF) < threshold
+        if not redraw.any():
+            return out
+        todo = np.arange(len(trees))[todo][redraw]
+
+
+def _draw_features(tapes: _Tapes, cursor: np.ndarray, trees: np.ndarray, p: int, mtry: int):
+    """(len(trees), mtry) features: row k holds what
+    ``Generator.choice(p, size=mtry, replace=False)`` draws on tree
+    ``trees[k]``'s stream from its cursor on, and the cursors move past the
+    values taken. That is numpy's Floyd's algorithm, then a Fisher–Yates
+    shuffle of the picks; the trees must be distinct."""
+    at = cursor[trees]
+    picks = np.zeros((len(trees), mtry), dtype=np.int64)
+    for k, j in enumerate(range(p - mtry, p)):
+        if j == 0:  # a draw in [0, 0] takes no value
+            continue
+        pick = _bounded(tapes, trees, at, j)
+        if k:  # a pick already taken is replaced by j, which no earlier pick can be
+            pick[(picks[:, :k] == pick[:, None]).any(axis=1)] = j
+        picks[:, k] = pick
+    rows = np.arange(len(trees))
+    for i in range(mtry - 1, 0, -1):
+        j = _bounded(tapes, trees, at, i)
+        swapped = picks[rows, j]
+        picks[rows, j] = picks[:, i]
+        picks[:, i] = swapped
+    cursor[trees] = at
+    return picks
+
+
+def _grow_trees(x: np.ndarray, z: np.ndarray, boots: list, tapes: _Tapes, mtry: int, min_leaf: int):
     """Grow one tree per bootstrap sample, all in lockstep (see the module docstring)."""
     p = x.shape[1]
+    cursor = tapes.start.copy()
     # per tree, one [feature, threshold, left, right, value] record per node
     built = [[] for _ in boots]
     # (node record, records) of every leaf; values are settled after growth
@@ -303,8 +403,8 @@ def _grow_trees(x: np.ndarray, z: np.ndarray, boots: list, rngs: list, mtry: int
     # 2 for a left child, 3 for a right)
     stacks = [[(boot, leaf, None, 0)] for boot, leaf in zip(boots, _leaf_flags(z, boots, min_leaf))]
     while True:
-        pending = []
-        for tree, stack, rng in zip(built, stacks, rngs):
+        pending, trees = [], []
+        for t, (tree, stack) in enumerate(zip(built, stacks)):
             while stack:
                 rows, leaf, parent, side = stack.pop()
                 node = [-1, 0.0, -1, -1, 0.0]
@@ -314,18 +414,19 @@ def _grow_trees(x: np.ndarray, z: np.ndarray, boots: list, rngs: list, mtry: int
                 if leaf:
                     leaves.append((node, rows))
                     continue
-                pending.append((stack, node, rows, rng.choice(p, size=mtry, replace=False)))
+                pending.append((stack, node, rows))
+                trees.append(t)
                 break
         if not pending:
             break
+        feats = _draw_features(tapes, cursor, np.array(trees), p, mtry)
         splits = []
-        for part in _batches([len(rows) for _, _, rows, _ in pending], 8 * mtry, SPLIT_STACK_BYTES):
-            batch = pending[part]
+        for part in _batches([len(rows) for *_, rows in pending], 8 * mtry, SPLIT_STACK_BYTES):
             splits += _split_search(
-                x, z, [rows for _, _, rows, _ in batch], np.array([f for *_, f in batch]), min_leaf
+                x, z, [rows for *_, rows in pending[part]], feats[part], min_leaf
             )
         children = []
-        for (stack, node, rows, _), split in zip(pending, splits):
+        for (stack, node, rows), split in zip(pending, splits):
             if split is None:
                 leaves.append((node, rows))
                 continue
@@ -386,7 +487,7 @@ def rf_fit(train: PointTable, cfg: RfConfig, workers: int = 1) -> Forest:
     rngs, in_bag = _tree_draws(cfg, n)
 
     def grow(group: slice) -> list:
-        return _grow_trees(x, z, in_bag[group], rngs[group], cfg.mtry, cfg.min_leaf)
+        return _grow_trees(x, z, in_bag[group], _Tapes(rngs[group]), cfg.mtry, cfg.min_leaf)
 
     bounds = np.linspace(0, cfg.ntree, min(max(workers, 1), cfg.ntree) + 1).astype(int)
     groups = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
@@ -468,21 +569,24 @@ def tune_mtry(
     kept = [np.flatnonzero(fold_of != f) for f in range(folds)]
     sizes = [len(rows) for rows in kept]
     groups = [range(folds)[part] for part in _batches(sizes, ntree, TUNE_LOCKSTEP_ROWS)]
+    pred = np.empty((len(candidates), n))
+    for group in groups:
+        rngs, boots = [], []
+        for f in group:
+            streams, in_bag = _tree_draws(cfg, sizes[f])
+            rngs += streams
+            boots += [kept[f][boot] for boot in in_bag]
+        # tree (f, t)'s stream after its bootstrap is the same for every candidate
+        tapes = _Tapes(rngs)
+        held = np.flatnonzero((fold_of >= group.start) & (fold_of < group.stop))
+        member = np.repeat(fold_of[held] == np.array(group)[:, None], ntree, axis=0)
+        for ci, cand in enumerate(candidates):
+            trees = _grow_trees(x, z, boots, tapes, cand, cfg.min_leaf)
+            pred[ci, held] = _leaf_sums(_stack(trees), x[held], member) / ntree
     fold_rmse = np.empty((len(candidates), folds))
-    for ci, cand in enumerate(candidates):
-        pred = np.empty(n)
-        for group in groups:
-            rngs, boots = [], []
-            for f in group:
-                streams, in_bag = _tree_draws(cfg, sizes[f])
-                rngs += streams
-                boots += [kept[f][boot] for boot in in_bag]
-            trees = _grow_trees(x, z, boots, rngs, cand, cfg.min_leaf)
-            held = np.flatnonzero((fold_of >= group.start) & (fold_of < group.stop))
-            member = np.repeat(fold_of[held] == np.array(group)[:, None], ntree, axis=0)
-            pred[held] = _leaf_sums(_stack(trees), x[held], member) / ntree
+    for ci in range(len(candidates)):
         for fi, test_idx in enumerate(fold_indices):
-            err = pred[test_idx] - z[test_idx]
+            err = pred[ci, test_idx] - z[test_idx]
             fold_rmse[ci, fi] = np.sqrt(np.mean(err * err))
     mean_rmse = [np.mean(row) for row in fold_rmse]
     if stats is not None:

@@ -362,6 +362,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             before = len(training)
             training = sample_covariates(training, layers)
             derived["train_dropped_sampling"] = before - len(training)
+        logger.info("training records: %d after sampling", derived["train_count_initial"]
+                    - derived.get("train_dropped_sampling", 0))
 
         enter("fine-grid")
         fine = _fine_grid_header(cfg, observed)
@@ -371,6 +373,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             before = len(prediction_points)
             prediction_points = sample_covariates(prediction_points, layers)
             derived["predict_dropped_sampling"] = before - len(prediction_points)
+        logger.info("prediction cells: %d after sampling", derived["predict_count_initial"]
+                    - derived.get("predict_dropped_sampling", 0))
 
         enter("clip")
         if region is not None:
@@ -378,6 +382,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             prediction_points = clip_points(prediction_points, region, s["buffer_km"])
             derived["train_count_after_clip"] = len(training)
             derived["predict_count_after_clip"] = len(prediction_points)
+            logger.info("after the clip: %d training records, %d prediction cells",
+                        derived["train_count_after_clip"], derived["predict_count_after_clip"])
             if len(training) == 0:
                 raise UsageError("no training records remain after region clipping")
             if len(prediction_points) == 0:
@@ -392,6 +398,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             cov.write_pca_sidecar(model, staging / "pca_model.csv")
             derived["pca_retained"] = model.retained
             derived["pca_eigenvalues"] = [float(v) for v in model.eigenvalues]
+            logger.info("pca: %d components retained", derived["pca_retained"])
 
         enter("model")
         values, forest = _predict(cfg, training, prediction_points, derived)
@@ -405,6 +412,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         if report_region is not None:
             predicted = predicted.subset(contains(report_region, predicted.lon, predicted.lat))
             derived["report_count"] = len(predicted)
+            logger.info("report count: %d", derived["report_count"])
             if len(predicted) == 0:
                 raise UsageError("no predictions fall inside the reporting region")
 

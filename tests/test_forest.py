@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -225,6 +226,107 @@ class TestLockstepOracle:
         self.assert_same(rf_fit(train, cfg), ref)
         monkeypatch.setattr(forest_module, "SPLIT_STACK_BYTES", 8 * mtry * 300)
         self.assert_same(rf_fit(train, cfg), ref)
+
+
+def stream_ref(rng):
+    """The 32-bit values a stream's 32-bit draws take, one by one: the half
+    of an output the bit generator holds back, if any, then the low and the
+    high half of each next 64-bit output."""
+    state = rng.bit_generator.state
+    if state["has_uint32"]:
+        yield state["uinteger"]
+    while True:
+        raw = int(rng.bit_generator.random_raw())
+        yield raw & 0xFFFFFFFF
+        yield raw >> 32
+
+
+def bounded_ref(values, bound, rejections):
+    """Lemire's draw in [0, bound] from an iterator of 32-bit values, one
+    value at a time; ``rejections`` counts the values rejected."""
+    if bound == 0:
+        return 0
+    span = bound + 1
+    while True:
+        m = next(values) * span
+        if m % (1 << 32) >= (1 << 32) % span:
+            return m >> 32
+        rejections.append(bound)
+
+
+def choice_ref(values, p, mtry, rejections):
+    """Generator.choice(p, size=mtry, replace=False) on 32-bit values, one
+    draw at a time: Floyd's algorithm, then a Fisher-Yates shuffle."""
+    picks = []
+    for j in range(p - mtry, p):
+        pick = bounded_ref(values, j, rejections)
+        picks.append(j if pick in picks else pick)
+    for i in range(mtry - 1, 0, -1):
+        j = bounded_ref(values, i, rejections)
+        picks[i], picks[j] = picks[j], picks[i]
+    return picks
+
+
+class TestFeatureReplay:
+    """Each tree's per-node features are replayed from its stream in one
+    vectorised pass; they must be the draws Generator.choice makes."""
+
+    @staticmethod
+    def streams(seed, count):
+        """count seeded streams, each past a bootstrap of odd or even length."""
+        rngs = [np.random.default_rng([seed, t]) for t in range(count)]
+        for t, rng in enumerate(rngs):
+            n = 20 + t % 7
+            rng.integers(0, n, size=n)
+        return rngs
+
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_matches_generator_choice(self, p):
+        held = set()
+        for mtry in range(1, p + 1):
+            oracle = self.streams(100 * p + mtry, 50)
+            tapes = forest_module._Tapes(self.streams(100 * p + mtry, 50))
+            held |= set(tapes.start.tolist())
+            cursor = tapes.start.copy()
+            for draw in range(4):
+                # a different subset of the trees, in tree order, at each draw
+                trees = np.flatnonzero(np.arange(50) % (draw + 1) == 0)
+                picks = forest_module._draw_features(tapes, cursor, trees, p, mtry)
+                expected = [oracle[t].choice(p, size=mtry, replace=False) for t in trees]
+                np.testing.assert_array_equal(picks, expected, err_msg=f"mtry {mtry}")
+        # tapes that start on a held-back half and tapes that do not
+        assert held == {0, 1}
+
+    def test_rejection_and_extension_match_scalar_rule(self, monkeypatch):
+        # one output per block, so every few draws read past a tape's end
+        monkeypatch.setattr(forest_module, "TAPE_BLOCK", 1)
+        p, mtry, count = 3, 3, 6
+        tapes = forest_module._Tapes(self.streams(9, count))
+        refs = [list(itertools.islice(stream_ref(rng), 200)) for rng in self.streams(9, count)]
+        # tree 2's second value, which Floyd's bound-2 draw reads, becomes 0:
+        # 0·3 leaves 0 < 2³² mod 3 = 1, so the draw is rejected
+        second = tapes.start[2] + 1
+        tapes.take(np.array([2]), np.array([second]))
+        tapes.values[2, second] = 0
+        refs[2][1] = 0
+        length = tapes.values.shape[1]
+        values = [iter(ref) for ref in refs]
+        rejections = []
+        cursor = tapes.start.copy()
+        for trees in ([0, 1, 2, 3, 4, 5], [2, 4], [0, 2, 3], [1, 2, 5], [2]):
+            picks = forest_module._draw_features(tapes, cursor, np.array(trees), p, mtry)
+            expected = [choice_ref(values[t], p, mtry, rejections) for t in trees]
+            np.testing.assert_array_equal(picks, expected)
+        assert rejections == [2]
+        assert tapes.values.shape[1] > length
+
+    @pytest.mark.parametrize("name", ["rounded", "mtry_p", "p_1"])
+    def test_short_tapes_extend_mid_growth(self, name, monkeypatch):
+        train, mtry, min_leaf = oracle_case(name)
+        cfg = RfConfig(ntree=5, mtry=mtry, min_leaf=min_leaf, seed=4)
+        ref = rf_fit_ref(train, cfg)
+        monkeypatch.setattr(forest_module, "TAPE_BLOCK", 1)
+        TestLockstepOracle.assert_same(rf_fit(train, cfg), ref)
 
 
 def tune_case(name):

@@ -52,6 +52,25 @@ def base_config(data_dir, out_dir, **kwargs):
     return cfg
 
 
+def count_lines(derived):
+    """The record counts a run logs at INFO before its model stage, from its
+    manifest's derived facts, in stage order."""
+    lines = [
+        "training records: "
+        f"{derived['train_count_initial'] - derived.get('train_dropped_sampling', 0)}"
+        " after sampling",
+        "prediction cells: "
+        f"{derived['predict_count_initial'] - derived.get('predict_dropped_sampling', 0)}"
+        " after sampling",
+    ]
+    if "train_count_after_clip" in derived:
+        lines.append(f"after the clip: {derived['train_count_after_clip']} training records, "
+                     f"{derived['predict_count_after_clip']} prediction cells")
+    if "pca_retained" in derived:
+        lines.append(f"pca: {derived['pca_retained']} components retained")
+    return lines
+
+
 def output_digest(out_dir):
     digest = {}
     for path in sorted(out_dir.iterdir()):
@@ -249,7 +268,36 @@ class TestRunKnn:
             run_pipeline(validate_config(base_config(data_dir, out)))
         assert capsys.readouterr().out == ""
         metrics = (out / "metrics.txt").read_text().strip()
-        assert [r.getMessage() for r in caplog.records] == [f"agreement: {metrics}"]
+        derived = json.loads((out / "manifest.json").read_text())["derived"]
+        assert [r.getMessage() for r in caplog.records] == (
+            count_lines(derived) + [f"agreement: {metrics}"])
+
+    def test_stage_record_counts_logged_at_info(self, tmp_path, caplog):
+        # every counting stage runs: sampling, region clip, pca, report clip
+        _, data_dir = dump_scenario(tmp_path, n_covariates=3)
+        out = tmp_path / "out"
+        region = str(data_dir / "region.geojson")
+        with caplog.at_level("INFO", logger="finegrid"):
+            run_pipeline(validate_config(base_config(
+                data_dir, out, pca=True, region_file=region, buffer_km=20.0,
+                report_region_file=region,
+                covariate_layers=[str(data_dir / f"cov{i:02d}.asc") for i in (1, 2, 3)])))
+        derived = json.loads((out / "manifest.json").read_text())["derived"]
+        counts = [derived[key] for key in (
+            "train_count_after_clip", "predict_count_after_clip", "pca_retained",
+            "report_count")]
+        metrics = (out / "metrics.txt").read_text().strip()
+        assert [r.getMessage() for r in caplog.records] == [
+            f"training records: {derived['train_count_initial']} after sampling",
+            f"prediction cells: {derived['predict_count_initial']} after sampling",
+            f"after the clip: {counts[0]} training records, {counts[1]} prediction cells",
+            f"pca: {counts[2]} components retained",
+            f"report count: {counts[3]}",
+            f"agreement: {metrics}",
+        ]
+        assert all(r.levelname == "INFO" for r in caplog.records)
+        assert 0 < counts[1] < derived["predict_count_initial"]
+        assert 0 < counts[3] < counts[1]
 
     def test_stage_wall_times_logged_at_debug(self, tmp_path, caplog):
         _, data_dir = dump_scenario(tmp_path)
@@ -472,7 +520,8 @@ class TestRf:
                 data_dir, out, method="rf", ntree=3, mtry=1,
                 covariate_layers=[str(data_dir / "cov01.asc"), str(data_dir / "cov02.asc")])))
         derived = json.loads((out / "manifest.json").read_text())["derived"]
-        assert caplog.records[0].getMessage() == self.rf_log_line(derived, "fixed")
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages[:-1] == count_lines(derived) + [self.rf_log_line(derived, "fixed")]
 
     def test_tuned_mtry_recorded(self, tmp_path, caplog):
         _, data_dir = dump_scenario(tmp_path, n_covariates=3)
@@ -484,7 +533,8 @@ class TestRf:
             run_pipeline(cfg)
         manifest = (out / "manifest.json").read_bytes()
         derived = json.loads(manifest)["derived"]
-        assert caplog.records[0].getMessage() == self.rf_log_line(derived, "tuned")
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages[:-1] == count_lines(derived) + [self.rf_log_line(derived, "tuned")]
         assert derived["tuned_mtry"] == derived["mtry_used"]
         assert derived["tuned_mtry"] in (1, 2)
         cv_rmse = {int(c): rmse for c, rmse in derived["mtry_cv_rmse"].items()}
@@ -503,6 +553,25 @@ class TestRf:
         assert derived["forest_max_depth"] > 0
         run_pipeline(cfg)
         assert (out / "manifest.json").read_bytes() == manifest
+
+    def test_tuned_forest_pinned_digests(self, tmp_path):
+        # the quick start's data and CI's tuned rerun config; the digests are
+        # those of the forests grown with one Generator.choice call per split
+        # node, which the batched feature replay must reproduce bit for bit
+        make_scenario(7, (128, 128), coarse_factor=8, n_covariates=4, noise_stdev=0.01,
+                      gap_fraction=0.2).dump(tmp_path / "data")
+        out = tmp_path / "tune"
+        run_pipeline(validate_config({
+            "observed_grid": str(tmp_path / "data" / "observed.asc"),
+            "covariate_layers": [str(tmp_path / "data" / f"cov{i:02d}.asc") for i in range(1, 5)],
+            "output_dir": str(out), "method": "rf", "ntree": 30, "mtry": "tune", "folds": 5,
+            "seed": 7, "fine_factor": 8,
+        }))
+        digests = output_digest(out)
+        assert digests["forest.txt"] == (
+            "57df846c755abebc01372e58c26a4fd14207d95c6937b8a8538668769712d587")
+        assert digests["prediction.asc"] == (
+            "615899500cc6050cf4bbd1f5938fbc67e24cffc839bdfe6dec8d2f8adf1209d3")
 
 
 class TestDailyGrids:
@@ -715,7 +784,9 @@ class TestHyppoPipeline:
         fold_fits = derived["hyppo_loo_fold_fits"]
         assert fold_fits.keys() == {"0", "1", "2"} and fold_fits["0"] == 0
         refits = derived["hyppo_query_refits"]
-        assert caplog.records[0].getMessage() == (
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages[:-2] == count_lines(derived)
+        assert messages[-2] == (
             f"hyppo: {sets} neighbor sets for {derived['predict_count_initial']} queries, "
             f"degree counts { {int(d): c for d, c in counts.items()} }, "
             f"leave-one-out fold fits { {int(d): n for d, n in fold_fits.items()} }, "

@@ -181,7 +181,11 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--verbose"]) == 0
         verbose = capsys.readouterr()
         metrics = (out_dir / "metrics.txt").read_text().strip()
-        assert verbose.err == f"agreement: {metrics}\n"
+        derived = json.loads((out_dir / "manifest.json").read_text())["derived"]
+        assert verbose.err == (
+            f"training records: {derived['train_count_initial']} after sampling\n"
+            f"prediction cells: {derived['predict_count_initial']} after sampling\n"
+            f"agreement: {metrics}\n")
         assert verbose.out == quiet.out
         # the handler goes away with the run
         assert logging.getLogger("finegrid").handlers == handlers
