@@ -146,6 +146,8 @@ def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int,
     n = train_feats.shape[0]
     if not 1 <= k <= n:
         raise UsageError(f"k = {k} must lie in [1, {n}]: there are {n} training records")
+    if chunk is not None and not (isinstance(chunk, (int, np.integer)) and chunk > 0):
+        raise UsageError(f"chunk must be None or a positive integer, got {chunk!r}")
     nq = query_feats.shape[0]
     tile = chunk or max(64, SEARCH_TILE_PAIRS // n)
     # the pruning arithmetic runs feature-major: numpy reduces a few

@@ -26,9 +26,8 @@ mtry > p // 50; the replay does not.) The forest equals the one that
 growing each tree alone by recursion, with one ``choice`` call per
 split-searched node, gives, bit for bit, for five reasons:
 
-- each tree's draws come from its own tape, in its own order, so
-  interleaving the trees, replaying the draws of many trees in one pass, or
-  grouping the trees on worker threads changes no tree's draws;
+- each tree's draws come from its own tape, in its own order, so interleaving
+  the trees or replaying many trees' draws in one pass changes none of them;
 - each tree pops its nodes in preorder (right child pushed before left),
   and only split-searching nodes draw, so each draw lands on the same node
   and node ids are the same preorder ids;
@@ -42,8 +41,7 @@ split-searched node, gives, bit for bit, for five reasons:
   pairwise order as ``np.mean`` over that leaf alone. Rows are never padded:
   numpy's pairwise sum groups by length.
 
-Fitting is therefore bit-identical run to run, for any batch size and any
-number of worker threads.
+Fitting is therefore bit-identical run to run, for any batch size.
 
 Routing (:func:`_route`) walks every (tree, row) pair at once over the
 trees' node arrays laid end to end, reading covariates feature-major.
@@ -53,7 +51,8 @@ over all trees, and the out-of-bag error, over each record's out-of-bag
 trees. It takes rows in chunks of at most ROUTE_PAIRS pairs, and at least one
 row of ntree pairs, so memory does not grow with the query count. bincount
 adds each row's leaves in tree order from 0.0: the same float additions as a
-per-tree loop.
+per-tree loop. The chunks run on ``workers`` threads, each writing only its
+own rows; chunk bounds do not depend on ``workers``, so neither do the sums.
 
 mtry tuning (:func:`tune_mtry`) grows a candidate's fold forests without
 ``rf_fit``, in groups of consecutive folds whose bootstrap rows (ntree ×
@@ -205,19 +204,27 @@ def _route(stacked: tuple, x: np.ndarray, trees: np.ndarray, rows: np.ndarray) -
     return value[nodes]
 
 
-def _leaf_sums(stacked: tuple, x: np.ndarray, member: np.ndarray) -> np.ndarray:
+def _leaf_sums(stacked: tuple, x: np.ndarray, member: np.ndarray, workers: int) -> np.ndarray:
     """Per row q of x, the sum of the leaves q reaches in the trees t of the
     :func:`_stack` arrays where ``member[t, q]`` holds, added in tree order
-    from 0.0 (see the module docstring)."""
+    from 0.0; row chunks run on ``workers`` threads (see the module docstring)."""
     ntree, nq = member.shape
     step = max(1, ROUTE_PAIRS // ntree)
     sums = np.empty(nq)
-    for lo in range(0, nq, step):
+
+    def route_chunk(lo: int) -> None:
         chunk = x[lo : lo + step]
         # tree-major pairs, so bincount adds each row's leaves in tree order
         trees, rows = np.nonzero(member[:, lo : lo + step])
         leaves = _route(stacked, chunk, trees, rows)
         sums[lo : lo + step] = np.bincount(rows, weights=leaves, minlength=len(chunk))
+
+    # one thread needs no pool, whose start cost about 2 ms a call on rf-tune's inputs
+    if workers == 1:
+        list(map(route_chunk, range(0, nq, step)))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(route_chunk, range(0, nq, step)))
     return sums
 
 
@@ -470,12 +477,13 @@ def rf_fit(train: PointTable, cfg: RfConfig, workers: int = 1) -> Forest:
     """Grow cfg.ntree trees on bootstrap samples of the training covariates.
 
     mtry must be a fixed integer here; resolve "tune" through tune_mtry
-    first. With workers > 1 the trees are split into that many contiguous
-    groups, each grown in lockstep on its own thread; the result is
-    identical for any worker count.
+    first. All trees grow in one lockstep on the calling thread; out-of-bag
+    routing runs on ``workers`` threads, and no result depends on their count.
     """
     z = train.require_targets()
     n, p = len(train), train.p
+    if workers < 1:
+        raise UsageError(f"workers = {workers} must be at least 1")
     if p == 0:
         raise UsageError("random forest needs at least one covariate column")
     if isinstance(cfg.mtry, str):
@@ -485,21 +493,10 @@ def rf_fit(train: PointTable, cfg: RfConfig, workers: int = 1) -> Forest:
     x = train.covariates
 
     rngs, in_bag = _tree_draws(cfg, n)
-
-    def grow(group: slice) -> list:
-        return _grow_trees(x, z, in_bag[group], _Tapes(rngs[group]), cfg.mtry, cfg.min_leaf)
-
-    bounds = np.linspace(0, cfg.ntree, min(max(workers, 1), cfg.ntree) + 1).astype(int)
-    groups = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    if len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-            trees = tuple(tree for grown in pool.map(grow, groups) for tree in grown)
-    else:
-        trees = tuple(grow(groups[0]))
-
+    trees = tuple(_grow_trees(x, z, in_bag, _Tapes(rngs), cfg.mtry, cfg.min_leaf))
     # tree t's out-of-bag records are those its bootstrap never drew
     oob = np.stack([np.bincount(boot, minlength=n) == 0 for boot in in_bag])
-    oob_sum = _leaf_sums(_stack(trees), x, oob)
+    oob_sum = _leaf_sums(_stack(trees), x, oob, workers)
     oob_count = oob.sum(axis=0)
     covered = oob_count > 0
     if covered.any():
@@ -510,12 +507,14 @@ def rf_fit(train: PointTable, cfg: RfConfig, workers: int = 1) -> Forest:
     return Forest(trees, in_bag, oob_rmse, p, cfg)
 
 
-def rf_predict(forest: Forest, queries: PointTable) -> np.ndarray:
-    """Mean over all trees of the leaf each query routes to."""
+def rf_predict(forest: Forest, queries: PointTable, workers: int = 1) -> np.ndarray:
+    """Mean over all trees of the leaf each query routes to, on ``workers`` threads."""
+    if workers < 1:
+        raise UsageError(f"workers = {workers} must be at least 1")
     if queries.p != forest.p:
         raise UsageError(f"query covariate width {queries.p} does not match fitted {forest.p}")
-    x, ntree = queries.covariates, forest.ntree
-    return _leaf_sums(_stack(forest.trees), x, np.broadcast_to(True, (ntree, len(x)))) / ntree
+    member = np.broadcast_to(True, (forest.ntree, len(queries)))
+    return _leaf_sums(_stack(forest.trees), queries.covariates, member, workers) / forest.ntree
 
 
 def default_mtry_grid(p: int) -> list[int]:
@@ -531,6 +530,7 @@ def tune_mtry(
     candidates: list[int] | None = None,
     folds: int = 10,
     stats: dict | None = None,
+    workers: int = 1,
 ) -> int:
     """Pick the candidate mtry with the lowest mean k-fold RMSE.
 
@@ -541,9 +541,9 @@ def tune_mtry(
     records, bit for bit (see the module docstring): consecutive folds grow in
     one lockstep while their bootstrap rows stay within TUNE_LOCKSTEP_ROWS,
     and each group's held-out records are scored in one member-masked routing
-    pass. No out-of-bag error is computed. A ``stats`` dict, if given,
-    receives ``cv_rmse``, each candidate's mean fold RMSE, and ``fold_rmse``,
-    the (candidate, fold) RMSE array.
+    pass on ``workers`` threads. No out-of-bag error is computed. A ``stats``
+    dict, if given, receives ``cv_rmse``, each candidate's mean fold RMSE, and
+    ``fold_rmse``, the (candidate, fold) RMSE array.
     """
     z = train.require_targets()
     n, p = len(train), train.p
@@ -558,6 +558,8 @@ def tune_mtry(
         raise UsageError("tune_mtry needs at least 2 folds")
     if n < folds:
         raise UsageError(f"{n} records cannot fill {folds} folds")
+    if workers < 1:
+        raise UsageError(f"workers = {workers} must be at least 1")
 
     x, ntree = train.covariates, cfg.ntree
     rng = np.random.default_rng([cfg.seed & _SEED_MASK, _TUNE_STREAM])
@@ -582,7 +584,7 @@ def tune_mtry(
         member = np.repeat(fold_of[held] == np.array(group)[:, None], ntree, axis=0)
         for ci, cand in enumerate(candidates):
             trees = _grow_trees(x, z, boots, tapes, cand, cfg.min_leaf)
-            pred[ci, held] = _leaf_sums(_stack(trees), x[held], member) / ntree
+            pred[ci, held] = _leaf_sums(_stack(trees), x[held], member, workers) / ntree
     fold_rmse = np.empty((len(candidates), folds))
     for ci in range(len(candidates)):
         for fi, test_idx in enumerate(fold_indices):

@@ -270,6 +270,8 @@ def hyppo_predict_with_degrees(
     fold fit as ``loo_fold_fits`` and of queries refit through
     fit_polynomial as ``query_refits``.
     """
+    if chunk is not None and not (isinstance(chunk, (int, np.integer)) and chunk > 0):
+        raise UsageError(f"chunk must be None or a positive integer, got {chunk!r}")
     z = train.require_targets()
     train_f = space.features(train)
     query_f = space.features(queries)

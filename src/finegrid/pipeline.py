@@ -276,7 +276,8 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
     cv = ""
     if model_cfg.mtry == "tune":
         stats = {}
-        tuned = tune_mtry(training, model_cfg, s["mtry_grid"], folds=s["folds"], stats=stats)
+        tuned = tune_mtry(training, model_cfg, s["mtry_grid"], folds=s["folds"], stats=stats,
+                          workers=s["workers"])
         derived["tuned_mtry"] = tuned
         derived["mtry_cv_rmse"] = stats["cv_rmse"]
         cv = f", cv_rmse {stats['cv_rmse']}"
@@ -289,7 +290,7 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
     logger.info("rf: %s mtry %d, oob_rmse %r, forest_nodes %d, forest_max_depth %d%s",
                 "tuned" if s["mtry"] == "tune" else "fixed", model_cfg.mtry,
                 forest.oob_rmse, derived["forest_nodes"], derived["forest_max_depth"], cv)
-    return rf_predict(forest, prediction), forest
+    return rf_predict(forest, prediction, workers=s["workers"]), forest
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunResult:

@@ -469,13 +469,39 @@ class TestDeterminism:
         queries = random_train(rng, 30)
         np.testing.assert_array_equal(rf_predict(a, queries), rf_predict(b, queries))
 
-    def test_worker_count_invariance(self, rng):
-        train = random_train(rng)
-        cfg = RfConfig(ntree=8, mtry=2, min_leaf=3, seed=7)
-        serial = rf_fit(train, cfg, workers=1)
-        parallel = rf_fit(train, cfg, workers=4)
-        assert serialize_forest(serial) == serialize_forest(parallel)
-        assert serial.oob_rmse == parallel.oob_rmse
+    @staticmethod
+    def fit_predict_tune(train, queries, workers):
+        forest = rf_fit(train, RfConfig(ntree=8, mtry=2, min_leaf=3, seed=7), workers=workers)
+        stats = {}
+        choice = tune_mtry(train, RfConfig(ntree=4, mtry="tune", min_leaf=3, seed=7),
+                           [1, 2, 3], folds=3, stats=stats, workers=workers)
+        return forest, rf_predict(forest, queries, workers=workers), stats["fold_rmse"], choice
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_count_invariance(self, rng, workers, monkeypatch):
+        train, queries = random_train(rng), random_train(rng, 50)
+        forest, pred, fold_rmse, choice = self.fit_predict_tune(train, queries, 1)
+        # 7 pairs make every routing pass many chunks, so threads share them
+        monkeypatch.setattr(forest_module, "ROUTE_PAIRS", 7)
+        other, other_pred, other_rmse, other_choice = self.fit_predict_tune(
+            train, queries, workers)
+        assert serialize_forest(other) == serialize_forest(forest)
+        assert same_bits(other.oob_rmse, forest.oob_rmse)
+        assert same_bits(other_pred, pred)
+        assert same_bits(other_rmse, fold_rmse)
+        assert other_choice == choice
+
+    def test_fit_grows_every_tree_in_one_lockstep(self, rng, monkeypatch):
+        calls, grow = [], forest_module._grow_trees
+
+        def grow_trees(x, z, boots, *args):
+            calls.append(len(boots))
+            return grow(x, z, boots, *args)
+
+        monkeypatch.setattr(forest_module, "_grow_trees", grow_trees)
+        forest = rf_fit(random_train(rng), RfConfig(ntree=8, mtry=2, seed=7), workers=4)
+        assert calls == [8]
+        assert forest.ntree == 8
 
     def test_different_seeds_differ(self, rng):
         train = random_train(rng)
@@ -682,3 +708,16 @@ class TestValidation:
         forest = rf_fit(random_train(rng, 40, 3), RfConfig(ntree=2, mtry=2))
         with pytest.raises(UsageError):
             rf_predict(forest, random_train(rng, 5, 2))
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, rng, workers):
+        train = random_train(rng, 40)
+        forest = rf_fit(train, RfConfig(ntree=2, mtry=2))
+        calls = [
+            lambda: rf_fit(train, RfConfig(ntree=2, mtry=2), workers=workers),
+            lambda: rf_predict(forest, train, workers=workers),
+            lambda: tune_mtry(train, RfConfig(ntree=2), [1, 2], folds=2, workers=workers),
+        ]
+        for call in calls:
+            with pytest.raises(UsageError, match="workers"):
+                call()

@@ -498,6 +498,13 @@ class TestHyppoPredict:
         _, degrees, rank_deficient = runs[0]
         assert 0 < np.count_nonzero(rank_deficient[degrees == 3]) < np.count_nonzero(degrees == 3)
 
+    @pytest.mark.parametrize("chunk", [0, -1, 2.5])
+    def test_bad_chunk_rejected(self, rng, chunk):
+        train, queries = lattice_case(rng, 23)
+        space = FeatureSpace.fit("coords", train)
+        with pytest.raises(UsageError, match="chunk"):
+            hyppo_predict_with_degrees(train, queries, HyppoConfig(k=8), space, chunk=chunk)
+
     def test_shared_neighbor_set_shares_degree(self, rng):
         train, queries = lattice_case(rng, 300)
         space = FeatureSpace.fit("coords", train)

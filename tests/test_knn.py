@@ -53,6 +53,12 @@ class TestNeighborSearch:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
+    @pytest.mark.parametrize("chunk", [0, -1, 2.5, "7"])
+    def test_bad_chunk_rejected(self, rng, chunk):
+        train_f = rng.normal(0, 1, (40, 2))
+        with pytest.raises(UsageError, match="chunk"):
+            neighbor_search(train_f, train_f[:5], 3, chunk=chunk)
+
     def test_lattice_with_gaps_matches_brute_force_bitwise(self, rng):
         # coarse-cell centroids with 20 % gaps as training, fine-cell centres
         # as queries: many training points, so tiles prune, and every

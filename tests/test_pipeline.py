@@ -24,6 +24,7 @@ from finegrid import (
     write_ascii_grid,
     write_region,
 )
+import finegrid.models.forest as forest_module
 import finegrid.models.hyppo as hyppo_module
 from finegrid.grid import grid_centroids
 from finegrid.models.features import neighbor_search
@@ -553,6 +554,29 @@ class TestRf:
         assert derived["forest_max_depth"] > 0
         run_pipeline(cfg)
         assert (out / "manifest.json").read_bytes() == manifest
+
+    def test_tuned_outputs_independent_of_workers(self, tmp_path, monkeypatch):
+        # a small pair budget gives every routing pass many chunks to share
+        monkeypatch.setattr(forest_module, "ROUTE_PAIRS", 64)
+        _, data_dir = dump_scenario(tmp_path, n_covariates=3)
+        out = tmp_path / "out"
+        raw = base_config(
+            data_dir, out, method="rf", ntree=6, folds=3, render=True,
+            covariate_layers=[str(data_dir / f"cov{i:02d}.asc") for i in (1, 2, 3)])
+        run_pipeline(validate_config(raw))
+        out.rename(tmp_path / "serial")
+        run_pipeline(validate_config({**raw, "workers": 3}))
+        serial = json.loads((tmp_path / "serial" / "manifest.json").read_text())
+        threaded = json.loads((out / "manifest.json").read_text())
+        assert threaded["config"]["workers"] == 3
+        threaded["config"]["workers"] = 1
+        assert threaded == serial
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert "forest.txt" in names and "prediction.ppm" in names
+        for name in names:
+            if name != "manifest.json":
+                assert (out / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
     def test_tuned_forest_pinned_digests(self, tmp_path):
         # the quick start's data and CI's tuned rerun config; the digests are
