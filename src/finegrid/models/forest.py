@@ -1,36 +1,24 @@
 """Random forest regression: bagged CART trees with per-node feature sampling.
 
-Each tree draws its bootstrap sample, then the mtry features of each node
-it split-searches, from an independent stream seeded by (seed, tree index).
-The trees of a fit grow in lockstep: every tree walks its own explicit
-preorder stack, recording leaves as it pops them, until it pops a node that
-needs a split search (at least 2·min_leaf records and more than one target
-value). One vectorised replay (:func:`_draw_features`) then draws the
-features of every tree's pending node, and one batched search
-(:func:`_split_search`) finds the best split of each at once. The leaf test
-of both children of every split in a step is one batched pass too.
+Tree t draws its bootstrap sample from a stream seeded by (seed, t). Each
+node it splits samples its mtry features by key, not from that stream: the
+features f with the smallest splitmix64 outputs ``_mix(key ^ salt[f])``,
+where ``salt[f] = _mix(f)``, in increasing order of that output. ``_mix``
+is a bijection, so the outputs of one key never tie. The root key is ``_mix(_mix(seed) ^ t)``, and a child's key is
+``_mix(parent key ^ side)``, 0 for the left child and 1 for the right. A
+node's features therefore depend only on its path from the root, not on
+the other nodes or trees grown with it.
 
-The replay draws what ``Generator.choice(p, size=mtry, replace=False)``
-draws: Floyd's algorithm over j = p − mtry … p − 1, where a pick already
-taken becomes j, then a Fisher–Yates shuffle over i = mtry − 1 … 1. Each
-step is one Lemire draw in [0, bound] from a 32-bit value u: with
-m = u·(bound + 1), the draw is m >> 32, unless m mod 2³² < 2³² mod
-(bound + 1), when the next value is drawn instead; bound 0 takes no value.
-The values come from each tree's tape (:class:`_Tapes`): the half of a
-64-bit output its bit generator holds back after the bootstrap, if any, then
-the low and the high half of each next output. Tapes are read from the
-stream in blocks of TAPE_BLOCK outputs, so a tree's stream ends advanced
-past its last draw, to the end of its last block; nothing draws from it
-after growth. (numpy's ``choice`` takes another path when p > 10 000 and
-mtry > p // 50; the replay does not.) The forest equals the one that
-growing each tree alone by recursion, with one ``choice`` call per
-split-searched node, gives, bit for bit, for five reasons:
+All trees of a fit grow breadth first together, one numpy step per level:
+a ``reduceat`` leaf test (fewer than 2·min_leaf records, or a single target
+value), one argsort of the keyed draws, the batched split search
+(:func:`_split_search`) in slices of at most SPLIT_STACK_BYTES, and one
+stable partition of the split nodes' records into their children. Node ids
+are breadth first within each tree. The forest equals growing each tree
+alone, one node at a time from a FIFO queue, bit for bit:
 
-- each tree's draws come from its own tape, in its own order, so interleaving
-  the trees or replaying many trees' draws in one pass changes none of them;
-- each tree pops its nodes in preorder (right child pushed before left),
-  and only split-searching nodes draw, so each draw lands on the same node
-  and node ids are the same preorder ids;
+- the stable partition keeps each child's records in their parent's order,
+  as masking the parent's records does;
 - a stable argsort's permutation is unique, so sorting a node's padded row
   orders its records exactly as sorting them alone does, and the cumulative
   sums, midpoints and scores over that prefix are the same float operations;
@@ -41,7 +29,8 @@ split-searched node, gives, bit for bit, for five reasons:
   pairwise order as ``np.mean`` over that leaf alone. Rows are never padded:
   numpy's pairwise sum groups by length.
 
-Fitting is therefore bit-identical run to run, for any batch size.
+Fitting is therefore bit-identical run to run, for any batch size and
+whichever trees grow together.
 
 Routing (:func:`_route`) walks every (tree, row) pair at once over the
 trees' node arrays laid end to end, reading covariates feature-major.
@@ -54,19 +43,10 @@ adds each row's leaves in tree order from 0.0: the same float additions as a
 per-tree loop. The chunks run on ``workers`` threads, each writing only its
 own rows; chunk bounds do not depend on ``workers``, so neither do the sums.
 
-mtry tuning (:func:`tune_mtry`) grows a candidate's fold forests without
-``rf_fit``, in groups of consecutive folds whose bootstrap rows (ntree ×
-training records each) stay within TUNE_LOCKSTEP_ROWS; each group is one
-lockstep. Fold f's tree t draws its stream and bootstrap as ``rf_fit`` does
-on that fold's training records (one helper serves both), and the bootstrap
-is mapped to full-table rows, so the grower reads the same values in the same
-positions and grows the same tree, bit for bit. A group's bootstraps and
-tapes are drawn once and serve every candidate, as the stream that follows
-tree (f, t)'s bootstrap does not depend on mtry. Each group's held-out records
-are scored in one :func:`_leaf_sums` pass whose member mask lets tree (f, t)
-count only for fold f's records, so each record's leaves are added in tree
-order from 0.0, as ``rf_predict`` adds them over its fold's forest. Tuning
-computes no out-of-bag error.
+mtry tuning (:func:`tune_mtry`) grows each fold's forests without
+``rf_fit``, from the bootstraps and keys ``rf_fit`` would draw on that
+fold's training records, mapped to full-table rows, so each is the forest
+``rf_fit`` grows there, bit for bit. Tuning computes no out-of-bag error.
 """
 
 from __future__ import annotations
@@ -97,17 +77,6 @@ ROUTE_PAIRS = 1 << 15
 # 128 KiB, and tuning 720 records (p 4, 10 folds, 100 trees) peaked at 48 MB
 # RSS, against 52 MB at 1 MiB.
 SPLIT_STACK_BYTES = 1 << 16
-
-# bootstrap rows (ntree × training records per fold) that one tune_mtry
-# lockstep grows at most; a fold over it alone grows on its own. Every tree
-# in a lockstep keeps its node records until growth ends, so the bound caps
-# that memory: tuning 720 records over 10 folds of 100 trees peaked at 129 MB
-# RSS unbounded, against 48 MB with each fold alone.
-TUNE_LOCKSTEP_ROWS = 8192
-
-# 64-bit outputs a tree's tape (see _Tapes) takes from its stream at a time
-TAPE_BLOCK = 128
-
 
 @dataclass(frozen=True)
 class RfConfig:
@@ -228,27 +197,26 @@ def _leaf_sums(stacked: tuple, x: np.ndarray, member: np.ndarray, workers: int) 
     return sums
 
 
-def _split_search(x: np.ndarray, z: np.ndarray, rows: list, feats: np.ndarray, min_leaf: int):
-    """Lowest-SSE (feature, threshold) of each node over its sampled features, or None.
+def _split_search(x: np.ndarray, z: np.ndarray, rows, sizes, feats: np.ndarray, min_leaf: int):
+    """Lowest-SSE (feature, threshold) of each node over its sampled features.
 
-    Node k holds the records ``rows[k]`` of x and z and samples the features
-    ``feats[k]``. Thresholds are midpoints between consecutive sorted values,
-    kept only when they fall strictly between the two values and both
-    children reach min_leaf. Ties keep the earliest sampled feature, then the
-    lowest threshold. All nodes are searched in one padded
-    (nodes, mtry, largest node) stack.
+    Node k holds ``sizes[k]`` records of x and z, listed node after node in
+    ``rows``, and samples the features ``feats[k]``. Thresholds are midpoints
+    between consecutive sorted values, kept only when they fall strictly
+    between the two values and both children reach min_leaf. Ties keep the
+    earliest sampled feature, then the lowest threshold. All nodes are
+    searched in one padded (nodes, mtry, largest node) stack. Returns the
+    (feature, threshold) arrays; feature is -1 where no threshold is kept.
     """
     nodes, mtry = feats.shape
-    sizes = np.array([len(r) for r in rows])
     width = int(sizes.max())
-    flat = np.concatenate(rows)
     node = np.repeat(np.arange(nodes), sizes)
-    pos = np.arange(len(flat)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    pos = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     xs = np.full((nodes, mtry, width), np.inf)
-    xs[node, :, pos] = x[flat[:, None], feats[node]]
+    xs[node, :, pos] = x[rows[:, None], feats[node]]
     zs = np.zeros((nodes, 1, width))
-    zs[node, 0, pos] = z[flat]
-    del flat, node, pos
+    zs[node, 0, pos] = z[rows]
+    del node, pos
     order = np.argsort(xs, axis=-1, kind="stable")
     xs = np.take_along_axis(xs, order, axis=-1)
     zs = np.take_along_axis(zs, order, axis=-1)
@@ -289,12 +257,10 @@ def _split_search(x: np.ndarray, z: np.ndarray, rows: list, feats: np.ndarray, m
     score[~valid] = math.inf
     score = score.reshape(nodes, -1)
     best = np.argmin(score, axis=1)
-    found = score[np.arange(nodes), best] < math.inf
+    k = np.arange(nodes)
+    found = score[k, best] < math.inf
     f, i = np.divmod(best, width - 1)
-    return [
-        (int(feats[k, f[k]]), float(mid[k, f[k], i[k]])) if found[k] else None
-        for k in range(nodes)
-    ]
+    return np.where(found, feats[k, f], -1), np.where(found, mid[k, f, i], 0.0)
 
 
 def _batches(sizes: list, unit: int, budget: int):
@@ -309,176 +275,127 @@ def _batches(sizes: list, unit: int, budget: int):
     yield slice(start, len(sizes))
 
 
-def _leaf_flags(z: np.ndarray, rows: list, min_leaf: int) -> np.ndarray:
-    """Whether each node, holding the records ``rows[k]``, is a leaf: fewer
-    than 2·min_leaf records, or a single target value."""
-    sizes = np.array([len(r) for r in rows], dtype=np.int64)
+def _leaf_flags(z: np.ndarray, rows: np.ndarray, sizes: np.ndarray, min_leaf: int) -> np.ndarray:
+    """Whether each node, holding ``sizes[k]`` records listed node after node
+    in ``rows``, is a leaf: fewer than 2·min_leaf records, or a single target
+    value."""
     small = sizes < 2 * min_leaf
-    if small.all():  # no purity to test, an empty list included
+    if small.all():  # no purity to test, an empty level included
         return small
-    zs = z[np.concatenate(rows)]
+    zs = z[rows]
     starts = np.cumsum(sizes) - sizes
     return small | (np.minimum.reduceat(zs, starts) == np.maximum.reduceat(zs, starts))
 
 
-class _Tapes:
-    """Each tree's stream as the 32-bit values its draws take, one row per tree.
-
-    A 32-bit draw takes the half of a 64-bit output that the bit generator
-    holds back, if it holds one, then the low half, then the high half, of
-    each next output. Row t starts with tree t's held-back value, first read
-    at ``start[t]`` = 0 (or skipped, ``start[t]`` = 1, when none is held), and
-    goes on with the halves of its stream's ``random_raw`` blocks of
-    TAPE_BLOCK outputs. Values are held as uint64, ready to multiply. A tape
-    is read, never consumed: every growth starts its own cursors at ``start``.
-    """
-
-    def __init__(self, rngs: list):
-        self.rngs = rngs
-        states = [rng.bit_generator.state for rng in rngs]
-        self.start = np.array([1 - s["has_uint32"] for s in states], dtype=np.int64)
-        self.values = np.array([s["uinteger"] for s in states], dtype=np.uint64)[:, None]
-
-    def take(self, trees: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """Value ``at[k]`` of row ``trees[k]``, for every k; a row read past its
-        end first gets one more block appended to every row."""
-        while True:
-            try:
-                return self.values[trees, at]
-            except IndexError:
-                raw = np.array(
-                    [rng.bit_generator.random_raw(TAPE_BLOCK) for rng in self.rngs],
-                    dtype=np.uint64,
-                ).reshape(len(self.rngs), TAPE_BLOCK, 1)
-                halves = np.concatenate([raw & 0xFFFFFFFF, raw >> 32], axis=2)
-                self.values = np.hstack([self.values, halves.reshape(len(self.rngs), -1)])
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output for each 64-bit state in the uint64 array z (Steele,
+    Lea and Flood, OOPSLA 2014); a bijection. Array arithmetic wraps silently,
+    where numpy scalars would warn, so keys stay in arrays."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def _bounded(tapes: _Tapes, trees: np.ndarray, at: np.ndarray, bound: int) -> np.ndarray:
-    """One draw in [0, bound] per tree, read at ``at`` (which moves past
-    every value taken), by Lemire's rule as numpy's 32-bit bounded draw
-    applies it: value u gives m = u·(bound + 1) and the draw m >> 32, unless
-    m mod 2³² < 2³² mod (bound + 1); then the tree draws again."""
-    span = np.uint64(bound + 1)
-    threshold = (1 << 32) % (bound + 1)
-    out = np.empty(len(trees), dtype=np.int64)
-    todo = slice(None)
-    while True:
-        m = tapes.take(trees[todo], at[todo]) * span
-        at[todo] += 1
-        out[todo] = m >> 32
-        redraw = (m & 0xFFFFFFFF) < threshold
-        if not redraw.any():
-            return out
-        todo = np.arange(len(trees))[todo][redraw]
+def _root_keys(seed: int, ntree: int) -> np.ndarray:
+    """Each tree t's root key, _mix(_mix(seed) ^ t)."""
+    mixed = _mix(np.array([seed & _SEED_MASK], dtype=np.uint64))
+    return _mix(mixed ^ np.arange(ntree, dtype=np.uint64))
 
 
-def _draw_features(tapes: _Tapes, cursor: np.ndarray, trees: np.ndarray, p: int, mtry: int):
-    """(len(trees), mtry) features: row k holds what
-    ``Generator.choice(p, size=mtry, replace=False)`` draws on tree
-    ``trees[k]``'s stream from its cursor on, and the cursors move past the
-    values taken. That is numpy's Floyd's algorithm, then a Fisher–Yates
-    shuffle of the picks; the trees must be distinct."""
-    at = cursor[trees]
-    picks = np.zeros((len(trees), mtry), dtype=np.int64)
-    for k, j in enumerate(range(p - mtry, p)):
-        if j == 0:  # a draw in [0, 0] takes no value
-            continue
-        pick = _bounded(tapes, trees, at, j)
-        if k:  # a pick already taken is replaced by j, which no earlier pick can be
-            pick[(picks[:, :k] == pick[:, None]).any(axis=1)] = j
-        picks[:, k] = pick
-    rows = np.arange(len(trees))
-    for i in range(mtry - 1, 0, -1):
-        j = _bounded(tapes, trees, at, i)
-        swapped = picks[rows, j]
-        picks[rows, j] = picks[:, i]
-        picks[:, i] = swapped
-    cursor[trees] = at
-    return picks
+def _keyed_features(keys: np.ndarray, p: int, mtry: int) -> np.ndarray:
+    """(len(keys), mtry) features: for each key, the mtry features f with the
+    smallest _mix(key ^ _mix(f)), in increasing order of it."""
+    salts = _mix(np.arange(p, dtype=np.uint64))
+    return np.argsort(_mix(keys[:, None] ^ salts), axis=1)[:, :mtry]
 
 
-def _grow_trees(x: np.ndarray, z: np.ndarray, boots: list, tapes: _Tapes, mtry: int, min_leaf: int):
-    """Grow one tree per bootstrap sample, all in lockstep (see the module docstring)."""
-    p = x.shape[1]
-    cursor = tapes.start.copy()
-    # per tree, one [feature, threshold, left, right, value] record per node
-    built = [[] for _ in boots]
-    # (node record, records) of every leaf; values are settled after growth
-    leaves = []
-    # stack entries: (records, is a leaf, parent's node record or None,
-    # 2 for a left child, 3 for a right)
-    stacks = [[(boot, leaf, None, 0)] for boot, leaf in zip(boots, _leaf_flags(z, boots, min_leaf))]
-    while True:
-        pending, trees = [], []
-        for t, (tree, stack) in enumerate(zip(built, stacks)):
-            while stack:
-                rows, leaf, parent, side = stack.pop()
-                node = [-1, 0.0, -1, -1, 0.0]
-                if parent is not None:
-                    parent[side] = len(tree)
-                tree.append(node)
-                if leaf:
-                    leaves.append((node, rows))
-                    continue
-                pending.append((stack, node, rows))
-                trees.append(t)
-                break
-        if not pending:
-            break
-        feats = _draw_features(tapes, cursor, np.array(trees), p, mtry)
-        splits = []
-        for part in _batches([len(rows) for *_, rows in pending], 8 * mtry, SPLIT_STACK_BYTES):
-            splits += _split_search(
-                x, z, [rows for *_, rows in pending[part]], feats[part], min_leaf
-            )
-        children = []
-        for (stack, node, rows), split in zip(pending, splits):
-            if split is None:
-                leaves.append((node, rows))
-                continue
-            node[:2] = split
-            go_left = x[rows, split[0]] <= split[1]
-            children.append((stack, node, rows[go_left], rows[~go_left]))
-        flags = _leaf_flags(z, [r for *_, lo, hi in children for r in (lo, hi)], min_leaf)
-        for (stack, node, lo, hi), lo_leaf, hi_leaf in zip(children, flags[::2], flags[1::2]):
-            # right first, so the left subtree is popped, and numbered, first
-            stack.append((hi, hi_leaf, node, 3))
-            stack.append((lo, lo_leaf, node, 2))
+def _grow_trees(x: np.ndarray, z: np.ndarray, boots, keys: np.ndarray, mtry: int, min_leaf: int):
+    """Grow tree t on the records ``boots[t]`` from the root key ``keys[t]``,
+    all trees breadth first together (see the module docstring)."""
+    ntree, p = len(boots), x.shape[1]
+    # the level's nodes, tree after tree and in id order within a tree: each
+    # node's tree, key and record count, and its records, node after node
+    tree, key = np.arange(ntree), keys
+    sizes = np.array([len(boot) for boot in boots], dtype=np.int64)
+    rows = np.concatenate(boots)
+    next_id = np.ones(ntree, dtype=np.int64)
+    # per level: (tree, feature, threshold, left, right) of its nodes, and
+    # (positions among all nodes grown, target values, sizes) of its leaves
+    levels, leaves, grown = [], [], 0
+    while len(tree):
+        node = np.repeat(np.arange(len(tree)), sizes)
+        feature = np.full(len(tree), -1, dtype=np.int64)
+        threshold = np.zeros(len(tree))
+        search = ~_leaf_flags(z, rows, sizes, min_leaf)
+        if search.any():
+            search_rows, search_sizes = rows[search[node]], sizes[search]
+            feats = _keyed_features(key[search], p, mtry)
+            bounds = np.concatenate([[0], np.cumsum(search_sizes)])
+            splits = [
+                _split_search(
+                    x, z, search_rows[bounds[part.start] : bounds[part.stop]],
+                    search_sizes[part], feats[part], min_leaf,
+                )
+                for part in _batches(search_sizes.tolist(), 8 * mtry, SPLIT_STACK_BYTES)
+            ]
+            feature[search] = np.concatenate([f for f, _ in splits])
+            threshold[search] = np.concatenate([t for _, t in splits])
+        split = feature >= 0
+        leaves.append((grown + np.flatnonzero(~split), z[rows[~split[node]]], sizes[~split]))
+        # one stable partition sends each split node's records to its left
+        # child, then its right, keeping their order
+        on = split[node]
+        rows, node = rows[on], node[on]
+        child = 2 * (np.cumsum(split) - 1)[node] + ~(x[rows, feature[node]] <= threshold[node])
+        rows = rows[np.argsort(child, kind="stable")]
+        sizes = np.bincount(child, minlength=2 * np.count_nonzero(split))
+        children = np.repeat(tree[split], 2)
+        # a left child's key hashes its parent's with side 0, a right child's with 1
+        key = _mix(np.stack([key[split], key[split] ^ np.uint64(1)], axis=1).ravel())
+        # breadth-first ids: a tree's children of this level follow its earlier nodes
+        counts = np.bincount(children, minlength=ntree)
+        ids = next_id[children] + np.arange(len(children)) - (np.cumsum(counts) - counts)[children]
+        next_id += counts
+        left = np.full(len(tree), -1, dtype=np.int64)
+        right = left.copy()
+        left[split], right[split] = ids[0::2], ids[1::2]
+        levels.append((tree, feature, threshold, left, right))
+        grown += len(tree)
+        tree = children
+    tree, feature, threshold, left, right = (np.concatenate(a) for a in zip(*levels))
+    at, leaf_z, leaf_sizes = (np.concatenate(a) for a in zip(*leaves))
+    value = np.zeros(grown)
+    starts = np.cumsum(leaf_sizes) - leaf_sizes
     # np.mean over the rows of a (leaves, size) block sums each row as np.mean
-    # over that row alone does, so one call per distinct size settles them all
-    by_size = {}
-    for node, rows in leaves:
-        by_size.setdefault(len(rows), []).append((node, rows))
-    for group in by_size.values():
-        means = np.mean(z[np.stack([rows for _, rows in group])], axis=1)
-        for (node, _), mean in zip(group, means.tolist()):
-            node[4] = mean
-    return [
-        Tree(
-            np.array(feature, dtype=np.int64),
-            np.array(threshold),
-            np.array(left, dtype=np.int64),
-            np.array(right, dtype=np.int64),
-            np.array(value),
-        )
-        for feature, threshold, left, right, value in (zip(*tree) for tree in built)
-    ]
+    # over that row alone does, so one call per distinct size settles them all;
+    # a set, as np.unique imports numpy.ma (0.5 MB of rf-tune's peak RSS)
+    for size in set(leaf_sizes.tolist()):
+        same = np.flatnonzero(leaf_sizes == size)
+        value[at[same]] = np.mean(leaf_z[starts[same, None] + np.arange(size)], axis=1)
+    # levels in order, so a stable sort by tree lists each tree's nodes by id
+    order = np.argsort(tree, kind="stable")
+    cuts = np.cumsum(np.bincount(tree, minlength=ntree))[:-1]
+    parts = (np.split(a[order], cuts) for a in (feature, threshold, left, right, value))
+    return [Tree(*arrays) for arrays in zip(*parts)]
 
 
-def _tree_draws(cfg: RfConfig, n: int) -> tuple:
-    """(streams, bootstraps): tree t's stream, seeded by (seed, t), and the n
-    record indices in [0, n) it draws first, for each of the cfg.ntree trees."""
-    rngs = [np.random.default_rng([cfg.seed & _SEED_MASK, t]) for t in range(cfg.ntree)]
-    return rngs, tuple(rng.integers(0, n, size=n) for rng in rngs)
+def _bootstraps(cfg: RfConfig, n: int) -> tuple:
+    """Each of the cfg.ntree trees' bootstrap: the n record indices in [0, n)
+    drawn first from tree t's stream, seeded by (seed, t)."""
+    return tuple(
+        np.random.default_rng([cfg.seed & _SEED_MASK, t]).integers(0, n, size=n)
+        for t in range(cfg.ntree)
+    )
 
 
 def rf_fit(train: PointTable, cfg: RfConfig, workers: int = 1) -> Forest:
     """Grow cfg.ntree trees on bootstrap samples of the training covariates.
 
     mtry must be a fixed integer here; resolve "tune" through tune_mtry
-    first. All trees grow in one lockstep on the calling thread; out-of-bag
-    routing runs on ``workers`` threads, and no result depends on their count.
+    first. All trees grow breadth first together on the calling thread;
+    out-of-bag routing runs on ``workers`` threads, and no result depends on
+    their count.
     """
     z = train.require_targets()
     n, p = len(train), train.p
@@ -492,8 +409,9 @@ def rf_fit(train: PointTable, cfg: RfConfig, workers: int = 1) -> Forest:
         raise UsageError(f"mtry = {cfg.mtry} exceeds covariate count {p}")
     x = train.covariates
 
-    rngs, in_bag = _tree_draws(cfg, n)
-    trees = tuple(_grow_trees(x, z, in_bag, _Tapes(rngs), cfg.mtry, cfg.min_leaf))
+    in_bag = _bootstraps(cfg, n)
+    keys = _root_keys(cfg.seed, cfg.ntree)
+    trees = tuple(_grow_trees(x, z, in_bag, keys, cfg.mtry, cfg.min_leaf))
     # tree t's out-of-bag records are those its bootstrap never drew
     oob = np.stack([np.bincount(boot, minlength=n) == 0 for boot in in_bag])
     oob_sum = _leaf_sums(_stack(trees), x, oob, workers)
@@ -537,13 +455,13 @@ def tune_mtry(
     Records are shuffled once by a seeded stream and split into near-equal
     folds; every candidate sees the same folds. Ties go to the smaller mtry.
 
-    Each fold's forest is the one ``rf_fit`` grows on that fold's training
-    records, bit for bit (see the module docstring): consecutive folds grow in
-    one lockstep while their bootstrap rows stay within TUNE_LOCKSTEP_ROWS,
-    and each group's held-out records are scored in one member-masked routing
-    pass on ``workers`` threads. No out-of-bag error is computed. A ``stats``
-    dict, if given, receives ``cv_rmse``, each candidate's mean fold RMSE, and
-    ``fold_rmse``, the (candidate, fold) RMSE array.
+    Each fold's bootstraps are drawn once and serve every candidate, whose
+    forest there is the one ``rf_fit`` grows on that fold's training records,
+    bit for bit (see the module docstring). Its held-out records are scored
+    in one routing pass on ``workers`` threads. No out-of-bag error is
+    computed. A ``stats`` dict, if given, receives ``cv_rmse``, each
+    candidate's mean fold RMSE, and ``fold_rmse``, the (candidate, fold)
+    RMSE array.
     """
     z = train.require_targets()
     n, p = len(train), train.p
@@ -563,32 +481,18 @@ def tune_mtry(
 
     x, ntree = train.covariates, cfg.ntree
     rng = np.random.default_rng([cfg.seed & _SEED_MASK, _TUNE_STREAM])
-    fold_indices = np.array_split(rng.permutation(n), folds)
-    fold_of = np.empty(n, dtype=np.int64)
-    for f, test_idx in enumerate(fold_indices):
-        fold_of[test_idx] = f
-    # each fold's training records, in table order as train.subset(keep) has them
-    kept = [np.flatnonzero(fold_of != f) for f in range(folds)]
-    sizes = [len(rows) for rows in kept]
-    groups = [range(folds)[part] for part in _batches(sizes, ntree, TUNE_LOCKSTEP_ROWS)]
-    pred = np.empty((len(candidates), n))
-    for group in groups:
-        rngs, boots = [], []
-        for f in group:
-            streams, in_bag = _tree_draws(cfg, sizes[f])
-            rngs += streams
-            boots += [kept[f][boot] for boot in in_bag]
-        # tree (f, t)'s stream after its bootstrap is the same for every candidate
-        tapes = _Tapes(rngs)
-        held = np.flatnonzero((fold_of >= group.start) & (fold_of < group.stop))
-        member = np.repeat(fold_of[held] == np.array(group)[:, None], ntree, axis=0)
-        for ci, cand in enumerate(candidates):
-            trees = _grow_trees(x, z, boots, tapes, cand, cfg.min_leaf)
-            pred[ci, held] = _leaf_sums(_stack(trees), x[held], member, workers) / ntree
+    keys = _root_keys(cfg.seed, ntree)
     fold_rmse = np.empty((len(candidates), folds))
-    for ci in range(len(candidates)):
-        for fi, test_idx in enumerate(fold_indices):
-            err = pred[ci, test_idx] - z[test_idx]
+    for fi, test_idx in enumerate(np.array_split(rng.permutation(n), folds)):
+        keep = np.ones(n, dtype=bool)
+        keep[test_idx] = False
+        # the fold's training records, in table order as train.subset(keep) has them
+        kept = np.flatnonzero(keep)
+        boots = [kept[boot] for boot in _bootstraps(cfg, len(kept))]
+        member = np.broadcast_to(True, (ntree, len(test_idx)))
+        for ci, cand in enumerate(candidates):
+            stacked = _stack(_grow_trees(x, z, boots, keys, cand, cfg.min_leaf))
+            err = _leaf_sums(stacked, x[test_idx], member, workers) / ntree - z[test_idx]
             fold_rmse[ci, fi] = np.sqrt(np.mean(err * err))
     mean_rmse = [np.mean(row) for row in fold_rmse]
     if stats is not None:
@@ -676,7 +580,8 @@ def read_forest(path) -> Forest:
                     feat, lo, hi = int(parts[2]), int(parts[4]), int(parts[5])
                     if not 0 <= feat < p:
                         raise ValueError(f"feature {feat} outside [0, {p})")
-                    # ids are preorder: a child follows its parent, so routing cannot cycle
+                    # a child's id follows its parent's (breadth first, or preorder in
+                    # older files), so routing cannot cycle
                     if not (node < lo < n_nodes and node < hi < n_nodes):
                         raise ValueError(f"children {lo}, {hi} outside ({node}, {n_nodes})")
                     feature[node], threshold[node] = feat, float(parts[3])

@@ -1,4 +1,4 @@
-import itertools
+import collections
 import math
 import re
 
@@ -34,13 +34,40 @@ def random_train(rng, n=120, p=3):
     return table(covs, z)
 
 
-# The recursive grower that the lockstep one replaced, kept as the bitwise
-# reference: one tree at a time, each node's split searched feature by feature.
+# The keyed feature draw in pure Python, on ints masked to 64 bits, so it
+# does not depend on numpy's integer rules or version.
+
+M64 = (1 << 64) - 1
 
 
-def _best_split_ref(xn, zn, rng, mtry, min_leaf):
-    n, p = xn.shape
-    feats = rng.choice(p, size=mtry, replace=False)
+def mix_ref(z):
+    """splitmix64's output for state z."""
+    z = (z + 0x9E3779B97F4A7C15) & M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+def root_key_ref(seed, t):
+    return mix_ref(mix_ref(seed & M64) ^ t)
+
+
+def child_key_ref(key, side):
+    """side 0 is the left child, 1 the right."""
+    return mix_ref(key ^ side)
+
+
+def draw_ref(key, p, mtry):
+    return sorted(range(p), key=lambda f: mix_ref(key ^ mix_ref(f)))[:mtry]
+
+
+# A one-tree, one-node-at-a-time grower, kept as the bitwise reference: nodes
+# are taken from a FIFO queue, so ids are breadth first, and each node's
+# split is searched feature by feature.
+
+
+def _best_split_ref(xn, zn, feats, min_leaf):
+    n = len(zn)
     best_score = math.inf
     best = None
     sizes_left = np.arange(1, n)
@@ -71,35 +98,28 @@ def _best_split_ref(xn, zn, rng, mtry, min_leaf):
     return best
 
 
-def _grow_tree_ref(x, z, rng, mtry, min_leaf):
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def grow(indices):
-        node = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
+def _grow_tree_ref(x, z, key, mtry, min_leaf):
+    feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
+    queue = collections.deque([(0, np.arange(len(z)), key)])
+    while queue:
+        node, indices, key = queue.popleft()
         zn = z[indices]
-        if len(indices) < 2 * min_leaf or zn.min() == zn.max():
-            value[node] = float(np.mean(zn))
-            return node
-        split = _best_split_ref(x[indices], zn, rng, mtry, min_leaf)
+        split = None
+        if len(indices) >= 2 * min_leaf and zn.min() != zn.max():
+            split = _best_split_ref(x[indices], zn, draw_ref(key, x.shape[1], mtry), min_leaf)
         if split is None:
             value[node] = float(np.mean(zn))
-            return node
-        f, thr = split
-        go_left = x[indices, f] <= thr
-        left_id = grow(indices[go_left])
-        right_id = grow(indices[~go_left])
-        feature[node] = f
-        threshold[node] = thr
-        left[node] = left_id
-        right[node] = right_id
-        return node
-
-    grow(np.arange(len(z)))
+            continue
+        feature[node], threshold[node] = split
+        go_left = x[indices, split[0]] <= split[1]
+        for side, links, part in ((0, left, indices[go_left]), (1, right, indices[~go_left])):
+            links[node] = len(feature)
+            queue.append((len(feature), part, child_key_ref(key, side)))
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            value.append(0.0)
     return forest_module.Tree(
         np.array(feature, dtype=np.int64),
         np.array(threshold),
@@ -155,7 +175,8 @@ def rf_fit_ref(train, cfg):
     for t in range(cfg.ntree):
         rng = np.random.default_rng([cfg.seed & ((1 << 64) - 1), t])
         boot = rng.integers(0, n, size=n)
-        trees.append(_grow_tree_ref(x[boot], z[boot], rng, cfg.mtry, cfg.min_leaf))
+        key = root_key_ref(cfg.seed, t)
+        trees.append(_grow_tree_ref(x[boot], z[boot], key, cfg.mtry, cfg.min_leaf))
         in_bag.append(boot)
     oob_rmse = oob_rmse_ref(trees, in_bag, train)
     return Forest(tuple(trees), tuple(in_bag), oob_rmse, train.p, cfg)
@@ -192,7 +213,8 @@ ORACLE_CASES = [
 
 
 class TestLockstepOracle:
-    """The lockstep grower must give the recursive grower's forests bit for bit."""
+    """Growing all trees breadth first together must give the one-tree
+    reference grower's forests bit for bit."""
 
     @staticmethod
     def assert_same(forest, ref):
@@ -216,9 +238,9 @@ class TestLockstepOracle:
         self.assert_same(rf_fit(train, cfg), ref)
         self.assert_same(rf_fit(train, cfg, workers=3), ref)
 
-    @pytest.mark.parametrize("name", ["rounded", "duplicated"])
+    @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_batch_size_invariance(self, name, monkeypatch):
-        # a budget below one node gives every pending node a batch of its own
+        # a budget below one node gives every searched node a batch of its own
         train, mtry, min_leaf = oracle_case(name)
         cfg = RfConfig(ntree=6, mtry=mtry, min_leaf=min_leaf, seed=2)
         ref = rf_fit_ref(train, cfg)
@@ -228,105 +250,62 @@ class TestLockstepOracle:
         self.assert_same(rf_fit(train, cfg), ref)
 
 
-def stream_ref(rng):
-    """The 32-bit values a stream's 32-bit draws take, one by one: the half
-    of an output the bit generator holds back, if any, then the low and the
-    high half of each next 64-bit output."""
-    state = rng.bit_generator.state
-    if state["has_uint32"]:
-        yield state["uinteger"]
-    while True:
-        raw = int(rng.bit_generator.random_raw())
-        yield raw & 0xFFFFFFFF
-        yield raw >> 32
+class TestKeyedDraw:
+    """Each node draws its features by key; the draw must be the pure-Python
+    splitmix64 rule's, a uniform subset, and independent of the other trees."""
 
+    def test_mix_is_splitmix64(self):
+        # splitmix64's first outputs from state 1234567, the published
+        # reference values; then arbitrary states against mix_ref
+        states = 1234567 + np.arange(5, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        assert forest_module._mix(states).tolist() == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821,
+        ]
+        states = np.random.default_rng(3).integers(0, M64, size=200, dtype=np.uint64, endpoint=True)
+        assert forest_module._mix(states).tolist() == [mix_ref(int(s)) for s in states]
 
-def bounded_ref(values, bound, rejections):
-    """Lemire's draw in [0, bound] from an iterator of 32-bit values, one
-    value at a time; ``rejections`` counts the values rejected."""
-    if bound == 0:
-        return 0
-    span = bound + 1
-    while True:
-        m = next(values) * span
-        if m % (1 << 32) >= (1 << 32) % span:
-            return m >> 32
-        rejections.append(bound)
+    @pytest.mark.parametrize("seed", [0, 31, -1, (1 << 64) + 5])
+    def test_keys_and_draws_match_python_reference(self, seed):
+        keys = forest_module._root_keys(seed, 20)
+        assert keys.tolist() == [root_key_ref(seed, t) for t in range(20)]
+        for p in range(1, 13):
+            for mtry in range(1, p + 1):
+                picks = forest_module._keyed_features(keys, p, mtry)
+                assert picks.tolist() == [draw_ref(int(k), p, mtry) for k in keys]
 
+    def test_draws_distinct_and_in_range(self):
+        keys = forest_module._mix(np.arange(3000, dtype=np.uint64))
+        for p, mtry in [(1, 1), (4, 2), (7, 7), (15, 6), (40, 3)]:
+            picks = np.sort(forest_module._keyed_features(keys, p, mtry), axis=1)
+            assert picks.shape == (3000, mtry)
+            assert picks.min() >= 0 and picks.max() < p
+            assert (picks[:, 1:] != picks[:, :-1]).all()
 
-def choice_ref(values, p, mtry, rejections):
-    """Generator.choice(p, size=mtry, replace=False) on 32-bit values, one
-    draw at a time: Floyd's algorithm, then a Fisher-Yates shuffle."""
-    picks = []
-    for j in range(p - mtry, p):
-        pick = bounded_ref(values, j, rejections)
-        picks.append(j if pick in picks else pick)
-    for i in range(mtry - 1, 0, -1):
-        j = bounded_ref(values, i, rejections)
-        picks[i], picks[j] = picks[j], picks[i]
-    return picks
+    @pytest.mark.parametrize("p, mtry", [(4, 2), (7, 3), (15, 2)])
+    def test_feature_frequency_near_mtry_over_p(self, p, mtry):
+        count = 4000
+        picks = forest_module._keyed_features(forest_module._root_keys(9, count), p, mtry)
+        share = np.bincount(picks.ravel(), minlength=p) / count
+        # five binomial standard deviations of a share of mtry / p
+        q = mtry / p
+        assert np.abs(share - q).max() < 5 * math.sqrt(q * (1 - q) / count)
+        # the first pick alone is uniform too
+        first = np.bincount(picks[:, 0], minlength=p) / count
+        assert np.abs(first - 1 / p).max() < 5 * math.sqrt((1 / p) * (1 - 1 / p) / count)
 
-
-class TestFeatureReplay:
-    """Each tree's per-node features are replayed from its stream in one
-    vectorised pass; they must be the draws Generator.choice makes."""
-
-    @staticmethod
-    def streams(seed, count):
-        """count seeded streams, each past a bootstrap of odd or even length."""
-        rngs = [np.random.default_rng([seed, t]) for t in range(count)]
-        for t, rng in enumerate(rngs):
-            n = 20 + t % 7
-            rng.integers(0, n, size=n)
-        return rngs
-
-    @pytest.mark.parametrize("p", range(1, 13))
-    def test_matches_generator_choice(self, p):
-        held = set()
-        for mtry in range(1, p + 1):
-            oracle = self.streams(100 * p + mtry, 50)
-            tapes = forest_module._Tapes(self.streams(100 * p + mtry, 50))
-            held |= set(tapes.start.tolist())
-            cursor = tapes.start.copy()
-            for draw in range(4):
-                # a different subset of the trees, in tree order, at each draw
-                trees = np.flatnonzero(np.arange(50) % (draw + 1) == 0)
-                picks = forest_module._draw_features(tapes, cursor, trees, p, mtry)
-                expected = [oracle[t].choice(p, size=mtry, replace=False) for t in trees]
-                np.testing.assert_array_equal(picks, expected, err_msg=f"mtry {mtry}")
-        # tapes that start on a held-back half and tapes that do not
-        assert held == {0, 1}
-
-    def test_rejection_and_extension_match_scalar_rule(self, monkeypatch):
-        # one output per block, so every few draws read past a tape's end
-        monkeypatch.setattr(forest_module, "TAPE_BLOCK", 1)
-        p, mtry, count = 3, 3, 6
-        tapes = forest_module._Tapes(self.streams(9, count))
-        refs = [list(itertools.islice(stream_ref(rng), 200)) for rng in self.streams(9, count)]
-        # tree 2's second value, which Floyd's bound-2 draw reads, becomes 0:
-        # 0·3 leaves 0 < 2³² mod 3 = 1, so the draw is rejected
-        second = tapes.start[2] + 1
-        tapes.take(np.array([2]), np.array([second]))
-        tapes.values[2, second] = 0
-        refs[2][1] = 0
-        length = tapes.values.shape[1]
-        values = [iter(ref) for ref in refs]
-        rejections = []
-        cursor = tapes.start.copy()
-        for trees in ([0, 1, 2, 3, 4, 5], [2, 4], [0, 2, 3], [1, 2, 5], [2]):
-            picks = forest_module._draw_features(tapes, cursor, np.array(trees), p, mtry)
-            expected = [choice_ref(values[t], p, mtry, rejections) for t in trees]
-            np.testing.assert_array_equal(picks, expected)
-        assert rejections == [2]
-        assert tapes.values.shape[1] > length
-
-    @pytest.mark.parametrize("name", ["rounded", "mtry_p", "p_1"])
-    def test_short_tapes_extend_mid_growth(self, name, monkeypatch):
+    @pytest.mark.parametrize("name", ["rounded", "mtry_p", "duplicated"])
+    def test_trees_grown_together_equal_grown_alone(self, name):
         train, mtry, min_leaf = oracle_case(name)
-        cfg = RfConfig(ntree=5, mtry=mtry, min_leaf=min_leaf, seed=4)
-        ref = rf_fit_ref(train, cfg)
-        monkeypatch.setattr(forest_module, "TAPE_BLOCK", 1)
-        TestLockstepOracle.assert_same(rf_fit(train, cfg), ref)
+        x, z = train.covariates, train.target
+        cfg = RfConfig(ntree=7, mtry=mtry, min_leaf=min_leaf, seed=13)
+        boots = forest_module._bootstraps(cfg, len(train))
+        keys = forest_module._root_keys(cfg.seed, cfg.ntree)
+        together = forest_module._grow_trees(x, z, boots, keys, mtry, min_leaf)
+        for t, tree in enumerate(together):
+            alone, = forest_module._grow_trees(x, z, boots[t:t + 1], keys[t:t + 1], mtry, min_leaf)
+            for field in ("feature", "threshold", "left", "right", "value"):
+                assert same_bits(getattr(tree, field), getattr(alone, field))
 
 
 def tune_case(name):
@@ -358,8 +337,9 @@ def tune_rmse_ref(train, cfg, candidates, folds):
 
 
 class TestTuneOracle:
-    """tune_mtry's fold forests, grown in grouped locksteps and scored in one
-    routing pass per group, must give the per-fold loop's RMSEs bit for bit."""
+    """tune_mtry's fold forests, grown from bootstraps drawn once per fold and
+    scored in one routing pass each, must give the per-fold loop's RMSEs bit
+    for bit."""
 
     @staticmethod
     def tune(train, cfg, candidates, folds):
@@ -377,20 +357,6 @@ class TestTuneOracle:
         means = [np.mean(row) for row in ref]
         assert stats["cv_rmse"] == dict(zip(candidates, means))
         assert choice == candidates[int(np.argmin(means))]
-
-    @pytest.mark.parametrize("name", ["covariates_15", "duplicated"])
-    def test_grouping_invariance(self, name, monkeypatch):
-        # a budget of one row grows every fold alone, a huge one all together
-        train, candidates, min_leaf = tune_case(name)
-        cfg = RfConfig(ntree=5, mtry="tune", min_leaf=min_leaf, seed=8)
-        runs = []
-        for budget in (1, 1 << 40):
-            monkeypatch.setattr(forest_module, "TUNE_LOCKSTEP_ROWS", budget)
-            runs.append(self.tune(train, cfg, candidates, 4))
-        (alone, alone_stats), (joint, joint_stats) = runs
-        assert same_bits(alone_stats["fold_rmse"], joint_stats["fold_rmse"])
-        assert alone_stats["cv_rmse"] == joint_stats["cv_rmse"]
-        assert alone == joint
 
 
 def same_bits(a, b):
@@ -601,6 +567,23 @@ class TestSerialization:
         assert head.startswith("forest ")
         assert "ntree=2" in head and "p=3" in head
         assert "min_leaf=4" in head and "seed=6" in head and "mtry=1" in head
+
+    def test_preorder_file_still_reads(self, rng, tmp_path):
+        # forests were once numbered in preorder (a left subtree before its
+        # parent's right child); the format is unchanged, so such files load
+        path = tmp_path / "forest.txt"
+        path.write_text("forest ntree=2 p=2 min_leaf=1 seed=0 mtry=1 oob_rmse=0.5\n"
+                        "tree 0 nodes=5\n0 split 0 0.25 1 4\n1 split 1 -0.5 2 3\n"
+                        "2 leaf 1.5\n3 leaf 2.5\n4 leaf -1.0\n"
+                        "tree 1 nodes=3\n0 split 1 0.0 1 2\n1 leaf 4.0\n2 leaf 8.0\n")
+        forest = read_forest(path)
+        queries = table(rng.normal(0, 1, (40, 2)), np.zeros(40))
+        x = queries.covariates
+        tree0 = np.where(x[:, 0] > 0.25, -1.0, np.where(x[:, 1] <= -0.5, 1.5, 2.5))
+        assert same_bits(tree_predict_ref(forest.trees[0], x), tree0)
+        assert same_bits(rf_predict(forest, queries), rf_predict_ref(forest, queries))
+        expected = (tree0 + np.where(x[:, 1] <= 0.0, 4.0, 8.0)) / 2
+        assert same_bits(rf_predict(forest, queries), expected)
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

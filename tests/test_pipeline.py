@@ -580,8 +580,8 @@ class TestRf:
 
     def test_tuned_forest_pinned_digests(self, tmp_path):
         # the quick start's data and CI's tuned rerun config; the digests are
-        # those of the forests grown with one Generator.choice call per split
-        # node, which the batched feature replay must reproduce bit for bit
+        # those the one-tree breadth-first reference grower of test_forest.py
+        # gives, with its keyed feature draws, for both tuning and the fit
         make_scenario(7, (128, 128), coarse_factor=8, n_covariates=4, noise_stdev=0.01,
                       gap_fraction=0.2).dump(tmp_path / "data")
         out = tmp_path / "tune"
@@ -593,9 +593,9 @@ class TestRf:
         }))
         digests = output_digest(out)
         assert digests["forest.txt"] == (
-            "57df846c755abebc01372e58c26a4fd14207d95c6937b8a8538668769712d587")
+            "6dd9891efea8c28aaf25205bfcb1ed02130c1d26e49f2257ba104676ff4dfeef")
         assert digests["prediction.asc"] == (
-            "615899500cc6050cf4bbd1f5938fbc67e24cffc839bdfe6dec8d2f8adf1209d3")
+            "eb38a9fb005230bb9140a5154998c17a618e009f7e41f57108d2c4fa1a7de2b2")
 
 
 class TestDailyGrids:
