@@ -80,10 +80,11 @@ class FeatureSpace:
         return _finite(scaled, self.mode)
 
 
-# distance pairs a search tile may cost against the whole training set;
-# sets the default tile size, floored at 64 queries so the per-tile numpy
+# distance pairs a search tile may cost against the whole training set; sets
+# the tile size, floored at SEARCH_TILE_MIN queries so the per-tile numpy
 # calls stay amortised
 SEARCH_TILE_PAIRS = 1 << 13
+SEARCH_TILE_MIN = 64
 
 # relative slack on the pruning radius, far above the rounding error of the
 # distances it compares (see neighbor_search)
@@ -112,14 +113,13 @@ def _tile_order(cols: np.ndarray, tile: int) -> np.ndarray:
     return np.argsort(key.astype(np.uint16), kind="stable")
 
 
-def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int,
-                    chunk: int | None = None):
+def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int):
     """Exact k-nearest-neighbor search under Euclidean distance.
 
     Returns (indices, distances), each (nq, k), neighbors ascending by
     distance with ties broken by lower training-record index: bit for bit
     what a brute-force scan of every training record gives, whatever the
-    tile size ``chunk`` (default SEARCH_TILE_PAIRS // n, at least 64).
+    tile size (SEARCH_TILE_PAIRS // n queries, at least SEARCH_TILE_MIN).
 
     Queries are searched in spatially compact tiles (see _tile_order). For
     a tile with bounding-box centre c and radius r, the largest distance
@@ -146,10 +146,8 @@ def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int,
     n = train_feats.shape[0]
     if not 1 <= k <= n:
         raise UsageError(f"k = {k} must lie in [1, {n}]: there are {n} training records")
-    if chunk is not None and not (isinstance(chunk, (int, np.integer)) and chunk > 0):
-        raise UsageError(f"chunk must be None or a positive integer, got {chunk!r}")
     nq = query_feats.shape[0]
-    tile = chunk or max(64, SEARCH_TILE_PAIRS // n)
+    tile = max(SEARCH_TILE_MIN, SEARCH_TILE_PAIRS // n)
     # the pruning arithmetic runs feature-major: numpy reduces a few
     # contiguous rows far faster than many rows of a few columns
     query_cols = np.ascontiguousarray(query_feats.T)

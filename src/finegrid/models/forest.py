@@ -46,7 +46,8 @@ own rows; chunk bounds do not depend on ``workers``, so neither do the sums.
 mtry tuning (:func:`tune_mtry`) grows each fold's forests without
 ``rf_fit``, from the bootstraps and keys ``rf_fit`` would draw on that
 fold's training records, mapped to full-table rows, so each is the forest
-``rf_fit`` grows there, bit for bit. Tuning computes no out-of-bag error.
+``rf_fit`` grows there, bit for bit. Tuning computes no out-of-bag error,
+and scores each fold on the calling thread.
 """
 
 from __future__ import annotations
@@ -128,10 +129,9 @@ class Tree:
 
 @dataclass(frozen=True)
 class Forest:
-    """A fitted ensemble plus its bootstrap membership and out-of-bag error."""
+    """A fitted ensemble plus its out-of-bag error."""
 
     trees: tuple
-    in_bag: tuple
     oob_rmse: float
     p: int
     config: RfConfig
@@ -409,11 +409,11 @@ def rf_fit(train: PointTable, cfg: RfConfig, workers: int = 1) -> Forest:
         raise UsageError(f"mtry = {cfg.mtry} exceeds covariate count {p}")
     x = train.covariates
 
-    in_bag = _bootstraps(cfg, n)
+    boots = _bootstraps(cfg, n)
     keys = _root_keys(cfg.seed, cfg.ntree)
-    trees = tuple(_grow_trees(x, z, in_bag, keys, cfg.mtry, cfg.min_leaf))
+    trees = tuple(_grow_trees(x, z, boots, keys, cfg.mtry, cfg.min_leaf))
     # tree t's out-of-bag records are those its bootstrap never drew
-    oob = np.stack([np.bincount(boot, minlength=n) == 0 for boot in in_bag])
+    oob = np.stack([np.bincount(boot, minlength=n) == 0 for boot in boots])
     oob_sum = _leaf_sums(_stack(trees), x, oob, workers)
     oob_count = oob.sum(axis=0)
     covered = oob_count > 0
@@ -422,7 +422,7 @@ def rf_fit(train: PointTable, cfg: RfConfig, workers: int = 1) -> Forest:
         oob_rmse = float(np.sqrt(np.mean(residual * residual)))
     else:
         oob_rmse = float("nan")
-    return Forest(trees, in_bag, oob_rmse, p, cfg)
+    return Forest(trees, oob_rmse, p, cfg)
 
 
 def rf_predict(forest: Forest, queries: PointTable, workers: int = 1) -> np.ndarray:
@@ -448,7 +448,6 @@ def tune_mtry(
     candidates: list[int] | None = None,
     folds: int = 10,
     stats: dict | None = None,
-    workers: int = 1,
 ) -> int:
     """Pick the candidate mtry with the lowest mean k-fold RMSE.
 
@@ -458,8 +457,10 @@ def tune_mtry(
     Each fold's bootstraps are drawn once and serve every candidate, whose
     forest there is the one ``rf_fit`` grows on that fold's training records,
     bit for bit (see the module docstring). Its held-out records are scored
-    in one routing pass on ``workers`` threads. No out-of-bag error is
-    computed. A ``stats`` dict, if given, receives ``cv_rmse``, each
+    in one routing pass on the calling thread. That pass is ntree × held-out
+    pairs, two ROUTE_PAIRS chunks at the paper's shape (500 trees, 72
+    held-out records), too few to repay a thread pool's start. No out-of-bag
+    error is computed. A ``stats`` dict, if given, receives ``cv_rmse``, each
     candidate's mean fold RMSE, and ``fold_rmse``, the (candidate, fold)
     RMSE array.
     """
@@ -476,8 +477,6 @@ def tune_mtry(
         raise UsageError("tune_mtry needs at least 2 folds")
     if n < folds:
         raise UsageError(f"{n} records cannot fill {folds} folds")
-    if workers < 1:
-        raise UsageError(f"workers = {workers} must be at least 1")
 
     x, ntree = train.covariates, cfg.ntree
     rng = np.random.default_rng([cfg.seed & _SEED_MASK, _TUNE_STREAM])
@@ -492,7 +491,7 @@ def tune_mtry(
         member = np.broadcast_to(True, (ntree, len(test_idx)))
         for ci, cand in enumerate(candidates):
             stacked = _stack(_grow_trees(x, z, boots, keys, cand, cfg.min_leaf))
-            err = _leaf_sums(stacked, x[test_idx], member, workers) / ntree - z[test_idx]
+            err = _leaf_sums(stacked, x[test_idx], member, 1) / ntree - z[test_idx]
             fold_rmse[ci, fi] = np.sqrt(np.mean(err * err))
     mean_rmse = [np.mean(row) for row in fold_rmse]
     if stats is not None:
@@ -527,11 +526,8 @@ def write_forest(forest: Forest, path) -> None:
 
 
 def read_forest(path) -> Forest:
-    """Read a forest written by :func:`write_forest`.
-
-    Bootstrap membership is a fit-time artifact and is not serialized; the
-    reloaded forest carries empty membership but predicts identically.
-    """
+    """Read a forest written by :func:`write_forest`; it predicts as the
+    forest written does."""
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines or not lines[0].startswith("forest "):
@@ -594,4 +590,4 @@ def read_forest(path) -> Forest:
         i += 1
     if i < len(lines):
         raise ParseError(f"line after the last of {ntree} trees", path=path, line=i + 1)
-    return Forest(tuple(trees), (), oob_rmse, p, cfg)
+    return Forest(tuple(trees), oob_rmse, p, cfg)

@@ -250,7 +250,6 @@ def hyppo_predict_with_degrees(
     queries: PointTable,
     cfg: HyppoConfig,
     space: FeatureSpace,
-    chunk: int | None = None,
     stats: dict | None = None,
 ):
     """Predictions, the per-query selected degree, and whether each query's
@@ -262,23 +261,21 @@ def hyppo_predict_with_degrees(
     set's rank test, so it reads False. Every other query is refit through
     fit_polynomial centered on the query, and its flag is that refit's. So
     degree 0 predicts through the same neighbor-mean reduction as uniform
-    kNN, and the two agree bit for bit on identical neighborhoods. Results
-    do not depend on the chunk size (sets per leave-one-out stack), which
-    defaults to FOLD_STACK_BYTES' worth. A ``stats`` dict, if given,
-    receives the number of distinct sets as ``neighbor_sets`` and, per
-    candidate degree, the number of leave-one-out rows that took their own
-    fold fit as ``loo_fold_fits`` and of queries refit through
-    fit_polynomial as ``query_refits``.
+    kNN, and the two agree bit for bit on identical neighborhoods. Sets are
+    scored in leave-one-out stacks of FOLD_STACK_BYTES' worth, and results do
+    not depend on that size. A ``stats`` dict, if given, receives the number
+    of distinct sets as ``neighbor_sets`` and, per candidate degree, the
+    number of leave-one-out rows that took their own fold fit as
+    ``loo_fold_fits`` and of queries refit through fit_polynomial as
+    ``query_refits``.
     """
-    if chunk is not None and not (isinstance(chunk, (int, np.integer)) and chunk > 0):
-        raise UsageError(f"chunk must be None or a positive integer, got {chunk!r}")
     z = train.require_targets()
     train_f = space.features(train)
     query_f = space.features(queries)
     idx, _ = neighbor_search(train_f, query_f, cfg.k)
     candidates = admissible_degrees(space.nvars, cfg.k, cfg.max_degree)
     fold_bytes = 8 * cfg.k * (cfg.k - 1) * monomial_count(space.nvars, candidates[-1])
-    chunk = chunk or max(1, FOLD_STACK_BYTES // fold_bytes)
+    chunk = max(1, FOLD_STACK_BYTES // fold_bytes)
 
     sets, inverse = neighbor_sets(idx, len(train))
     set_degrees = np.empty(len(sets), dtype=np.int64)
@@ -308,7 +305,7 @@ def hyppo_predict_with_degrees(
     # a refit stack (c, k, m) of FOLD_STACK_BYTES holds k - 1 times as many
     # queries as the chunk holds sets
     step = chunk * (cfg.k - 1)
-    for d in np.unique(degrees):
+    for d in candidates:
         of_degree = degrees == d
         for sel in _runs(of_degree & refit, step):
             centered = train_f[idx[sel]] - query_f[sel][:, None, :]

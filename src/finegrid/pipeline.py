@@ -260,11 +260,12 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
         values, degrees, rank_deficient = hyppo_predict_with_degrees(
             training, prediction, model_cfg, space, stats=stats
         )
-        unique, counts = np.unique(degrees, return_counts=True)
+        counts = np.bincount(degrees)
+        present = np.flatnonzero(counts)
         derived["hyppo_neighbor_sets"] = stats["neighbor_sets"]
-        derived["hyppo_degree_counts"] = {int(d): int(c) for d, c in zip(unique, counts)}
+        derived["hyppo_degree_counts"] = {int(d): int(counts[d]) for d in present}
         derived["hyppo_rank_deficient"] = {
-            int(d): int(np.count_nonzero(rank_deficient[degrees == d])) for d in unique
+            int(d): int(np.count_nonzero(rank_deficient[degrees == d])) for d in present
         }
         derived["hyppo_loo_fold_fits"] = stats["loo_fold_fits"]
         derived["hyppo_query_refits"] = stats["query_refits"]
@@ -276,8 +277,7 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
     cv = ""
     if model_cfg.mtry == "tune":
         stats = {}
-        tuned = tune_mtry(training, model_cfg, s["mtry_grid"], folds=s["folds"], stats=stats,
-                          workers=s["workers"])
+        tuned = tune_mtry(training, model_cfg, s["mtry_grid"], folds=s["folds"], stats=stats)
         derived["tuned_mtry"] = tuned
         derived["mtry_cv_rmse"] = stats["cv_rmse"]
         cv = f", cv_rmse {stats['cv_rmse']}"
@@ -333,6 +333,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
                 paths = [cfg.resolve(p) for p in daily]
             if not paths:
                 raise UsageError("daily_grids matched no files")
+            if s["min_count"] > len(paths):
+                raise UsageError(f"min_count {s['min_count']} exceeds the {len(paths)} "
+                                 "daily grid(s) found")
             observed = monthly_mean([read_ascii_grid(p) for p in paths], min_count=s["min_count"])
             derived["daily_grid_count"] = len(paths)
         clamp = s["clamp"]
@@ -363,6 +366,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             before = len(training)
             training = sample_covariates(training, layers)
             derived["train_dropped_sampling"] = before - len(training)
+            if len(training) == 0:
+                raise UsageError("no training records remain after covariate sampling")
         logger.info("training records: %d after sampling", derived["train_count_initial"]
                     - derived.get("train_dropped_sampling", 0))
 
@@ -374,6 +379,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             before = len(prediction_points)
             prediction_points = sample_covariates(prediction_points, layers)
             derived["predict_dropped_sampling"] = before - len(prediction_points)
+            if len(prediction_points) == 0:
+                raise UsageError("no prediction records remain after covariate sampling")
         logger.info("prediction cells: %d after sampling", derived["predict_count_initial"]
                     - derived.get("predict_dropped_sampling", 0))
 

@@ -1,6 +1,7 @@
 import collections
 import math
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -152,11 +153,33 @@ def rf_predict_ref(forest, queries):
     return total / forest.ntree
 
 
-def oob_rmse_ref(trees, in_bag, train):
+def bootstraps_ref(cfg, n):
+    """Each tree t's bootstrap: n record indices in [0, n) drawn first from
+    the stream seeded by (seed, t)."""
+    return [np.random.default_rng([cfg.seed & M64, t]).integers(0, n, size=n)
+            for t in range(cfg.ntree)]
+
+
+@contextmanager
+def recorded_bootstraps():
+    """The bootstraps of every _grow_trees call made in the block, one list
+    per call."""
+    calls, grow = [], forest_module._grow_trees
+
+    def grow_trees(x, z, boots, *args):
+        calls.append(list(boots))
+        return grow(x, z, boots, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forest_module, "_grow_trees", grow_trees)
+        yield calls
+
+
+def oob_rmse_ref(trees, boots, train):
     z, n, x = train.target, len(train), train.covariates
     oob_sum = np.zeros(n)
     oob_count = np.zeros(n, dtype=np.int64)
-    for tree, boot in zip(trees, in_bag):
+    for tree, boot in zip(trees, boots):
         oob = np.setdiff1d(np.arange(n), boot)
         if len(oob):
             oob_sum[oob] += tree_predict_ref(tree, x[oob])
@@ -171,15 +194,10 @@ def oob_rmse_ref(trees, in_bag, train):
 def rf_fit_ref(train, cfg):
     z = train.require_targets()
     n, x = len(train), train.covariates
-    trees, in_bag = [], []
-    for t in range(cfg.ntree):
-        rng = np.random.default_rng([cfg.seed & ((1 << 64) - 1), t])
-        boot = rng.integers(0, n, size=n)
-        key = root_key_ref(cfg.seed, t)
-        trees.append(_grow_tree_ref(x[boot], z[boot], key, cfg.mtry, cfg.min_leaf))
-        in_bag.append(boot)
-    oob_rmse = oob_rmse_ref(trees, in_bag, train)
-    return Forest(tuple(trees), tuple(in_bag), oob_rmse, train.p, cfg)
+    boots = bootstraps_ref(cfg, n)
+    trees = [_grow_tree_ref(x[boot], z[boot], root_key_ref(cfg.seed, t), cfg.mtry, cfg.min_leaf)
+             for t, boot in enumerate(boots)]
+    return Forest(tuple(trees), oob_rmse_ref(trees, boots, train), train.p, cfg)
 
 
 def oracle_case(name):
@@ -217,10 +235,20 @@ class TestLockstepOracle:
     reference grower's forests bit for bit."""
 
     @staticmethod
-    def assert_same(forest, ref):
+    def fit(train, cfg, workers=1):
+        """rf_fit's forest and the bootstraps it grew its trees on."""
+        with recorded_bootstraps() as calls:
+            forest = rf_fit(train, cfg, workers=workers)
+        (boots,) = calls
+        return forest, boots
+
+    @staticmethod
+    def assert_same(fitted, ref, train):
+        forest, boots = fitted
+        ref_boots = bootstraps_ref(ref.config, len(train))
         assert serialize_forest(forest) == serialize_forest(ref)
-        assert len(forest.in_bag) == len(ref.in_bag)
-        for a, b in zip(forest.in_bag, ref.in_bag):
+        assert len(boots) == len(ref_boots)
+        for a, b in zip(boots, ref_boots):
             np.testing.assert_array_equal(a, b)
         assert forest.oob_rmse == ref.oob_rmse or (
             math.isnan(forest.oob_rmse) and math.isnan(ref.oob_rmse)
@@ -235,8 +263,8 @@ class TestLockstepOracle:
             assert any(t.n_nodes > 20 for t in ref.trees)
         if name in ("constant", "tiny"):
             assert all(t.n_nodes == 1 for t in ref.trees)
-        self.assert_same(rf_fit(train, cfg), ref)
-        self.assert_same(rf_fit(train, cfg, workers=3), ref)
+        self.assert_same(self.fit(train, cfg), ref, train)
+        self.assert_same(self.fit(train, cfg, workers=3), ref, train)
 
     @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_batch_size_invariance(self, name, monkeypatch):
@@ -245,9 +273,9 @@ class TestLockstepOracle:
         cfg = RfConfig(ntree=6, mtry=mtry, min_leaf=min_leaf, seed=2)
         ref = rf_fit_ref(train, cfg)
         monkeypatch.setattr(forest_module, "SPLIT_STACK_BYTES", 1)
-        self.assert_same(rf_fit(train, cfg), ref)
+        self.assert_same(self.fit(train, cfg), ref, train)
         monkeypatch.setattr(forest_module, "SPLIT_STACK_BYTES", 8 * mtry * 300)
-        self.assert_same(rf_fit(train, cfg), ref)
+        self.assert_same(self.fit(train, cfg), ref, train)
 
 
 class TestKeyedDraw:
@@ -385,7 +413,8 @@ class TestRoutingOracle:
         monkeypatch.setattr(forest_module, "ROUTE_PAIRS", pairs)
         assert same_bits(rf_predict(forest, queries), rf_predict_ref(forest, queries))
         refit = rf_fit(train, forest.config)
-        assert refit.oob_rmse == oob_rmse_ref(forest.trees, forest.in_bag, train)
+        boots = bootstraps_ref(forest.config, len(train))
+        assert refit.oob_rmse == oob_rmse_ref(forest.trees, boots, train)
         assert refit.oob_rmse == forest.oob_rmse
 
     def test_tree_predict_matches_per_tree_loop(self):
@@ -419,10 +448,11 @@ class TestRoutingOracle:
         train = table(covs, rng.random(len(covs)))
         cfg = RfConfig(ntree=6, mtry=2, min_leaf=1, seed=3)
         ref = rf_fit_ref(train, cfg)
-        assert all(np.count_nonzero(boot < 300) > 128 for boot in ref.in_bag)
-        forest = rf_fit(train, cfg)
-        TestLockstepOracle.assert_same(forest, ref)
-        assert same_bits(rf_predict(forest, train), rf_predict_ref(ref, train))
+        assert all(np.count_nonzero(boot < 300) > 128
+                   for boot in bootstraps_ref(cfg, len(train)))
+        fitted = TestLockstepOracle.fit(train, cfg)
+        TestLockstepOracle.assert_same(fitted, ref, train)
+        assert same_bits(rf_predict(fitted[0], train), rf_predict_ref(ref, train))
 
 
 class TestDeterminism:
@@ -440,7 +470,7 @@ class TestDeterminism:
         forest = rf_fit(train, RfConfig(ntree=8, mtry=2, min_leaf=3, seed=7), workers=workers)
         stats = {}
         choice = tune_mtry(train, RfConfig(ntree=4, mtry="tune", min_leaf=3, seed=7),
-                           [1, 2, 3], folds=3, stats=stats, workers=workers)
+                           [1, 2, 3], folds=3, stats=stats)
         return forest, rf_predict(forest, queries, workers=workers), stats["fold_rmse"], choice
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -469,6 +499,23 @@ class TestDeterminism:
         assert calls == [8]
         assert forest.ntree == 8
 
+    def test_tuning_starts_no_thread_pool(self, rng, monkeypatch):
+        pools, pool = [], forest_module.ThreadPoolExecutor
+
+        def counted(*args, **kwargs):
+            pools.append(args)
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(forest_module, "ThreadPoolExecutor", counted)
+        # 7 pairs make every scoring pass many chunks
+        monkeypatch.setattr(forest_module, "ROUTE_PAIRS", 7)
+        train = random_train(rng)
+        tune_mtry(train, RfConfig(ntree=4, mtry="tune", min_leaf=3, seed=7), [1, 2, 3], folds=3)
+        assert pools == []
+        # a threaded pass does start one through the patched name
+        rf_predict(rf_fit(train, RfConfig(ntree=4, mtry=2)), train, workers=2)
+        assert pools == [(2,)]
+
     def test_different_seeds_differ(self, rng):
         train = random_train(rng)
         a = rf_fit(train, RfConfig(ntree=5, mtry=2, seed=0))
@@ -480,8 +527,9 @@ class TestTreeStructure:
     def test_tiny_sample_single_leaf(self, rng):
         # n below 2 * min_leaf: every tree is one leaf at its bootstrap mean
         train = table(rng.normal(0, 1, (4, 2)), rng.random(4))
-        forest = rf_fit(train, RfConfig(ntree=6, mtry=1, min_leaf=5, seed=3))
-        for tree, boot in zip(forest.trees, forest.in_bag):
+        cfg = RfConfig(ntree=6, mtry=1, min_leaf=5, seed=3)
+        forest = rf_fit(train, cfg)
+        for tree, boot in zip(forest.trees, bootstraps_ref(cfg, len(train))):
             assert tree.n_nodes == 1
             assert tree.value[0] == float(np.mean(train.target[boot]))
 
@@ -502,8 +550,9 @@ class TestTreeStructure:
     def test_leaves_respect_min_leaf(self, rng):
         train = random_train(rng, 200)
         min_leaf = 7
-        forest = rf_fit(train, RfConfig(ntree=4, mtry=3, min_leaf=min_leaf, seed=9))
-        for tree, boot in zip(forest.trees, forest.in_bag):
+        cfg = RfConfig(ntree=4, mtry=3, min_leaf=min_leaf, seed=9)
+        forest = rf_fit(train, cfg)
+        for tree, boot in zip(forest.trees, bootstraps_ref(cfg, len(train))):
             x = train.covariates[boot]
             nodes = np.zeros(len(x), dtype=np.int64)
             # route the bootstrap sample down and count arrivals per leaf
@@ -699,7 +748,6 @@ class TestValidation:
         calls = [
             lambda: rf_fit(train, RfConfig(ntree=2, mtry=2), workers=workers),
             lambda: rf_predict(forest, train, workers=workers),
-            lambda: tune_mtry(train, RfConfig(ntree=2), [1, 2], folds=2, workers=workers),
         ]
         for call in calls:
             with pytest.raises(UsageError, match="workers"):

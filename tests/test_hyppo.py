@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,18 @@ def points(lon, lat, z):
 
 def identity_space(nvars=2):
     return FeatureSpace(mode="coords", means=np.zeros(nvars), stdevs=np.ones(nvars))
+
+
+@contextmanager
+def fold_stack(cfg, space, sets):
+    """Score neighbor sets in leave-one-out stacks of ``sets`` each; None
+    keeps FOLD_STACK_BYTES."""
+    with pytest.MonkeyPatch.context() as patch:
+        if sets is not None:
+            m = monomial_count(space.nvars, admissible_degrees(space.nvars, cfg.k,
+                                                               cfg.max_degree)[-1])
+            patch.setattr(hyppo, "FOLD_STACK_BYTES", sets * 8 * cfg.k * (cfg.k - 1) * m)
+        yield
 
 
 def lattice_case(rng, nq):
@@ -414,13 +428,14 @@ class TestHyppoPredict:
             space = FeatureSpace.fit("coords", train)
             cfg = HyppoConfig(k=k, max_degree=3)
             stats = {}
-            pred, deg, rank_deficient = hyppo_predict_with_degrees(
-                train, queries, cfg, space, chunk=2, stats=stats)
-            monkeypatch.setattr(hyppo, "fit_polynomial", numbered)
-            slots.clear()
-            named, named_deg, named_rd = hyppo_predict_with_degrees(
-                train, queries, cfg, space, chunk=2)
-            monkeypatch.setattr(hyppo, "fit_polynomial", original)
+            with fold_stack(cfg, space, 2):
+                pred, deg, rank_deficient = hyppo_predict_with_degrees(
+                    train, queries, cfg, space, stats=stats)
+                monkeypatch.setattr(hyppo, "fit_polynomial", numbered)
+                slots.clear()
+                named, named_deg, named_rd = hyppo_predict_with_degrees(
+                    train, queries, cfg, space)
+                monkeypatch.setattr(hyppo, "fit_polynomial", original)
             np.testing.assert_array_equal(named_deg, deg)
             np.testing.assert_array_equal(named_rd, rank_deficient)
 
@@ -477,7 +492,14 @@ class TestHyppoPredict:
         assert raw[0] > 1.0
         assert clamped[0] == 1.0
 
-    def test_chunking_invariance(self, rng):
+    def test_chunking_invariance(self, rng, monkeypatch):
+        stacks, select = [], hyppo._select_degrees
+
+        def recorded(feats, z, candidates):
+            stacks.append(len(z))
+            return select(feats, z, candidates)
+
+        monkeypatch.setattr(hyppo, "_select_degrees", recorded)
         train = points(rng.uniform(0, 1, 40), rng.uniform(0, 1, 40),
                        rng.random(40))
         queries = points(rng.uniform(0, 1, 23), rng.uniform(0, 1, 23),
@@ -490,20 +512,18 @@ class TestHyppoPredict:
                                       (lattice, HyppoConfig(k=12, max_degree=3)),
                                       (mixed, HyppoConfig(k=12, max_degree=3))):
             space = FeatureSpace.fit("coords", train)
-            runs = [hyppo_predict_with_degrees(train, queries, cfg, space, chunk=c)
-                    for c in (1, 5, None)]
+            runs = []
+            for sets in (1, 5, None):
+                stacks.clear()
+                with fold_stack(cfg, space, sets):
+                    runs.append(hyppo_predict_with_degrees(train, queries, cfg, space))
+                if sets:
+                    assert max(stacks) == sets
             for run in runs[1:]:
                 for a, b in zip(runs[0], run):
                     np.testing.assert_array_equal(a, b)
         _, degrees, rank_deficient = runs[0]
         assert 0 < np.count_nonzero(rank_deficient[degrees == 3]) < np.count_nonzero(degrees == 3)
-
-    @pytest.mark.parametrize("chunk", [0, -1, 2.5])
-    def test_bad_chunk_rejected(self, rng, chunk):
-        train, queries = lattice_case(rng, 23)
-        space = FeatureSpace.fit("coords", train)
-        with pytest.raises(UsageError, match="chunk"):
-            hyppo_predict_with_degrees(train, queries, HyppoConfig(k=8), space, chunk=chunk)
 
     def test_shared_neighbor_set_shares_degree(self, rng):
         train, queries = lattice_case(rng, 300)

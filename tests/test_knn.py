@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from finegrid import (
     neighbor_search,
 )
 
+from finegrid.models import features
 from finegrid.models.knn import neighbor_mean
 
 from conftest import random_table
@@ -34,6 +37,17 @@ def brute_force_knn(train_f, query_f, k):
     return out_i, out_d
 
 
+@contextmanager
+def search_tile(size):
+    """Search in tiles of exactly ``size`` queries, whatever the training
+    count; None keeps the module's budgets."""
+    with pytest.MonkeyPatch.context() as patch:
+        if size is not None:
+            patch.setattr(features, "SEARCH_TILE_MIN", size)
+            patch.setattr(features, "SEARCH_TILE_PAIRS", 0)
+        yield
+
+
 class TestNeighborSearch:
     def test_matches_brute_force_bitwise(self, rng):
         for _ in range(10):
@@ -48,16 +62,26 @@ class TestNeighborSearch:
     def test_chunking_invariance(self, rng):
         train_f = rng.normal(0, 1, (40, 2))
         query_f = rng.normal(0, 1, (30, 2))
-        a = neighbor_search(train_f, query_f, 5, chunk=7)
-        b = neighbor_search(train_f, query_f, 5, chunk=1024)
+        with search_tile(7):
+            a = neighbor_search(train_f, query_f, 5)
+        with search_tile(1024):
+            b = neighbor_search(train_f, query_f, 5)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
-    @pytest.mark.parametrize("chunk", [0, -1, 2.5, "7"])
-    def test_bad_chunk_rejected(self, rng, chunk):
+    @pytest.mark.parametrize("size", [1, 7, None])
+    def test_tile_follows_budgets(self, rng, size, monkeypatch):
+        tiles, tile_order = [], features._tile_order
+
+        def recorded(cols, tile):
+            tiles.append(tile)
+            return tile_order(cols, tile)
+
+        monkeypatch.setattr(features, "_tile_order", recorded)
         train_f = rng.normal(0, 1, (40, 2))
-        with pytest.raises(UsageError, match="chunk"):
-            neighbor_search(train_f, train_f[:5], 3, chunk=chunk)
+        with search_tile(size):
+            neighbor_search(train_f, train_f, 3)
+        assert tiles == [size or max(features.SEARCH_TILE_MIN, features.SEARCH_TILE_PAIRS // 40)]
 
     def test_lattice_with_gaps_matches_brute_force_bitwise(self, rng):
         # coarse-cell centroids with 20 % gaps as training, fine-cell centres
@@ -72,8 +96,9 @@ class TestNeighborSearch:
         bidx, bdist = brute_force_knn(train_f, query_f, k + 1)
         assert len(train_f) > 400
         assert (bdist[:, k - 1] == bdist[:, k]).any()  # ties straddle the k-th
-        for chunk in (1, 7, None):
-            idx, dist = neighbor_search(train_f, query_f, k, chunk=chunk)
+        for size in (1, 7, None):
+            with search_tile(size):
+                idx, dist = neighbor_search(train_f, query_f, k)
             np.testing.assert_array_equal(idx, bidx[:, :k])
             np.testing.assert_array_equal(dist, bdist[:, :k])
 
@@ -92,7 +117,8 @@ class TestNeighborSearch:
         train_f = rng.normal(0, 1, (30, 2))
         query_f = rng.normal(0, 1, (200, 2))
         for q in (query_f, query_f[:1]):
-            idx, dist = neighbor_search(train_f, q, 30, chunk=16)
+            with search_tile(16):
+                idx, dist = neighbor_search(train_f, q, 30)
             bidx, bdist = brute_force_knn(train_f, q, 30)
             np.testing.assert_array_equal(idx, bidx)
             np.testing.assert_array_equal(dist, bdist)

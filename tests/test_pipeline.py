@@ -3,6 +3,7 @@ import importlib.util
 import json
 import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -641,6 +642,26 @@ class TestDailyGrids:
         with pytest.raises(EngineError, match="stage load-observed: daily_grids matched no files"):
             run_pipeline(validate_config(cfg))
 
+    def test_min_count_above_grids_found_is_stage_labeled(self, tmp_path, monkeypatch):
+        import finegrid.pipeline as pipeline_module
+
+        scenario, data_dir = dump_scenario(tmp_path, gap_fraction=0.0)
+        days = tmp_path / "days"
+        days.mkdir()
+        write_ascii_grid(scenario.observed, days / "d01.asc")
+        write_ascii_grid(scenario.observed, days / "d02.asc")
+        cfg = base_config(data_dir, tmp_path / "out")
+        del cfg["observed_grid"]
+        cfg["daily_grids"] = [str(days)]
+        # every cell has both days
+        run_pipeline(validate_config({**cfg, "min_count": 2}))
+        predicted = []
+        monkeypatch.setattr(pipeline_module, "_predict", lambda *args: predicted.append(args))
+        with pytest.raises(EngineError, match="stage load-observed: min_count 3 exceeds the 2 "
+                                              "daily grid"):
+            run_pipeline(validate_config({**cfg, "min_count": 3}))
+        assert predicted == []
+
 
 class TestRegions:
     def test_buffer_monotonicity_of_training_count(self, tmp_path):
@@ -696,6 +717,33 @@ class TestFailureCleanup:
         cfg = validate_config(base_config(data_dir, tmp_path / "out"))
         with pytest.raises(EngineError, match="stage assemble-training: observed grid has no"):
             run_pipeline(cfg)
+
+    @pytest.mark.parametrize("emptied", ["training", "prediction"])
+    def test_sampling_that_empties_a_table_is_stage_labeled(self, tmp_path, monkeypatch,
+                                                            emptied):
+        import finegrid.pipeline as pipeline_module
+
+        scenario, data_dir = dump_scenario(tmp_path)
+        paths = [data_dir / f"{name}.asc" for name in scenario.covariate_names]
+        cfg = base_config(data_dir, tmp_path / "out", method="rf", ntree=5, mtry=1,
+                          covariate_layers=[str(path) for path in paths])
+        if emptied == "training":
+            # layers far from the observed grid cover no training record
+            for path in paths:
+                write_ascii_grid(replace(read_ascii_grid(path), xll=50.0, yll=50.0), path)
+            message = "stage assemble-training: no training records remain after covariate"
+        else:
+            # a fine grid far from the layers covers no prediction cell
+            observed = read_ascii_grid(data_dir / "observed.asc")
+            del cfg["fine_factor"]
+            cfg["fine_header"] = {"ncols": 16, "nrows": 16, "xll": 50.0, "yll": 50.0,
+                                  "cellsize": observed.cellsize / 2}
+            message = "stage fine-grid: no prediction records remain after covariate"
+        predicted = []
+        monkeypatch.setattr(pipeline_module, "_predict", lambda *args: predicted.append(args))
+        with pytest.raises(EngineError, match=message):
+            run_pipeline(validate_config(cfg))
+        assert predicted == []
 
     def test_error_carries_stage_and_removes_outputs(self, tmp_path):
         _, data_dir = dump_scenario(tmp_path)
