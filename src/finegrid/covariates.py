@@ -106,8 +106,8 @@ def write_pca_sidecar(model: PcaModel, path) -> None:
 
 
 def read_pca_sidecar(path) -> PcaModel:
-    """Read a sidecar written by :func:`write_pca_sidecar`; a malformed file
-    raises :class:`ParseError`."""
+    """Read a sidecar written by :func:`write_pca_sidecar`; a malformed file,
+    a non-finite number in any row included, raises :class:`ParseError`."""
     path = Path(path)
     rows = {}
     components = []
@@ -137,6 +137,8 @@ def read_pca_sidecar(path) -> PcaModel:
         raise ParseError("rows 'stdevs' and 'component*' need one value per mean", path=path)
     if not (np.isfinite(means).all() and np.isfinite(stdevs).all() and (stdevs > 0).all()):
         raise ParseError("means must be finite and stdevs finite and positive", path=path)
+    if not (np.isfinite(rows["eigenvalues"]).all() and np.isfinite(components).all()):
+        raise ParseError("eigenvalues and components must be finite", path=path)
     try:
         return PcaModel(FeatureSpace("covariates", means, stdevs), np.array(components),
                         np.array(rows["eigenvalues"]), retained)

@@ -42,19 +42,13 @@ row of ntree pairs, so memory does not grow with the query count. bincount
 adds each row's leaves in tree order from 0.0: the same float additions as a
 per-tree loop. The chunks run on ``workers`` threads, each writing only its
 own rows; chunk bounds do not depend on ``workers``, so neither do the sums.
-
-mtry tuning (:func:`tune_mtry`) grows each fold's forests without
-``rf_fit``, from the bootstraps and keys ``rf_fit`` would draw on that
-fold's training records, mapped to full-table rows, so each is the forest
-``rf_fit`` grows there, bit for bit. Tuning computes no out-of-bag error,
-and scores each fold on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -453,16 +447,11 @@ def tune_mtry(
 
     Records are shuffled once by a seeded stream and split into near-equal
     folds; every candidate sees the same folds. Ties go to the smaller mtry.
-
-    Each fold's bootstraps are drawn once and serve every candidate, whose
-    forest there is the one ``rf_fit`` grows on that fold's training records,
-    bit for bit (see the module docstring). Its held-out records are scored
-    in one routing pass on the calling thread. That pass is ntree × held-out
-    pairs, two ROUTE_PAIRS chunks at the paper's shape (500 trees, 72
-    held-out records), too few to repay a thread pool's start. No out-of-bag
-    error is computed. A ``stats`` dict, if given, receives ``cv_rmse``, each
-    candidate's mean fold RMSE, and ``fold_rmse``, the (candidate, fold)
-    RMSE array.
+    Each (fold, candidate) forest is fitted with ``rf_fit`` on the fold's
+    training records and scored with ``rf_predict`` on its held-out records,
+    both on the calling thread. A ``stats`` dict, if given, receives
+    ``cv_rmse``, each candidate's mean fold RMSE, and ``fold_rmse``, the
+    (candidate, fold) RMSE array.
     """
     z = train.require_targets()
     n, p = len(train), train.p
@@ -478,20 +467,15 @@ def tune_mtry(
     if n < folds:
         raise UsageError(f"{n} records cannot fill {folds} folds")
 
-    x, ntree = train.covariates, cfg.ntree
     rng = np.random.default_rng([cfg.seed & _SEED_MASK, _TUNE_STREAM])
-    keys = _root_keys(cfg.seed, ntree)
     fold_rmse = np.empty((len(candidates), folds))
     for fi, test_idx in enumerate(np.array_split(rng.permutation(n), folds)):
         keep = np.ones(n, dtype=bool)
         keep[test_idx] = False
-        # the fold's training records, in table order as train.subset(keep) has them
-        kept = np.flatnonzero(keep)
-        boots = [kept[boot] for boot in _bootstraps(cfg, len(kept))]
-        member = np.broadcast_to(True, (ntree, len(test_idx)))
+        fitting, held_out = train.subset(keep), train.subset(test_idx)
         for ci, cand in enumerate(candidates):
-            stacked = _stack(_grow_trees(x, z, boots, keys, cand, cfg.min_leaf))
-            err = _leaf_sums(stacked, x[test_idx], member, 1) / ntree - z[test_idx]
+            forest = rf_fit(fitting, replace(cfg, mtry=cand))
+            err = rf_predict(forest, held_out) - z[test_idx]
             fold_rmse[ci, fi] = np.sqrt(np.mean(err * err))
     mean_rmse = [np.mean(row) for row in fold_rmse]
     if stats is not None:
@@ -525,9 +509,17 @@ def write_forest(forest: Forest, path) -> None:
     Path(path).write_text(serialize_forest(forest))
 
 
+def _finite(text: str, what: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} {text} is not finite")
+    return value
+
+
 def read_forest(path) -> Forest:
     """Read a forest written by :func:`write_forest`; it predicts as the
-    forest written does."""
+    forest written does. A malformed file, a non-finite split threshold or
+    leaf value included, raises :class:`ParseError` naming the line."""
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines or not lines[0].startswith("forest "):
@@ -571,7 +563,7 @@ def read_forest(path) -> Forest:
                     raise ValueError(f"node id {parts[0]} out of order")
                 if parts[1] == "leaf":
                     feature[node] = -1
-                    value[node] = float(parts[2])
+                    value[node] = _finite(parts[2], "leaf value")
                 elif parts[1] == "split":
                     feat, lo, hi = int(parts[2]), int(parts[4]), int(parts[5])
                     if not 0 <= feat < p:
@@ -580,7 +572,7 @@ def read_forest(path) -> Forest:
                     # older files), so routing cannot cycle
                     if not (node < lo < n_nodes and node < hi < n_nodes):
                         raise ValueError(f"children {lo}, {hi} outside ({node}, {n_nodes})")
-                    feature[node], threshold[node] = feat, float(parts[3])
+                    feature[node], threshold[node] = feat, _finite(parts[3], "threshold")
                     left[node], right[node] = lo, hi
                 else:
                     raise ValueError(f"unknown node kind {parts[1]!r}")

@@ -248,6 +248,13 @@ def _fine_grid_header(cfg: PipelineConfig, coarse: Grid) -> Grid:
     return Grid(**header, values=np.full((header["nrows"], header["ncols"]), header["nodata"]))
 
 
+def _pairs_observed(points: PointTable, observed: Grid) -> bool:
+    """Whether any point falls in a data cell of the observed grid; the
+    analysis pairs only those, so with none every metric would be empty."""
+    rows, cols, inside = observed.cell_index_arrays(points.lon, points.lat)
+    return bool(observed.data_mask[rows[inside], cols[inside]].any())
+
+
 def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, derived: dict):
     s = cfg.settings
     model_cfg = _model_config(s)
@@ -396,6 +403,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
                 raise UsageError("no training records remain after region clipping")
             if len(prediction_points) == 0:
                 raise UsageError("no prediction records remain after region clipping")
+        if not _pairs_observed(prediction_points, observed):
+            raise UsageError("no prediction cell falls in a data cell of the observed grid")
 
         enter("pca")
         if s["pca"]:
@@ -423,6 +432,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             logger.info("report count: %d", derived["report_count"])
             if len(predicted) == 0:
                 raise UsageError("no predictions fall inside the reporting region")
+            if not _pairs_observed(predicted, observed):
+                raise UsageError("no prediction inside the reporting region falls in a "
+                                 "data cell of the observed grid")
 
         enter("write-prediction")
         raster = np.full((fine.nrows, fine.ncols), fine.nodata)

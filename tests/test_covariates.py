@@ -239,9 +239,13 @@ class TestSidecar:
         ("retained", ""), ("retained", "1.5"), ("retained", "0"), ("retained", "1,1"),
         ("stdevs", "1.0,0.0"), ("stdevs", "1.0,inf"), ("stdevs", "1.0"), ("means", "nan,0.0"),
         ("means", "0.0,0.0,0.0"), ("eigenvalues", "1.0"),
+        # non-finite numbers the writer never produces, which would give NaN scores
+        ("eigenvalues", "nan,1.0"), ("eigenvalues", "1.5,-inf"),
+        ("component1", "nan,0.5"), ("component1", "0.5,inf"),
     ], ids=["retained-empty", "retained-fraction", "retained-zero", "retained-two",
             "stdev-zero", "stdev-inf", "stdevs-short", "means-nan", "means-long",
-            "eigenvalues-short"])
+            "eigenvalues-short", "eigenvalue-nan", "eigenvalue-inf", "component-nan",
+            "component-inf"])
     def test_malformed_row_rejected(self, rng, tmp_path, row, value):
         model = pca_fit(make_table(rng.normal(0, 1, (40, 2))))
         path = tmp_path / "m.csv"

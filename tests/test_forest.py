@@ -348,8 +348,9 @@ def tune_case(name):
 
 
 def tune_rmse_ref(train, cfg, candidates, folds):
-    """(candidate, fold) RMSE of the per-fold loop that tune_mtry replaced:
-    rf_fit_ref on the fold's training records, then rf_predict on its own."""
+    """(candidate, fold) RMSE of tune_mtry's per-fold loop, fitting with the
+    recursive rf_fit_ref on the fold's training records, then scoring with
+    rf_predict on its held-out records."""
     n = len(train)
     rng = np.random.default_rng([cfg.seed, forest_module._TUNE_STREAM])
     rmse = np.empty((len(candidates), folds))
@@ -365,9 +366,8 @@ def tune_rmse_ref(train, cfg, candidates, folds):
 
 
 class TestTuneOracle:
-    """tune_mtry's fold forests, grown from bootstraps drawn once per fold and
-    scored in one routing pass each, must give the per-fold loop's RMSEs bit
-    for bit."""
+    """tune_mtry's (candidate, fold) RMSEs, from rf_fit and rf_predict on each
+    fold, must equal the reference loop's over the recursive fit, bit for bit."""
 
     @staticmethod
     def tune(train, cfg, candidates, folds):
@@ -674,6 +674,23 @@ class TestSerialization:
             with pytest.raises(ParseError, match=r"bad forest header: .*:1\)"):
                 read_forest(path)
 
+    @pytest.mark.parametrize("node, line", [
+        ("0 split 0 nan 1 2", 3), ("0 split 0 -inf 1 2", 3), ("2 leaf nan", 5), ("1 leaf inf", 4),
+    ], ids=["threshold-nan", "threshold-inf", "leaf-nan", "leaf-inf"])
+    def test_non_finite_node_rejected(self, tmp_path, node, line):
+        # the writer never produces these, and a forest read with them would
+        # predict NaN; a NaN oob_rmse stays legal, as a forest with no
+        # out-of-bag record writes it
+        path = tmp_path / "bad.txt"
+        lines = ["forest ntree=1 p=2 min_leaf=5 seed=0 mtry=1 oob_rmse=nan", "tree 0 nodes=3",
+                 "0 split 0 0.5 1 2", "1 leaf 0.5", "2 leaf 1.0"]
+        path.write_text("\n".join(lines) + "\n")
+        assert read_forest(path).ntree == 1
+        lines[line - 1] = node
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf"bad node line: .* is not finite .*:{line}\)"):
+            read_forest(path)
+
 
 class TestTuneMtry:
     def test_single_candidate_returned(self, rng):
@@ -693,6 +710,27 @@ class TestTuneMtry:
         choice = tune_mtry(train, cfg, folds=3)
         assert choice in default_mtry_grid(3)
         assert tune_mtry(train, cfg, folds=3) == choice
+
+    def test_fits_and_scores_through_rf_fit_and_rf_predict(self, rng, monkeypatch):
+        # wrapped at the module binding, as perfbench/tracing.py wraps them
+        fits, predictions = [], []
+        fit, predict = forest_module.rf_fit, forest_module.rf_predict
+
+        def counted_fit(train, cfg, *args, **kwargs):
+            fits.append((len(train), cfg.mtry))
+            return fit(train, cfg, *args, **kwargs)
+
+        def counted_predict(forest, queries, *args, **kwargs):
+            predictions.append(len(queries))
+            return predict(forest, queries, *args, **kwargs)
+
+        monkeypatch.setattr(forest_module, "rf_fit", counted_fit)
+        monkeypatch.setattr(forest_module, "rf_predict", counted_predict)
+        train = random_train(rng, 100)
+        tune_mtry(train, RfConfig(ntree=4, mtry="tune", min_leaf=3, seed=7), [1, 2, 3], folds=3)
+        sizes = [34, 33, 33]  # np.array_split of 100 records into 3 folds
+        assert fits == [(100 - size, cand) for size in sizes for cand in (1, 2, 3)]
+        assert predictions == [size for size in sizes for _ in range(3)]
 
     def test_default_grid(self):
         assert default_mtry_grid(1) == [1]

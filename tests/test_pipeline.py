@@ -745,6 +745,41 @@ class TestFailureCleanup:
             run_pipeline(validate_config(cfg))
         assert predicted == []
 
+    def test_fine_grid_pairing_no_observed_cell_is_stage_labeled(self, tmp_path, monkeypatch):
+        import finegrid.pipeline as pipeline_module
+
+        _, data_dir = dump_scenario(tmp_path, seed=1, fine_shape=(64, 64), coarse_factor=8)
+        # with no covariate layers nothing is sampled, so only the pairing
+        # check sees that the fine grid lies far outside the observed one
+        cfg = base_config(data_dir, tmp_path / "out", k=4)
+        del cfg["fine_factor"]
+        cfg["fine_header"] = {"ncols": 16, "nrows": 16, "xll": 50.0, "yll": 50.0,
+                              "cellsize": 0.025}
+        predicted = []
+        monkeypatch.setattr(pipeline_module, "_predict", lambda *args: predicted.append(args))
+        with pytest.raises(EngineError, match="stage clip: no prediction cell falls in a "
+                                              "data cell of the observed grid"):
+            run_pipeline(validate_config(cfg))
+        assert predicted == []
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_report_region_pairing_no_observed_cell_is_stage_labeled(self, tmp_path):
+        from finegrid import Region
+        scenario, data_dir = dump_scenario(tmp_path)
+        # a reporting region holding only the fine cells of one gap cell
+        observed = scenario.observed
+        row, col = np.argwhere(~observed.data_mask)[0]
+        lon, lat = observed.centroid(int(row), int(col))
+        h = 0.4 * observed.cellsize
+        write_region(Region(rings=(((lon - h, lat - h), (lon + h, lat - h), (lon + h, lat + h),
+                                    (lon - h, lat + h)),)), tmp_path / "gap.geojson")
+        cfg = validate_config(base_config(data_dir, tmp_path / "out",
+                                          report_region_file=str(tmp_path / "gap.geojson")))
+        with pytest.raises(EngineError, match="stage report-clip: no prediction inside the "
+                                              "reporting region falls in a data cell"):
+            run_pipeline(cfg)
+        assert not any((tmp_path / "out").iterdir())
+
     def test_error_carries_stage_and_removes_outputs(self, tmp_path):
         _, data_dir = dump_scenario(tmp_path)
         out = tmp_path / "out"
