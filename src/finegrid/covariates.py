@@ -83,9 +83,12 @@ def pca_transform(model: PcaModel, table: PointTable) -> PointTable:
     """Replace covariates with the retained principal-component scores.
 
     The same fitted model must be applied to the training and prediction
-    tables so both live in one feature space.
+    tables so both live in one feature space. Each record's scores depend on
+    that record alone, bit for bit, whatever table it sits in.
     """
-    scores = model.stats.features(table) @ model.components.T
+    # a matmul lets BLAS pick its kernel by the table's shape, which moves a
+    # record's scores by ulps; einsum's sum over p runs the same for every row
+    scores = np.einsum("np,qp->nq", model.stats.features(table), model.components)
     return PointTable(table.lon, table.lat, table.target, scores)
 
 

@@ -190,11 +190,11 @@ def read_ascii_grid(path) -> Grid:
     Header keys are case-insensitive but must appear in the canonical order
     (ncols, nrows, xllcorner, yllcorner, cellsize, NODATA_value). Blank body
     lines are skipped. The body is parsed by one ``np.loadtxt`` pass, which
-    accepts ASCII decimal tokens (and ``inf``/``nan`` spellings, which
-    :class:`Grid` then rejects) and gives the same doubles as ``float``.
+    accepts ASCII decimal tokens (and ``inf``/``nan`` spellings, which are
+    then refused by line) and gives the same doubles as ``float``.
     Tokens that only Python's ``float`` accepts, digit-group underscores
     (``1_0``) and non-ASCII digits, are not ESRI ASCII and are rejected.
-    Header values must also be finite.
+    Header values must also be finite, and cellsize positive.
     Raises :class:`ParseError` naming the offending line on any format
     violation.
     """
@@ -224,6 +224,8 @@ def read_ascii_grid(path) -> Grid:
     ncols, nrows = header["ncols"], header["nrows"]
     if ncols < 1 or nrows < 1:
         raise ParseError("ncols and nrows must be positive", path=path, line=1)
+    if header["cellsize"] <= 0:
+        raise ParseError("cellsize must be positive", path=path, line=5)
 
     body = lines[len(_HEADER_KEYS):]
     values = None
@@ -235,6 +237,13 @@ def read_ascii_grid(path) -> Grid:
             pass
     if values is None or values.shape != (nrows, ncols):
         raise _body_error(body, ncols, nrows, path)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        # the line of the first bad row, blank lines counted as _body_error counts them
+        data_lines = [i for i, line in enumerate(body, start=len(_HEADER_KEYS) + 1)
+                      if line.strip()]
+        raise ParseError("non-finite data value; use the nodata sentinel for gaps",
+                         path=path, line=data_lines[int(np.argmin(finite))])
 
     return Grid(
         ncols=ncols,

@@ -2,9 +2,10 @@
 
 A run loads the coarse observed grid (or averages daily grids), assembles
 training records from its non-nodata cells, builds a fine prediction
-lattice, clips both point sets with the same buffered region, optionally
-reduces covariates by PCA, predicts with one of the three models, clamps to
-the declared target range, and harmonizes the fine predictions back to the
+lattice, clips both point sets with the same buffered region and the
+prediction cells to the reporting region, optionally reduces covariates by
+PCA, predicts the kept cells with one of the three models, clamps to the
+declared target range, and harmonizes the fine predictions back to the
 coarse grid for residual analysis. Every parameter and derived choice lands
 in a manifest so a run can be reproduced bit for bit.
 """
@@ -222,7 +223,6 @@ class RunResult:
     output_dir: Path
     report: ResidualReport
     manifest: dict
-    prediction: Grid
 
 
 def _model_config(s: dict):
@@ -246,13 +246,6 @@ def _fine_grid_header(cfg: PipelineConfig, coarse: Grid) -> Grid:
     # the header keys are Grid's field names
     header = {"nodata": coarse.nodata, **header}
     return Grid(**header, values=np.full((header["nrows"], header["ncols"]), header["nodata"]))
-
-
-def _pairs_observed(points: PointTable, observed: Grid) -> bool:
-    """Whether any point falls in a data cell of the observed grid; the
-    analysis pairs only those, so with none every metric would be empty."""
-    rows, cols, inside = observed.cell_index_arrays(points.lon, points.lat)
-    return bool(observed.data_mask[rows[inside], cols[inside]].any())
 
 
 def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, derived: dict):
@@ -302,6 +295,10 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
 
 def run_pipeline(cfg: PipelineConfig) -> RunResult:
     """Execute the full workflow; see module docstring.
+
+    The ``clip`` stage applies both regions and checks that a prediction
+    cell pairs with observed data, so PCA and the model see only the cells
+    the outputs keep.
 
     Outputs are written into a temporary directory inside the output
     directory and moved into place only once ``manifest.json`` is written.
@@ -403,7 +400,18 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
                 raise UsageError("no training records remain after region clipping")
             if len(prediction_points) == 0:
                 raise UsageError("no prediction records remain after region clipping")
-        if not _pairs_observed(prediction_points, observed):
+        if report_region is not None:
+            prediction_points = prediction_points.subset(
+                contains(report_region, prediction_points.lon, prediction_points.lat))
+            derived["report_count"] = len(prediction_points)
+            logger.info("report count: %d", derived["report_count"])
+            if len(prediction_points) == 0:
+                raise UsageError("no predictions fall inside the reporting region")
+        # the analysis pairs only the cells in observed data cells, so with
+        # none every metric would be empty
+        rows, cols, inside = observed.cell_index_arrays(prediction_points.lon,
+                                                        prediction_points.lat)
+        if not observed.data_mask[rows[inside], cols[inside]].any():
             raise UsageError("no prediction cell falls in a data cell of the observed grid")
 
         enter("pca")
@@ -424,17 +432,6 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         predicted = prediction_points.with_target(values)
         if forest is not None:
             write_forest(forest, staging / "forest.txt")
-
-        enter("report-clip")
-        if report_region is not None:
-            predicted = predicted.subset(contains(report_region, predicted.lon, predicted.lat))
-            derived["report_count"] = len(predicted)
-            logger.info("report count: %d", derived["report_count"])
-            if len(predicted) == 0:
-                raise UsageError("no predictions fall inside the reporting region")
-            if not _pairs_observed(predicted, observed):
-                raise UsageError("no prediction inside the reporting region falls in a "
-                                 "data cell of the observed grid")
 
         enter("write-prediction")
         raster = np.full((fine.nrows, fine.ncols), fine.nodata)
@@ -483,4 +480,4 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         if staging is not None:
             shutil.rmtree(staging, ignore_errors=True)
         raise EngineError(f"stage {stage}: {exc}") from exc
-    return RunResult(out_dir, report, manifest, prediction_grid)
+    return RunResult(out_dir, report, manifest)

@@ -181,6 +181,23 @@ class TestPcaTransform:
         shuffled = pca_transform(model, make_table(covs[perm])).covariates
         np.testing.assert_allclose(shuffled, direct[perm], atol=1e-12)
 
+    def test_scores_independent_of_the_table_bitwise(self, rng):
+        # two correlated pairs keep two components; a record's scores must
+        # not move with the other records of its table, alone or in a few
+        a, b = rng.normal(0, 1, (2, 500))
+        covs = np.column_stack([a, a + 0.3 * rng.normal(0, 1, 500),
+                                b, b - 0.3 * rng.normal(0, 1, 500)])
+        table = make_table(covs)
+        model = pca_fit(table)
+        assert model.retained == 2
+        full = pca_transform(model, table).covariates
+        for i in range(len(table)):
+            assert pca_transform(model, table.subset([i])).covariates.tobytes() == \
+                full[i].tobytes()
+        few = rng.choice(len(table), 7, replace=False)
+        assert pca_transform(model, table.subset(few)).covariates.tobytes() == \
+            full[few].tobytes()
+
     def test_affine_invariance_of_scores(self, rng):
         # per-column shift and positive scale leaves correlation (and scores)
         # unchanged

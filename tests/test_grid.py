@@ -48,8 +48,10 @@ def _read_ascii_grid_ref(path) -> Grid:
     ncols, nrows = header["ncols"], header["nrows"]
     if ncols < 1 or nrows < 1:
         raise ParseError("ncols and nrows must be positive", path=path, line=1)
+    if header["cellsize"] <= 0:
+        raise ParseError("cellsize must be positive", path=path, line=5)
 
-    rows = []
+    rows, row_lines = [], []
     for i, line in enumerate(lines[len(_HEADER_KEYS):], start=len(_HEADER_KEYS) + 1):
         if not line.strip():
             continue
@@ -62,8 +64,13 @@ def _read_ascii_grid_ref(path) -> Grid:
             rows.append([float(t) for t in tokens])
         except ValueError as exc:
             raise ParseError("non-numeric data token", path=path, line=i) from exc
+        row_lines.append(i)
     if len(rows) != nrows:
         raise ParseError(f"found {len(rows)} data rows, expected {nrows}", path=path)
+    for i, row in zip(row_lines, rows):
+        if not all(map(np.isfinite, row)):
+            raise ParseError("non-finite data value; use the nodata sentinel for gaps",
+                             path=path, line=i)
 
     return Grid(
         ncols=ncols,
@@ -310,6 +317,12 @@ class TestAsciiOracle:
         pytest.param(HEADER_3x2 + "1 2 3 #x\n4 5 6\n", id="comment-marker"),
         pytest.param(HEADER_3x2 + "1 2 3\n4 5 1e999\n", id="overflow-to-inf"),
         pytest.param(HEADER_3x2 + "1 nan 3\n4 5 6\n", id="nan"),
+        pytest.param(HEADER_3x2 + "\n1 2 3\n\n\n4 -inf nan\n", id="nan-after-blank-lines"),
+        pytest.param(HEADER_3x2 + "1 nan 3\n4 5\n", id="nan-then-short-row"),
+        pytest.param(HEADER_3x2.replace("cellsize 0.25", "cellsize 0") + "1 2 3\n4 5 6\n",
+                     id="zero-cellsize"),
+        pytest.param(HEADER_3x2.replace("cellsize 0.25", "cellsize -1") + "1 2 3\n4 5 6\n",
+                     id="negative-cellsize"),
         pytest.param(HEADER_3x2, id="header-only"),
         pytest.param(HEADER_3x2 + "\n  \n\t\n", id="empty-body"),
         pytest.param(HEADER_3x2.replace("nrows 2", "nrows two"), id="bad-header-value"),
@@ -321,7 +334,8 @@ class TestAsciiOracle:
         path.write_bytes(text.encode())
         got = _outcome(read_ascii_grid, path)
         assert got == _outcome(_read_ascii_grid_ref, path)
-        assert got[0] in (ParseError, UsageError)
+        # a ParseError naming the file
+        assert got[0] is ParseError and str(path) in got[1]
 
     @pytest.mark.parametrize("body", [
         pytest.param("\n1 2 3\n\n\n4 5 6\n\n", id="blank-lines"),

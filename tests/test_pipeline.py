@@ -68,6 +68,8 @@ def count_lines(derived):
     if "train_count_after_clip" in derived:
         lines.append(f"after the clip: {derived['train_count_after_clip']} training records, "
                      f"{derived['predict_count_after_clip']} prediction cells")
+    if "report_count" in derived:
+        lines.append(f"report count: {derived['report_count']}")
     if "pca_retained" in derived:
         lines.append(f"pca: {derived['pca_retained']} components retained")
     return lines
@@ -275,7 +277,7 @@ class TestRunKnn:
             count_lines(derived) + [f"agreement: {metrics}"])
 
     def test_stage_record_counts_logged_at_info(self, tmp_path, caplog):
-        # every counting stage runs: sampling, region clip, pca, report clip
+        # every count is logged: sampling, region clip, report clip, pca
         _, data_dir = dump_scenario(tmp_path, n_covariates=3)
         out = tmp_path / "out"
         region = str(data_dir / "region.geojson")
@@ -293,8 +295,8 @@ class TestRunKnn:
             f"training records: {derived['train_count_initial']} after sampling",
             f"prediction cells: {derived['predict_count_initial']} after sampling",
             f"after the clip: {counts[0]} training records, {counts[1]} prediction cells",
-            f"pca: {counts[2]} components retained",
             f"report count: {counts[3]}",
+            f"pca: {counts[2]} components retained",
             f"agreement: {metrics}",
         ]
         assert all(r.levelname == "INFO" for r in caplog.records)
@@ -305,7 +307,7 @@ class TestRunKnn:
         _, data_dir = dump_scenario(tmp_path)
         out = tmp_path / "out"
         stages = ["setup", "load-observed", "load-covariates", "load-region",
-                  "assemble-training", "fine-grid", "clip", "pca", "model", "report-clip",
+                  "assemble-training", "fine-grid", "clip", "pca", "model",
                   "write-prediction", "analysis", "manifest"]
         manifests = []
         for render in (False, True, True):
@@ -692,20 +694,67 @@ class TestRegions:
         # cells outside the reporting region are nodata
         assert not pred.data_mask.all()
 
-    def test_empty_clip_is_stage_labeled(self, tmp_path):
+    @pytest.mark.parametrize("settings", [
+        pytest.param({"method": "knn", "k": 3}, id="knn"),
+        pytest.param({"method": "hyppo", "k": 8, "max_degree": 2}, id="hyppo"),
+        pytest.param({"method": "rf", "ntree": 5, "mtry": 1, "pca": True}, id="rf-pca"),
+    ])
+    def test_model_predicts_only_reported_cells(self, tmp_path, monkeypatch, settings):
+        import finegrid.pipeline as pipeline_module
+        from finegrid import Region
+        scenario, data_dir = dump_scenario(tmp_path)
+        layers = [str(data_dir / f"{name}.asc") for name in scenario.covariate_names]
+        # the four fine cells of one observed data cell inside the region
+        observed = scenario.observed
+        h = 0.4 * observed.cellsize
+        lon, lat = next(centroid for centroid in map(observed.centroid, *np.nonzero(
+            observed.data_mask)) if contains(scenario.region, *centroid))
+        write_region(Region(rings=(((lon - h, lat - h), (lon + h, lat - h), (lon + h, lat + h),
+                                    (lon - h, lat + h)),)), tmp_path / "few.geojson")
+        predict, sizes = pipeline_module._predict, []
+
+        def counted_predict(cfg, training, prediction, derived):
+            sizes.append(len(prediction))
+            return predict(cfg, training, prediction, derived)
+
+        monkeypatch.setattr(pipeline_module, "_predict", counted_predict)
+        common = dict(settings, covariate_layers=layers,
+                      region_file=str(data_dir / "region.geojson"), buffer_km=20.0)
+        run_pipeline(validate_config(base_config(data_dir, tmp_path / "plain", **common)))
+        plain = read_ascii_grid(tmp_path / "plain" / "prediction.asc")
+        for name, region in (("region", data_dir / "region.geojson"),
+                             ("few", tmp_path / "few.geojson")):
+            out = tmp_path / name
+            sizes.clear()
+            run_pipeline(validate_config(base_config(
+                data_dir, out, report_region_file=str(region), **common)))
+            derived = json.loads((out / "manifest.json").read_text())["derived"]
+            reported = read_ascii_grid(out / "prediction.asc")
+            kept = reported.data_mask
+            assert sizes == [derived["report_count"]] == [int(kept.sum())]
+            assert reported.values[kept].tobytes() == plain.values[kept].tobytes()
+            if settings["method"] == "hyppo":
+                assert sum(derived["hyppo_degree_counts"].values()) == derived["report_count"]
+            assert name != "few" or derived["report_count"] == 4
+
+    def test_empty_clip_is_stage_labeled(self, tmp_path, monkeypatch):
+        import finegrid.pipeline as pipeline_module
         from finegrid import Region
         _, data_dir = dump_scenario(tmp_path)
         far = Region(rings=(((50.0, 50.0), (51.0, 50.0), (51.0, 51.0),
                              (50.0, 51.0)),))
         write_region(far, tmp_path / "far.geojson")
+        predicted = []
+        monkeypatch.setattr(pipeline_module, "_predict", lambda *args: predicted.append(args))
         for key, message in (
-            ("region_file", "stage clip"),
-            ("report_region_file", "stage report-clip: no predictions fall inside"),
+            ("region_file", "stage clip: no training records remain"),
+            ("report_region_file", "stage clip: no predictions fall inside"),
         ):
             cfg = validate_config(base_config(
                 data_dir, tmp_path / "out", **{key: str(tmp_path / "far.geojson")}))
             with pytest.raises(EngineError, match=message):
                 run_pipeline(cfg)
+        assert predicted == []
 
 
 class TestFailureCleanup:
@@ -763,7 +812,9 @@ class TestFailureCleanup:
         assert predicted == []
         assert not any((tmp_path / "out").iterdir())
 
-    def test_report_region_pairing_no_observed_cell_is_stage_labeled(self, tmp_path):
+    def test_report_region_pairing_no_observed_cell_is_stage_labeled(self, tmp_path,
+                                                                     monkeypatch):
+        import finegrid.pipeline as pipeline_module
         from finegrid import Region
         scenario, data_dir = dump_scenario(tmp_path)
         # a reporting region holding only the fine cells of one gap cell
@@ -775,9 +826,12 @@ class TestFailureCleanup:
                                     (lon - h, lat + h)),)), tmp_path / "gap.geojson")
         cfg = validate_config(base_config(data_dir, tmp_path / "out",
                                           report_region_file=str(tmp_path / "gap.geojson")))
-        with pytest.raises(EngineError, match="stage report-clip: no prediction inside the "
-                                              "reporting region falls in a data cell"):
+        predicted = []
+        monkeypatch.setattr(pipeline_module, "_predict", lambda *args: predicted.append(args))
+        with pytest.raises(EngineError, match="stage clip: no prediction cell falls in a "
+                                              "data cell of the observed grid"):
             run_pipeline(cfg)
+        assert predicted == []
         assert not any((tmp_path / "out").iterdir())
 
     def test_error_carries_stage_and_removes_outputs(self, tmp_path):
@@ -789,6 +843,18 @@ class TestFailureCleanup:
         with pytest.raises(EngineError, match="stage load-covariates"):
             run_pipeline(cfg)
         assert not any(out.iterdir())
+
+    def test_non_finite_layer_cell_names_its_file(self, tmp_path):
+        scenario, data_dir = dump_scenario(tmp_path, n_covariates=4)
+        paths = [data_dir / f"{name}.asc" for name in scenario.covariate_names]
+        lines = paths[2].read_text().splitlines()
+        lines[7] = " ".join(["nan"] + lines[7].split()[1:])
+        paths[2].write_text("\n".join(lines) + "\n")
+        cfg = validate_config(base_config(
+            data_dir, tmp_path / "out", covariate_layers=[str(path) for path in paths]))
+        with pytest.raises(EngineError, match=r"stage load-covariates: non-finite data value"
+                                              rf".* \({re.escape(str(paths[2]))}:8\)"):
+            run_pipeline(cfg)
 
     def test_out_of_range_observed_rejected(self, tmp_path):
         scenario, data_dir = dump_scenario(tmp_path, gap_fraction=0.0)
@@ -804,7 +870,7 @@ class TestFailureCleanup:
         scenario, data_dir = dump_scenario(tmp_path)
         paths = [data_dir / f"{name}.asc" for name in scenario.covariate_names]
         if bad == "nan":
-            # a layer file cannot carry NaN (Grid refuses it at load), so
+            # a layer file cannot carry NaN (the reader refuses it), so
             # put it in the sampled table, as a table built in code could
             import finegrid.pipeline as pipeline_module
 
