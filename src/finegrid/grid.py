@@ -368,14 +368,16 @@ def sample_covariates(points: PointTable, layers: list[Grid]) -> PointTable:
             raise UsageError("covariate layers must share an identical header")
 
     rows, cols, inside = first.cell_index_arrays(points.lon, points.lat)
-    rows_safe = np.clip(rows, 0, first.nrows - 1)
-    cols_safe = np.clip(cols, 0, first.ncols - 1)
-    keep = inside.copy()
-    sampled = np.empty((len(points), len(layers)))
-    for j, layer in enumerate(layers):
-        vals = layer.values[rows_safe, cols_safe]
-        keep &= inside & (vals != layer.nodata)
-        sampled[:, j] = vals
-
+    # a point outside the layers reads cell 0, and is dropped
+    cells = np.where(inside, rows * first.ncols + cols, 0)
+    keep = inside
+    for layer in layers:
+        keep &= np.take(layer.values, cells) != layer.nodata
+    cells = cells[keep]
     kept = points.subset(keep)
-    return PointTable(kept.lon, kept.lat, kept.target, np.hstack([kept.covariates, sampled[keep]]))
+    # the covariate block is built once, at the kept size
+    block = np.empty((len(kept), kept.p + len(layers)))
+    block[:, :kept.p] = kept.covariates
+    for j, layer in enumerate(layers):
+        block[:, kept.p + j] = np.take(layer.values, cells)
+    return PointTable(kept.lon, kept.lat, kept.target, block)

@@ -113,13 +113,22 @@ def _tile_order(cols: np.ndarray, tile: int) -> np.ndarray:
     return np.argsort(key.astype(np.uint16), kind="stable")
 
 
-def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int):
+def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int, reduce=None):
     """Exact k-nearest-neighbor search under Euclidean distance.
 
-    Returns (indices, distances), each (nq, k), neighbors ascending by
-    distance with ties broken by lower training-record index: bit for bit
-    what a brute-force scan of every training record gives, whatever the
-    tile size (SEARCH_TILE_PAIRS // n queries, at least SEARCH_TILE_MIN).
+    Without ``reduce``, returns (indices, distances), each (nq, k), neighbors
+    ascending by distance with ties broken by lower training-record index:
+    bit for bit what a brute-force scan of every training record gives,
+    whatever the tile size (SEARCH_TILE_PAIRS // n queries, at least
+    SEARCH_TILE_MIN).
+
+    With ``reduce``, each tile's rows of those two tables go through
+    ``reduce(indices, distances)`` as soon as the tile is searched, and only
+    the reducer's per-query rows are kept: row q of the result is its row
+    for query q, and the shape past the first axis and the dtype are those
+    of ``reduce`` on a tile of 0 queries. So memory does not grow with
+    queries x k. A reducer that treats each row on its own gives, bit for
+    bit, its value on the whole tables.
 
     Queries are searched in spatially compact tiles (see _tile_order). For
     a tile with bounding-box centre c and radius r, the largest distance
@@ -148,15 +157,30 @@ def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int):
         raise UsageError(f"k = {k} must lie in [1, {n}]: there are {n} training records")
     nq = query_feats.shape[0]
     tile = max(SEARCH_TILE_MIN, SEARCH_TILE_PAIRS // n)
+    tiles = _search_tiles(train_feats, query_feats, k, tile)
+    if reduce is None:
+        indices = np.empty((nq, k), dtype=np.int64)
+        distances = np.empty((nq, k))
+        for rows, tile_indices, tile_distances in tiles:
+            indices[rows], distances[rows] = tile_indices, tile_distances
+        return indices, distances
+    empty = reduce(np.empty((0, k), dtype=np.int64), np.empty((0, k)))
+    reduced = np.empty((nq,) + empty.shape[1:], dtype=empty.dtype)
+    for rows, tile_indices, tile_distances in tiles:
+        reduced[rows] = reduce(tile_indices, tile_distances)
+    return reduced
+
+
+def _search_tiles(train_feats: np.ndarray, query_feats: np.ndarray, k: int, tile: int):
+    """Yield, per tile of queries, the query rows and their (indices,
+    distances) tables; see neighbor_search."""
     # the pruning arithmetic runs feature-major: numpy reduces a few
     # contiguous rows far faster than many rows of a few columns
     query_cols = np.ascontiguousarray(query_feats.T)
     order = _tile_order(query_cols, tile)
     query_cols = query_cols[:, order]
     train_cols = np.ascontiguousarray(train_feats.T)
-    indices = np.empty((nq, k), dtype=np.int64)
-    distances = np.empty((nq, k))
-    for start in range(0, nq, tile):
+    for start in range(0, len(order), tile):
         cols = query_cols[:, start:start + tile]
         centre = (cols.min(axis=1, keepdims=True) + cols.max(axis=1, keepdims=True)) / 2
         radius = np.sqrt(((cols - centre) ** 2).sum(axis=0).max())
@@ -167,6 +191,4 @@ def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int):
         diff = query_feats[rows][:, None, :] - train_feats[cand][None, :, :]
         d2 = (diff * diff).sum(axis=2)
         pick = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        indices[rows] = cand[pick]
-        distances[rows] = np.sqrt(np.take_along_axis(d2, pick, axis=1))
-    return indices, distances
+        yield rows, cand[pick], np.sqrt(np.take_along_axis(d2, pick, axis=1))

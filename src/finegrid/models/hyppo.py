@@ -233,7 +233,7 @@ def neighbor_sets(idx: np.ndarray, n_train: int) -> tuple[np.ndarray, np.ndarray
     the sets as sorted index rows (s, k) in lexicographic order, in the
     smallest unsigned dtype that holds n_train - 1, and each query's set
     number (nq,)."""
-    keys = np.sort(idx.astype(np.min_scalar_type(n_train - 1)), axis=1)
+    keys = np.sort(idx.astype(np.min_scalar_type(n_train - 1), copy=False), axis=1)
     # the same sets and inverse as np.unique(keys, axis=0), whose sort of
     # opaque rows is about 13x slower than one stable integer sort per column
     order = np.lexsort(keys.T[::-1])
@@ -272,7 +272,10 @@ def hyppo_predict_with_degrees(
     z = train.require_targets()
     train_f = space.features(train)
     query_f = space.features(queries)
-    idx, _ = neighbor_search(train_f, query_f, cfg.k)
+    # the indices alone, in the dtype neighbor_sets keys them by
+    index_dtype = np.min_scalar_type(len(train) - 1)
+    idx = neighbor_search(train_f, query_f, cfg.k,
+                          reduce=lambda indices, _: indices.astype(index_dtype))
     candidates = admissible_degrees(space.nvars, cfg.k, cfg.max_degree)
     fold_bytes = 8 * cfg.k * (cfg.k - 1) * monomial_count(space.nvars, candidates[-1])
     chunk = max(1, FOLD_STACK_BYTES // fold_bytes)

@@ -45,14 +45,18 @@ def knn_predict(
     training records.
 
     Uniform weighting is the arithmetic mean; inverse-distance weighting uses
-    w = 1/max(d, 1e-12) over the scaled Euclidean distances.
+    w = 1/max(d, 1e-12) over the scaled Euclidean distances. Each search
+    tile is reduced as soon as it is found (see neighbor_search), so memory
+    does not grow with queries x k, and every row is reduced on its own, so
+    each prediction is bit for bit that of the whole (nq, k) tables.
     """
     z = train.require_targets()
-    train_f = space.features(train)
-    query_f = space.features(queries)
-    idx, dist = neighbor_search(train_f, query_f, cfg.k)
-    neighbor_z = z[idx]
-    if cfg.weighting == "uniform":
-        return neighbor_mean(neighbor_z)
-    w = 1.0 / np.maximum(dist, DISTANCE_EPS)
-    return (w * neighbor_z).sum(axis=1) / w.sum(axis=1)
+
+    def reduce(idx: np.ndarray, dist: np.ndarray) -> np.ndarray:
+        neighbor_z = z[idx]
+        if cfg.weighting == "uniform":
+            return neighbor_mean(neighbor_z)
+        w = 1.0 / np.maximum(dist, DISTANCE_EPS)
+        return (w * neighbor_z).sum(axis=1) / w.sum(axis=1)
+
+    return neighbor_search(space.features(train), space.features(queries), cfg.k, reduce=reduce)

@@ -385,6 +385,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             derived["predict_dropped_sampling"] = before - len(prediction_points)
             if len(prediction_points) == 0:
                 raise UsageError("no prediction records remain after covariate sampling")
+        del layers  # sampled; the grids need not outlive this stage
         logger.info("prediction cells: %d after sampling", derived["predict_count_initial"]
                     - derived.get("predict_dropped_sampling", 0))
 

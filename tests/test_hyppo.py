@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -554,6 +555,36 @@ class TestHyppoPredict:
             hyppo_predict_with_degrees(train, queries, HyppoConfig(k=k), space, stats=stats)
             idx, _ = neighbor_search(space.features(train), space.features(queries), k)
             assert stats["neighbor_sets"] == len({tuple(sorted(row)) for row in idx.tolist()})
+
+    def test_search_keeps_only_small_indices(self, monkeypatch):
+        # 400 coarse lattice centroids, 224 x 224 fine queries: the whole
+        # int64 indices and distances the search once kept were 3.0 (nq, k)
+        # float64 arrays at peak
+        k = 12
+        cx, cy = (a.ravel() + 0.5 for a in np.meshgrid(np.arange(20.0), np.arange(20.0)))
+        fx, fy = (a.ravel() for a in np.meshgrid((np.arange(224) + 0.5) * 20 / 224,
+                                                 (np.arange(224) + 0.5) * 20 / 224))
+        train = points(cx, cy, np.sin(cx) + cy ** 2 / 50)
+        queries = points(fx, fy, np.full(fx.size, np.nan))
+        space = FeatureSpace.fit("coords", train)
+        found = []
+
+        def search(*args, **kwargs):
+            found.append(neighbor_search(*args, **kwargs))
+            return found[-1]
+
+        monkeypatch.setattr(hyppo, "neighbor_search", search)
+        tracemalloc.start()
+        try:
+            hyppo_predict_with_degrees(train, queries, HyppoConfig(k, max_degree=1), space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(queries) * k * 8
+        (idx,) = found
+        assert idx.dtype == np.uint16
+        np.testing.assert_array_equal(
+            idx, neighbor_search(space.features(train), space.features(queries), k)[0])
 
     def test_neighbor_sets_match_numpy_unique(self, rng):
         base = np.stack([rng.choice(300, 5, replace=False) for _ in range(200)])

@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -13,7 +14,7 @@ from finegrid import (
 )
 
 from finegrid.models import features
-from finegrid.models.knn import neighbor_mean
+from finegrid.models.knn import DISTANCE_EPS, WEIGHTINGS, neighbor_mean
 
 from conftest import random_table
 
@@ -35,6 +36,17 @@ def brute_force_knn(train_f, query_f, k):
         out_i[qi] = order
         out_d[qi] = np.sqrt(d2[order])
     return out_i, out_d
+
+
+def knn_whole_tables(z, train_f, query_f, k, weighting):
+    """knn's reduction, by the same expressions, over the whole (nq, k)
+    tables of one search."""
+    idx, dist = neighbor_search(train_f, query_f, k)
+    neighbor_z = z[idx]
+    if weighting == "uniform":
+        return neighbor_mean(neighbor_z)
+    w = 1.0 / np.maximum(dist, DISTANCE_EPS)
+    return (w * neighbor_z).sum(axis=1) / w.sum(axis=1)
 
 
 @contextmanager
@@ -124,6 +136,14 @@ class TestNeighborSearch:
             np.testing.assert_array_equal(dist, bdist)
         idx, dist = neighbor_search(train_f, query_f[:0], 4)
         assert idx.shape == (0, 4) and dist.shape == (0, 4)
+        # a reducer sets the result's trailing shape and dtype, with no query too
+        for q in (query_f, query_f[:0]):
+            def every_other(indices, distances):
+                return distances[:, ::2].astype(np.float32)
+
+            kept = neighbor_search(train_f, q, 4, reduce=every_other)
+            assert kept.shape == (len(q), 2) and kept.dtype == np.float32
+            np.testing.assert_array_equal(kept, every_other(*neighbor_search(train_f, q, 4)))
 
     def test_duplicate_training_rows_tie_break(self):
         train_f = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
@@ -220,6 +240,48 @@ class TestKnnPredict:
         space = FeatureSpace.fit("coords", train)
         with pytest.raises(UsageError):
             knn_predict(train, train, KnnConfig(k=2), space)
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    @pytest.mark.parametrize("size", [1, 7, "all", None])
+    def test_tile_reduction_matches_whole_tables_bitwise(self, rng, weighting, size):
+        train = random_table(rng, 60, 2)
+        train = train.with_target(rng.random(60) * 10.0 ** rng.integers(-3, 4, 60))
+        queries = random_table(rng, 400, 2)
+        # queries on training records meet a zero distance, floored
+        queries = PointTable(
+            np.r_[train.lon[:20], queries.lon[20:]], np.r_[train.lat[:20], queries.lat[20:]],
+            queries.target, np.r_[train.covariates[:20], queries.covariates[20:]])
+        space = FeatureSpace.fit("coords+covariates", train)
+        train_f, query_f = space.features(train), space.features(queries)
+        # the default tile, max(64, 8192 // 60) queries, splits 400 into 3
+        for k in (1, 12, 60):
+            expect = knn_whole_tables(train.target, train_f, query_f, k, weighting)
+            with search_tile(len(queries) if size == "all" else size):
+                pred = knn_predict(train, queries, KnnConfig(k, weighting), space)
+            assert pred.dtype == expect.dtype and pred.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_no_queries(self, rng, weighting):
+        train = random_table(rng, 12, 0).with_target(rng.random(12))
+        space = FeatureSpace.fit("coords", train)
+        pred = knn_predict(train, train.subset(slice(0, 0)), KnnConfig(4, weighting), space)
+        assert pred.shape == (0,) and pred.dtype == np.float64
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_memory_does_not_grow_with_queries_times_k(self, rng, weighting):
+        # the whole (nq, k) tables took 3.3 (uniform) and 5.3 (inverse-distance)
+        # such arrays at peak; the tiles keep only per-query rows
+        k, nq = 12, 50_000
+        train = random_table(rng, 400, 0).with_target(rng.random(400))
+        queries = random_table(rng, nq, 0)
+        space = FeatureSpace.fit("coords", train)
+        tracemalloc.start()
+        try:
+            knn_predict(train, queries, KnnConfig(k, weighting), space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * nq * k * 8
 
     def test_k_equals_n_is_global_mean(self, rng):
         train = random_table(rng, 12, 0).with_target(rng.random(12))

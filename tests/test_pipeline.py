@@ -937,9 +937,9 @@ class TestHyppoPipeline:
         out = tmp_path / "out"
         searched = []
 
-        def search(*args):
-            result = neighbor_search(*args)
-            searched.append(result[0])
+        def search(*args, **kwargs):
+            result = neighbor_search(*args, **kwargs)
+            searched.append(neighbor_search(*args)[0])
             return result
 
         monkeypatch.setattr(hyppo_module, "neighbor_search", search)
