@@ -290,19 +290,21 @@ def write_ascii_grid(grid: Grid, path) -> None:
     to the identical double), so write followed by read is the identity.
     """
     path = Path(path)
-    out = [
-        f"ncols {grid.ncols}",
-        f"nrows {grid.nrows}",
-        f"xllcorner {grid.xll!r}",
-        f"yllcorner {grid.yll!r}",
-        f"cellsize {grid.cellsize!r}",
-        f"NODATA_value {grid.nodata!r}",
-    ]
-    # one row of Python floats at a time: the whole grid as a list would
-    # raise peak memory by 32 bytes a cell
-    out.extend(" ".join(map(repr, row.tolist())) for row in grid.values)
+    header = (
+        f"ncols {grid.ncols}\n"
+        f"nrows {grid.nrows}\n"
+        f"xllcorner {grid.xll!r}\n"
+        f"yllcorner {grid.yll!r}\n"
+        f"cellsize {grid.cellsize!r}\n"
+        f"NODATA_value {grid.nodata!r}\n"
+    )
     try:
-        path.write_text("\n".join(out) + "\n")
+        with path.open("w") as out:
+            out.write(header)
+            # one row of text at a time: the whole grid's text, or the grid
+            # as a list of Python floats, would be held at once
+            for row in grid.values:
+                out.write(" ".join(map(repr, row.tolist())) + "\n")
     except OSError as exc:
         raise UsageError(f"cannot write grid file {path}: {exc}") from exc
 

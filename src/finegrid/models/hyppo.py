@@ -267,7 +267,7 @@ def hyppo_predict_with_degrees(
     of distinct sets as ``neighbor_sets`` and, per candidate degree, the
     number of leave-one-out rows that took their own fold fit as
     ``loo_fold_fits`` and of queries refit through fit_polynomial as
-    ``query_refits``.
+    ``query_refits``, and the search's ``candidate_pairs``.
     """
     z = train.require_targets()
     train_f = space.features(train)
@@ -275,7 +275,7 @@ def hyppo_predict_with_degrees(
     # the indices alone, in the dtype neighbor_sets keys them by
     index_dtype = np.min_scalar_type(len(train) - 1)
     idx = neighbor_search(train_f, query_f, cfg.k,
-                          reduce=lambda indices, _: indices.astype(index_dtype))
+                          reduce=lambda indices, _: indices.astype(index_dtype), stats=stats)
     candidates = admissible_degrees(space.nvars, cfg.k, cfg.max_degree)
     fold_bytes = 8 * cfg.k * (cfg.k - 1) * monomial_count(space.nvars, candidates[-1])
     chunk = max(1, FOLD_STACK_BYTES // fold_bytes)

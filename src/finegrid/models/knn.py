@@ -39,7 +39,11 @@ def neighbor_mean(targets: np.ndarray) -> np.ndarray:
 
 
 def knn_predict(
-    train: PointTable, queries: PointTable, cfg: KnnConfig, space: FeatureSpace
+    train: PointTable,
+    queries: PointTable,
+    cfg: KnnConfig,
+    space: FeatureSpace,
+    stats: dict | None = None,
 ) -> np.ndarray:
     """Predict each query as the (weighted) average target of its k nearest
     training records.
@@ -48,7 +52,8 @@ def knn_predict(
     w = 1/max(d, 1e-12) over the scaled Euclidean distances. Each search
     tile is reduced as soon as it is found (see neighbor_search), so memory
     does not grow with queries x k, and every row is reduced on its own, so
-    each prediction is bit for bit that of the whole (nq, k) tables.
+    each prediction is bit for bit that of the whole (nq, k) tables. A
+    ``stats`` dict, if given, receives the search's ``candidate_pairs``.
     """
     z = train.require_targets()
 
@@ -59,4 +64,5 @@ def knn_predict(
         w = 1.0 / np.maximum(dist, DISTANCE_EPS)
         return (w * neighbor_z).sum(axis=1) / w.sum(axis=1)
 
-    return neighbor_search(space.features(train), space.features(queries), cfg.k, reduce=reduce)
+    return neighbor_search(space.features(train), space.features(queries), cfg.k, reduce=reduce,
+                           stats=stats)

@@ -254,12 +254,17 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
     if cfg.method != "rf":
         space = FeatureSpace.fit(s["feature_mode"], training)
     if cfg.method == "knn":
-        return knn_predict(training, prediction, model_cfg, space), None
+        stats = {}
+        values = knn_predict(training, prediction, model_cfg, space, stats=stats)
+        derived["search_candidate_pairs"] = stats["candidate_pairs"]
+        logger.info("knn: search candidate pairs %d", stats["candidate_pairs"])
+        return values, None
     if cfg.method == "hyppo":
         stats = {}
         values, degrees, rank_deficient = hyppo_predict_with_degrees(
             training, prediction, model_cfg, space, stats=stats
         )
+        derived["search_candidate_pairs"] = stats["candidate_pairs"]
         counts = np.bincount(degrees)
         present = np.flatnonzero(counts)
         derived["hyppo_neighbor_sets"] = stats["neighbor_sets"]
@@ -270,9 +275,9 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
         derived["hyppo_loo_fold_fits"] = stats["loo_fold_fits"]
         derived["hyppo_query_refits"] = stats["query_refits"]
         logger.info("hyppo: %d neighbor sets for %d queries, degree counts %s, "
-                    "leave-one-out fold fits %s, query refits %s", stats["neighbor_sets"],
-                    len(prediction), derived["hyppo_degree_counts"], stats["loo_fold_fits"],
-                    stats["query_refits"])
+                    "leave-one-out fold fits %s, query refits %s, search candidate pairs %d",
+                    stats["neighbor_sets"], len(prediction), derived["hyppo_degree_counts"],
+                    stats["loo_fold_fits"], stats["query_refits"], stats["candidate_pairs"])
         return values, None
     cv = ""
     if model_cfg.mtry == "tune":

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from finegrid import Grid, PointTable
+from finegrid import Grid, PointTable, neighbor_search
 
 
 @pytest.fixture
@@ -55,3 +55,13 @@ def random_table(rng, n, p):
         target=rng.uniform(0, 1, n),
         covariates=rng.normal(size=(n, p)),
     )
+
+
+def search_tables(train_f, query_f, k):
+    """neighbor_search's whole (indices, distances) tables, each (nq, k):
+    collected through a reducer that stacks the indices, as float64, beside
+    the distances. Indices below 2**53 convert exactly, so both tables keep
+    their bits."""
+    both = neighbor_search(train_f, query_f, k,
+                           lambda idx, dist: np.hstack([idx.astype(np.float64), dist]))
+    return both[:, :k].astype(np.int64), both[:, k:]

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -252,6 +253,29 @@ class TestAsciiIO:
         write_ascii_grid(g, path)
         assert path.read_text().splitlines()[-1] == "0.5"
         assert read_ascii_grid(path) == g
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 1), (1, 9), (40, 30)])
+    def test_bytes_match_joined_text(self, tmp_path, rng, shape):
+        # rows written one at a time give the bytes of the whole text joined
+        values = rng.choice([-9999.0, -0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 0.1, 0.35],
+                            size=shape)
+        g = Grid(ncols=shape[1], nrows=shape[0], xll=-0.0, yll=1e-300, cellsize=1e300,
+                 nodata=-9999.0, values=values)
+        write_ascii_grid(g, tmp_path / "new.asc")
+        _write_ascii_grid_ref(g, tmp_path / "ref.asc")
+        assert (tmp_path / "new.asc").read_bytes() == (tmp_path / "ref.asc").read_bytes()
+
+    def test_write_holds_one_row(self, tmp_path, rng):
+        # the joined text, or its encoded bytes, would each be the file's size
+        g = Grid(ncols=400, nrows=400, xll=0.0, yll=0.0, cellsize=1.0, nodata=-9999.0,
+                 values=rng.random((400, 400)))
+        tracemalloc.start()
+        try:
+            write_ascii_grid(g, tmp_path / "g.asc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (tmp_path / "g.asc").stat().st_size / 4
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,

@@ -31,6 +31,8 @@ from finegrid.models.hyppo import (
 from finegrid.models.features import neighbor_search
 from finegrid.models.knn import neighbor_mean
 
+from conftest import search_tables
+
 
 def points(lon, lat, z):
     n = len(lon)
@@ -105,7 +107,7 @@ def set_stack(train, queries, k):
     """Every distinct neighbor set's features, centered on their centroid as
     degree selection sees them, (s, k, nvars), and its targets (s, k)."""
     space = FeatureSpace.fit("coords", train)
-    idx, _ = neighbor_search(space.features(train), space.features(queries), k)
+    idx, _ = search_tables(space.features(train), space.features(queries), k)
     sets = np.unique(np.sort(idx, axis=1), axis=0)
     feats = space.features(train)[sets]
     return feats - feats.mean(axis=1, keepdims=True), train.target[sets]
@@ -441,7 +443,7 @@ class TestHyppoPredict:
             np.testing.assert_array_equal(named_rd, rank_deficient)
 
             train_f, query_f = space.features(train), space.features(queries)
-            idx, _ = neighbor_search(train_f, query_f, k)
+            idx, _ = search_tables(train_f, query_f, k)
             refit = named >= OFFSET
             assert sorted(named[refit] - OFFSET) == list(range(len(slots)))
             for q in range(len(queries)):
@@ -530,7 +532,7 @@ class TestHyppoPredict:
         train, queries = lattice_case(rng, 300)
         space = FeatureSpace.fit("coords", train)
         _, deg, _ = hyppo_predict_with_degrees(train, queries, HyppoConfig(k=12), space)
-        idx, _ = neighbor_search(space.features(train), space.features(queries), 12)
+        idx, _ = search_tables(space.features(train), space.features(queries), 12)
         by_set = {}
         for row, d in zip(np.sort(idx, axis=1), deg):
             by_set.setdefault(tuple(row), set()).add(int(d))
@@ -553,7 +555,7 @@ class TestHyppoPredict:
             space = FeatureSpace.fit("coords", train)
             stats = {}
             hyppo_predict_with_degrees(train, queries, HyppoConfig(k=k), space, stats=stats)
-            idx, _ = neighbor_search(space.features(train), space.features(queries), k)
+            idx, _ = search_tables(space.features(train), space.features(queries), k)
             assert stats["neighbor_sets"] == len({tuple(sorted(row)) for row in idx.tolist()})
 
     def test_search_keeps_only_small_indices(self, monkeypatch):
@@ -584,7 +586,7 @@ class TestHyppoPredict:
         (idx,) = found
         assert idx.dtype == np.uint16
         np.testing.assert_array_equal(
-            idx, neighbor_search(space.features(train), space.features(queries), k)[0])
+            idx, search_tables(space.features(train), space.features(queries), k)[0])
 
     def test_neighbor_sets_match_numpy_unique(self, rng):
         base = np.stack([rng.choice(300, 5, replace=False) for _ in range(200)])

@@ -16,7 +16,7 @@ from finegrid import (
 from finegrid.models import features
 from finegrid.models.knn import DISTANCE_EPS, WEIGHTINGS, neighbor_mean
 
-from conftest import random_table
+from conftest import random_table, search_tables
 
 
 def points(lon, lat, z, covs=None):
@@ -38,10 +38,58 @@ def brute_force_knn(train_f, query_f, k):
     return out_i, out_d
 
 
+def feature_ordered_d2(query_f, train_f):
+    """Squared distances (nq, n), the squared differences added one feature
+    at a time in feature order."""
+    d2 = np.zeros((len(query_f), len(train_f)))
+    for f in range(query_f.shape[1]):
+        diff = query_f[:, f, None] - train_f[None, :, f]
+        d2 += diff * diff
+    return d2
+
+
+def feature_ordered_knn(train_f, query_f, k):
+    """Reference search at any width: feature-ordered squared distances plus
+    the lexicographic tie-break of brute_force_knn."""
+    d2 = feature_ordered_d2(query_f, train_f)
+    out_i = np.array([sorted(range(len(train_f)), key=lambda i: (row[i], i))[:k] for row in d2],
+                     dtype=np.int64).reshape(len(query_f), k)
+    return out_i, np.sqrt(np.take_along_axis(d2, out_i, axis=1))
+
+
+def tile_order_int64_ref(cols, tile):
+    """The tile order as built from int64 bins and keys, kept as the oracle
+    of _tile_order's uint16 key."""
+    dim, nq = cols.shape
+    if nq <= tile:
+        return np.arange(nq)
+    g = max(1, min(int(np.ceil((nq / tile) ** (1 / dim))), int(2 ** (16 / dim))))
+    lo = cols.min(axis=1, keepdims=True)
+    span = cols.max(axis=1, keepdims=True) - lo
+    bins = ((cols - lo) * (g / np.where(span > 0, span, 1.0))).astype(np.int64)
+    key = np.zeros(nq, dtype=np.int64)
+    for b in np.minimum(bins, g - 1):
+        key = key * g + np.where(key % 2 == 1, g - 1 - b, b)
+    return np.argsort(key.astype(np.uint16), kind="stable")
+
+
+def feature_cases(rng, dim, nq=120, n=90):
+    """(train, query) pairs at one width: standard normal, half-integer with
+    duplicated rows (exact distance ties), and duplicates of training rows."""
+    train_f, query_f = rng.normal(0, 1, (n, dim)), rng.normal(0, 1, (nq, dim))
+    yield train_f, query_f
+    rounded_t, rounded_q = np.round(train_f * 2) / 2, np.round(query_f * 2) / 2
+    rounded_t[n // 2:] = rounded_t[:n - n // 2]
+    yield rounded_t, rounded_q
+    on_train = query_f.copy()
+    on_train[:30] = train_f[rng.integers(0, n, 30)]
+    yield train_f, on_train
+
+
 def knn_whole_tables(z, train_f, query_f, k, weighting):
     """knn's reduction, by the same expressions, over the whole (nq, k)
     tables of one search."""
-    idx, dist = neighbor_search(train_f, query_f, k)
+    idx, dist = search_tables(train_f, query_f, k)
     neighbor_z = z[idx]
     if weighting == "uniform":
         return neighbor_mean(neighbor_z)
@@ -66,7 +114,7 @@ class TestNeighborSearch:
             train_f = rng.normal(0, 1, (int(rng.integers(5, 60)), 3))
             query_f = rng.normal(0, 1, (20, 3))
             k = int(rng.integers(1, len(train_f) + 1))
-            idx, dist = neighbor_search(train_f, query_f, k)
+            idx, dist = search_tables(train_f, query_f, k)
             bidx, bdist = brute_force_knn(train_f, query_f, k)
             np.testing.assert_array_equal(idx, bidx)
             np.testing.assert_array_equal(dist, bdist)
@@ -75,9 +123,9 @@ class TestNeighborSearch:
         train_f = rng.normal(0, 1, (40, 2))
         query_f = rng.normal(0, 1, (30, 2))
         with search_tile(7):
-            a = neighbor_search(train_f, query_f, 5)
+            a = search_tables(train_f, query_f, 5)
         with search_tile(1024):
-            b = neighbor_search(train_f, query_f, 5)
+            b = search_tables(train_f, query_f, 5)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -92,7 +140,7 @@ class TestNeighborSearch:
         monkeypatch.setattr(features, "_tile_order", recorded)
         train_f = rng.normal(0, 1, (40, 2))
         with search_tile(size):
-            neighbor_search(train_f, train_f, 3)
+            search_tables(train_f, train_f, 3)
         assert tiles == [size or max(features.SEARCH_TILE_MIN, features.SEARCH_TILE_PAIRS // 40)]
 
     def test_lattice_with_gaps_matches_brute_force_bitwise(self, rng):
@@ -110,7 +158,7 @@ class TestNeighborSearch:
         assert (bdist[:, k - 1] == bdist[:, k]).any()  # ties straddle the k-th
         for size in (1, 7, None):
             with search_tile(size):
-                idx, dist = neighbor_search(train_f, query_f, k)
+                idx, dist = search_tables(train_f, query_f, k)
             np.testing.assert_array_equal(idx, bidx[:, :k])
             np.testing.assert_array_equal(dist, bdist[:, :k])
 
@@ -120,7 +168,7 @@ class TestNeighborSearch:
             query_f = np.round(rng.normal(0, 1, (150, dim)) * 2) / 2
             query_f[:20] = train_f[rng.integers(0, 300, 20)]
             k = int(rng.integers(1, 40))
-            idx, dist = neighbor_search(train_f, query_f, k)
+            idx, dist = search_tables(train_f, query_f, k)
             bidx, bdist = brute_force_knn(train_f, query_f, k)
             np.testing.assert_array_equal(idx, bidx)
             np.testing.assert_array_equal(dist, bdist)
@@ -130,11 +178,11 @@ class TestNeighborSearch:
         query_f = rng.normal(0, 1, (200, 2))
         for q in (query_f, query_f[:1]):
             with search_tile(16):
-                idx, dist = neighbor_search(train_f, q, 30)
+                idx, dist = search_tables(train_f, q, 30)
             bidx, bdist = brute_force_knn(train_f, q, 30)
             np.testing.assert_array_equal(idx, bidx)
             np.testing.assert_array_equal(dist, bdist)
-        idx, dist = neighbor_search(train_f, query_f[:0], 4)
+        idx, dist = search_tables(train_f, query_f[:0], 4)
         assert idx.shape == (0, 4) and dist.shape == (0, 4)
         # a reducer sets the result's trailing shape and dtype, with no query too
         for q in (query_f, query_f[:0]):
@@ -143,19 +191,102 @@ class TestNeighborSearch:
 
             kept = neighbor_search(train_f, q, 4, reduce=every_other)
             assert kept.shape == (len(q), 2) and kept.dtype == np.float32
-            np.testing.assert_array_equal(kept, every_other(*neighbor_search(train_f, q, 4)))
+            np.testing.assert_array_equal(kept, every_other(*search_tables(train_f, q, 4)))
+
+    def test_feature_order_is_numpy_row_sum_below_8_features(self, rng):
+        # the claim the search's exactness rests on, checked on the numpy at hand
+        for dim in range(1, 8):
+            for train_f, query_f in feature_cases(rng, dim):
+                row_sum = ((query_f[:, None] - train_f[None]) ** 2).sum(axis=-1)
+                assert feature_ordered_d2(query_f, train_f).tobytes() == row_sum.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 7])
+    def test_edge_widths_match_brute_force_bitwise(self, rng, dim):
+        for train_f, query_f in feature_cases(rng, dim):
+            for size in (1, 7, None):
+                with search_tile(size):
+                    idx, dist = search_tables(train_f, query_f, 9)
+                bidx, bdist = brute_force_knn(train_f, query_f, 9)
+                np.testing.assert_array_equal(idx, bidx)
+                np.testing.assert_array_equal(dist, bdist)
+
+    @pytest.mark.parametrize("dim", [8, 10, 12])
+    def test_wide_features_match_feature_ordered_brute_force(self, rng, dim):
+        for train_f, query_f in feature_cases(rng, dim):
+            k = int(rng.integers(1, 20))
+            bidx, bdist = feature_ordered_knn(train_f, query_f, k)
+            for size in (1, 7, None):
+                with search_tile(size):
+                    idx, dist = search_tables(train_f, query_f, k)
+                np.testing.assert_array_equal(idx, bidx)
+                np.testing.assert_array_equal(dist, bdist)
+
+    def test_tile_order_matches_int64_keys(self, rng):
+        for dim in range(1, 7):
+            query_f = rng.normal(0, 1, (3000, dim))
+            query_f[1000:2000] = query_f[:1000]  # duplicated rows
+            constant = query_f.copy()
+            constant[:, dim - 1] = 0.5  # a constant column, span 0
+            for cols in (query_f.T, np.round(query_f * 2).T / 2, constant.T):
+                for tile in (1, 7, 64, 3000):
+                    np.testing.assert_array_equal(
+                        features._tile_order(cols, tile), tile_order_int64_ref(cols, tile))
+        # one feature at tile 1: g is 2**16 itself, clamped to 2**16 - 1 bins
+        cols = rng.normal(0, 1, (1, 70_000))
+        np.testing.assert_array_equal(
+            features._tile_order(cols, 1), tile_order_int64_ref(cols, 1))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_setup_memory_is_query_copy_order_output_and_one_feature(self, rng, dim):
+        # a 300 x 300 query lattice against 720 records, k 12, one float kept
+        # per query: the feature-major query copy, the tile order, the output
+        # and one feature's temporaries of the tile geometry (the spread so
+        # far, the repeated centres, their difference), each nq float64, plus
+        # 1 MB for the per-tile arrays; the int64 bins and keys and a second
+        # query copy took 89 bytes a query in 2-D
+        side, k = 300, 12
+        axes = np.meshgrid(*[np.linspace(-1.7, 1.7, side)] * 2)
+        query_f = np.column_stack([a.ravel() for a in axes] + [
+            np.sin(3 * axes[0].ravel() * f) for f in range(dim - 2)])
+        train_f = rng.normal(0, 1, (720, dim))
+        nq = len(query_f)
+        tracemalloc.start()
+        try:
+            out = neighbor_search(train_f, query_f, k, lambda idx, dist: dist[:, -1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (nq,)
+        assert peak < (dim + 1 + 1 + 3) * 8 * nq + (1 << 20)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_candidate_pairs_at_tiles_of_one_query(self, rng, dim):
+        # a tile of one query is its own centre with radius 0: its candidates
+        # are the records within its k-th distance times 1 + PRUNE_MARGIN
+        for train_f, query_f in feature_cases(rng, dim, nq=200, n=150):
+            k = int(rng.integers(1, 30))
+            dist = np.sqrt(feature_ordered_d2(query_f, train_f))
+            reach = np.sort(dist, axis=1)[:, k - 1:k] * (1 + features.PRUNE_MARGIN)
+            stats = {}
+            with search_tile(1):
+                neighbor_search(train_f, query_f, k, lambda idx, d: d[:, 0], stats=stats)
+            assert stats == {"candidate_pairs": int(np.count_nonzero(dist <= reach))}
+            # any tiling scans at least k and at most every record per query
+            with search_tile(None):
+                neighbor_search(train_f, query_f, k, lambda idx, d: d[:, 0], stats=stats)
+            assert k * len(query_f) <= stats["candidate_pairs"] <= dist.size
 
     def test_duplicate_training_rows_tie_break(self):
         train_f = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
-        idx, _ = neighbor_search(train_f, np.array([[0.0, 0.0]]), 3)
+        idx, _ = search_tables(train_f, np.array([[0.0, 0.0]]), 3)
         np.testing.assert_array_equal(idx[0], [1, 2, 0])
 
     def test_k_out_of_range(self, rng):
         train_f = rng.normal(0, 1, (5, 2))
         with pytest.raises(UsageError):
-            neighbor_search(train_f, train_f, 6)
+            search_tables(train_f, train_f, 6)
         with pytest.raises(UsageError):
-            neighbor_search(train_f, train_f, 0)
+            search_tables(train_f, train_f, 0)
 
 
 class TestKnnPredict:

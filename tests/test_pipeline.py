@@ -31,6 +31,8 @@ from finegrid.grid import grid_centroids
 from finegrid.models.features import neighbor_search
 from finegrid.pipeline import _SCHEMA, OUTPUT_FILES
 
+from conftest import search_tables
+
 
 def dump_scenario(tmp_path, **kwargs):
     defaults = dict(seed=29, fine_shape=(32, 32), coarse_factor=4,
@@ -273,8 +275,9 @@ class TestRunKnn:
         assert capsys.readouterr().out == ""
         metrics = (out / "metrics.txt").read_text().strip()
         derived = json.loads((out / "manifest.json").read_text())["derived"]
-        assert [r.getMessage() for r in caplog.records] == (
-            count_lines(derived) + [f"agreement: {metrics}"])
+        assert [r.getMessage() for r in caplog.records] == count_lines(derived) + [
+            f"knn: search candidate pairs {derived['search_candidate_pairs']}",
+            f"agreement: {metrics}"]
 
     def test_stage_record_counts_logged_at_info(self, tmp_path, caplog):
         # every count is logged: sampling, region clip, report clip, pca
@@ -297,6 +300,7 @@ class TestRunKnn:
             f"after the clip: {counts[0]} training records, {counts[1]} prediction cells",
             f"report count: {counts[3]}",
             f"pca: {counts[2]} components retained",
+            f"knn: search candidate pairs {derived['search_candidate_pairs']}",
             f"agreement: {metrics}",
         ]
         assert all(r.levelname == "INFO" for r in caplog.records)
@@ -352,6 +356,21 @@ class TestRunKnn:
         run_pipeline(validate_config(base_config(data_dir, out)))
         second = output_digest(out)
         assert first == second
+
+    def test_search_candidate_pairs_recorded(self, tmp_path):
+        # knn and hyppo record the pairs their one search scanned; with more
+        # training records than SEARCH_TILE_PAIRS spreads over a tile, the
+        # spatially compact tiles prune
+        _, data_dir = dump_scenario(tmp_path, fine_shape=(64, 64))
+        derived = {}
+        for method in ("knn", "hyppo"):
+            out = tmp_path / method
+            run_pipeline(validate_config(base_config(data_dir, out, method=method, k=8)))
+            derived[method] = json.loads((out / "manifest.json").read_text())["derived"]
+        pairs = derived["knn"]["search_candidate_pairs"]
+        assert pairs == derived["hyppo"]["search_candidate_pairs"]
+        nq, n = derived["knn"]["predict_count_initial"], derived["knn"]["train_count_initial"]
+        assert 8 * nq <= pairs < n * nq
 
     def test_rerun_from_manifest_config(self, tmp_path):
         _, data_dir = dump_scenario(tmp_path)
@@ -939,7 +958,7 @@ class TestHyppoPipeline:
 
         def search(*args, **kwargs):
             result = neighbor_search(*args, **kwargs)
-            searched.append(neighbor_search(*args)[0])
+            searched.append(search_tables(*args)[0])
             return result
 
         monkeypatch.setattr(hyppo_module, "neighbor_search", search)
@@ -963,7 +982,8 @@ class TestHyppoPipeline:
             f"hyppo: {sets} neighbor sets for {derived['predict_count_initial']} queries, "
             f"degree counts { {int(d): c for d, c in counts.items()} }, "
             f"leave-one-out fold fits { {int(d): n for d, n in fold_fits.items()} }, "
-            f"query refits { {int(d): n for d, n in refits.items()} }")
+            f"query refits { {int(d): n for d, n in refits.items()} }, "
+            f"search candidate pairs {derived['search_candidate_pairs']}")
         assert all(int(d) <= 2 for d in counts)
         # training points are coarse centroids on a lattice, so some
         # degree-2 refits are rank-deficient; degree 0 never is
