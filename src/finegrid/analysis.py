@@ -46,18 +46,20 @@ def aggregate_fine_to_coarse(fine: PointTable, coarse: Grid) -> Grid:
     if len(fine) == 0:
         raise UsageError("aggregate_fine_to_coarse needs a non-empty point table")
     values = fine.require_targets()
-    rows, cols, inside = coarse.cell_index_arrays(fine.lon, fine.lat)
-    flat = rows[inside] * coarse.ncols + cols[inside]
-    order = np.argsort(flat, kind="stable")
-    ranked = flat[order]
-    # each run of equal cells starts where the sorted cell changes; -1, below
-    # every cell, makes starts[0] == 0, so the split before it is empty, and
-    # so is the only one when no point lands inside
-    starts = np.flatnonzero(np.diff(ranked, prepend=-1))
-    cells = ranked[starts]
-    groups = np.split(values[inside][order], starts)[1:]
+    cells = coarse.cell_numbers(fine.lon, fine.lat)
+    cells += 1  # 0 outside, as bincount takes no -1
+    counts = np.bincount(cells, minlength=coarse.nrows * coarse.ncols + 1)
+    order = np.argsort(cells, kind="stable")
+    del cells
+    # one sorted copy of the targets: the points outside, then cell by cell
+    ranked = values[order]
+    del order
+    # cell c's points are ranked[ends[c]:ends[c + 1]]
+    ends = np.cumsum(counts)
+    filled = np.flatnonzero(counts[1:])
     out = np.full((coarse.nrows, coarse.ncols), coarse.nodata)
-    out.flat[cells] = [math.fsum(g) / len(g) for g in groups]
+    out.flat[filled] = [math.fsum(ranked[a:b]) / (b - a)
+                        for a, b in zip(ends[filled].tolist(), ends[filled + 1].tolist())]
     return coarse.with_values(out)
 
 

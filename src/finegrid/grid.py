@@ -87,21 +87,32 @@ class Grid:
         lat = self.yll + (self.nrows - row - 0.5) * self.cellsize
         return lon, lat
 
-    def cell_index_arrays(self, lons: np.ndarray, lats: np.ndarray):
-        """Cell of each point: ``(rows, cols, inside)``, where rows/cols are
-        only meaningful where ``inside`` is True.
+    def cell_numbers(self, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
+        """Row-major number of the cell each point falls in, or -1 outside:
+        ``row * ncols + col`` with row 0 the northernmost.
 
         Left and bottom cell edges belong to the cell; right and top edges
         belong to the neighbor, so every point maps to at most one cell and
-        a cell's own lower-left corner maps back to it.
+        a cell's own lower-left corner maps back to it. The range is tested
+        on the floored floats, so a point however far away is never cast
+        outside the int64 range.
         """
-        lons = np.asarray(lons, dtype=float)
-        lats = np.asarray(lats, dtype=float)
-        cols = np.floor((lons - self.xll) / self.cellsize).astype(np.int64)
-        rfb = np.floor((lats - self.yll) / self.cellsize).astype(np.int64)
-        inside = (cols >= 0) & (cols < self.ncols) & (rfb >= 0) & (rfb < self.nrows)
-        rows = self.nrows - 1 - rfb
-        return rows, cols, inside
+        col = np.subtract(np.asarray(lons, dtype=float), self.xll)
+        col /= self.cellsize
+        np.floor(col, out=col)
+        row = np.subtract(np.asarray(lats, dtype=float), self.yll)  # from the bottom
+        row /= self.cellsize
+        np.floor(row, out=row)
+        outside = ~((col >= 0) & (col < self.ncols) & (row >= 0) & (row < self.nrows))
+        # column -1 of the top row numbers -1, and keeps a far point's inf
+        # out of the arithmetic
+        col[outside] = -1.0
+        row[outside] = self.nrows - 1
+        np.subtract(self.nrows - 1, row, out=row)  # from the top
+        row *= self.ncols
+        row += col
+        del col
+        return row.astype(np.int64)
 
     def centroid_arrays(self):
         """Lon/lat centroids of all cells as two (nrows, ncols) arrays."""
@@ -345,11 +356,14 @@ def grid_to_points(grid: Grid) -> PointTable:
 
 
 def grid_centroids(grid: Grid) -> PointTable:
-    """One record per cell (data or not) with no target: a prediction lattice."""
+    """One record per cell (data or not) with no target: a prediction lattice.
+
+    The NaN target is one value broadcast to every record, not an array.
+    """
     lons, lats = grid.centroid_arrays()
     n = grid.nrows * grid.ncols
     return PointTable(
-        lons.ravel().copy(), lats.ravel().copy(), np.full(n, np.nan), np.zeros((n, 0))
+        lons.ravel().copy(), lats.ravel().copy(), np.broadcast_to(np.nan, n), np.zeros((n, 0))
     )
 
 
@@ -358,7 +372,8 @@ def sample_covariates(points: PointTable, layers: list[Grid]) -> PointTable:
 
     Columns follow the order of ``layers``. Records that fall outside the
     layers' extent, or that hit nodata in any layer, are dropped; the drop
-    count is ``len(points) - len(result)``.
+    count is ``len(points) - len(result)``. When none drops, the result
+    shares the input's lon, lat and target arrays.
     """
     if len(points) == 0:
         raise UsageError("sample_covariates needs a non-empty point table")
@@ -369,17 +384,21 @@ def sample_covariates(points: PointTable, layers: list[Grid]) -> PointTable:
         if not first.same_header(g):
             raise UsageError("covariate layers must share an identical header")
 
-    rows, cols, inside = first.cell_index_arrays(points.lon, points.lat)
-    # a point outside the layers reads cell 0, and is dropped
-    cells = np.where(inside, rows * first.ncols + cols, 0)
-    keep = inside
+    cells = first.cell_numbers(points.lon, points.lat)
+    # a point outside the layers reads the last cell (take counts -1 from
+    # the end), and is dropped
+    keep = cells >= 0
     for layer in layers:
         keep &= np.take(layer.values, cells) != layer.nodata
-    cells = cells[keep]
-    kept = points.subset(keep)
-    # the covariate block is built once, at the kept size
-    block = np.empty((len(kept), kept.p + len(layers)))
-    block[:, :kept.p] = kept.covariates
-    for j, layer in enumerate(layers):
-        block[:, kept.p + j] = np.take(layer.values, cells)
-    return PointTable(kept.lon, kept.lat, kept.target, block)
+    if not keep.all():
+        cells = cells[keep]
+        points = points.subset(keep)
+    # the covariate block is built once, at the kept size, and filled a
+    # slice of rows at a time: a whole gathered column would be held beside it
+    block = np.empty((len(points), points.p + len(layers)))
+    block[:, :points.p] = points.covariates
+    for start in range(0, len(points), 1 << 16):
+        rows = slice(start, start + (1 << 16))
+        for j, layer in enumerate(layers):
+            block[rows, points.p + j] = np.take(layer.values, cells[rows])
+    return PointTable(points.lon, points.lat, points.target, block)

@@ -235,6 +235,8 @@ def _model_config(s: dict):
 
 
 def _fine_grid_header(cfg: PipelineConfig, coarse: Grid) -> Grid:
+    """The fine prediction grid as a header: its values are the nodata value
+    broadcast to every cell, so no raster is held until one is written."""
     factor = cfg.settings["fine_factor"]
     header = cfg.settings["fine_header"] or {
         "ncols": coarse.ncols * factor,
@@ -245,7 +247,8 @@ def _fine_grid_header(cfg: PipelineConfig, coarse: Grid) -> Grid:
     }
     # the header keys are Grid's field names
     header = {"nodata": coarse.nodata, **header}
-    return Grid(**header, values=np.full((header["nrows"], header["ncols"]), header["nodata"]))
+    return Grid(**header,
+                values=np.broadcast_to(header["nodata"], (header["nrows"], header["ncols"])))
 
 
 def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, derived: dict):
@@ -298,6 +301,18 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
     return rf_predict(forest, prediction, workers=s["workers"]), forest
 
 
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set size in MB, or None where the
+    ``resource`` module is missing (Windows). Linux reports ``ru_maxrss`` in
+    KiB, macOS in bytes."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 def run_pipeline(cfg: PipelineConfig) -> RunResult:
     """Execute the full workflow; see module docstring.
 
@@ -310,8 +325,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     Any failure aborts with a stage-labeled EngineError and removes that
     temporary directory, so the outputs of an earlier run stay as they were.
     Each stage that completes logs its wall time at DEBUG level on the
-    ``finegrid`` logger; no timing enters the manifest, so reruns stay byte
-    for byte the same.
+    ``finegrid`` logger, with the process's peak resident set size so far
+    where the platform reports it; neither enters the manifest, so reruns
+    stay byte for byte the same.
     """
     s = cfg.settings
     out_dir = cfg.resolve(s["output_dir"])
@@ -319,10 +335,13 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     stage, started = "setup", time.perf_counter()
 
     def enter(next_stage: str | None) -> None:
-        """Log the wall time of the stage that ends, then label the next."""
+        """Log the wall time of the stage that ends and the peak RSS so far,
+        then label the next."""
         nonlocal stage, started
         now = time.perf_counter()
-        logger.debug("stage %s: %.6f s", stage, now - started)
+        rss = _peak_rss_mb()
+        logger.debug("stage %s: %.6f s%s", stage, now - started,
+                     "" if rss is None else f", ru_maxrss {rss:.1f} MB")
         stage, started = next_stage, now
 
     try:
@@ -415,10 +434,10 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
                 raise UsageError("no predictions fall inside the reporting region")
         # the analysis pairs only the cells in observed data cells, so with
         # none every metric would be empty
-        rows, cols, inside = observed.cell_index_arrays(prediction_points.lon,
-                                                        prediction_points.lat)
-        if not observed.data_mask[rows[inside], cols[inside]].any():
+        cells = observed.cell_numbers(prediction_points.lon, prediction_points.lat)
+        if not (np.take(observed.data_mask, cells) & (cells >= 0)).any():
             raise UsageError("no prediction cell falls in a data cell of the observed grid")
+        del cells
 
         enter("pca")
         if s["pca"]:
@@ -435,15 +454,18 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         values, forest = _predict(cfg, training, prediction_points, derived)
         if clamp is not None:
             values = np.clip(values, clamp[0], clamp[1])
-        predicted = prediction_points.with_target(values)
+        # the outputs read the predictions' places, not their features
+        predicted = PointTable(prediction_points.lon, prediction_points.lat, values,
+                               np.zeros((len(values), 0)))
+        del prediction_points
         if forest is not None:
             write_forest(forest, staging / "forest.txt")
 
         enter("write-prediction")
-        raster = np.full((fine.nrows, fine.ncols), fine.nodata)
-        rows, cols, inside = fine.cell_index_arrays(predicted.lon, predicted.lat)
-        raster[rows[inside], cols[inside]] = predicted.target[inside]
-        prediction_grid = fine.with_values(raster)
+        # one spare last cell takes the -1 of any record outside the grid
+        raster = np.full(fine.nrows * fine.ncols + 1, fine.nodata)
+        raster[fine.cell_numbers(predicted.lon, predicted.lat)] = predicted.target
+        prediction_grid = fine.with_values(raster[:-1].reshape(fine.nrows, fine.ncols))
         write_ascii_grid(prediction_grid, staging / "prediction.asc")
 
         enter("analysis")

@@ -68,22 +68,38 @@ def _ring_area(ring) -> float:
 
 def _ring_crossings(ring, lon: np.ndarray, lat: np.ndarray):
     """(on_boundary, odd_crossings) bool arrays for one ring via even-odd ray
-    casting. Where on_boundary is true, odd_crossings is meaningless."""
+    casting. Where on_boundary is true, odd_crossings is meaningless.
+
+    Every edge reuses the same four scratch arrays.
+    """
     on = np.zeros(lon.shape, dtype=bool)
     inside = np.zeros(lon.shape, dtype=bool)
+    rise, cross = np.empty(lon.shape), np.empty(lon.shape)
+    hit, test = np.empty(lon.shape, dtype=bool), np.empty(lon.shape, dtype=bool)
     for x1, y1, x2, y2 in _edges(ring):
-        cross = (x2 - x1) * (lat - y1) - (y2 - y1) * (lon - x1)
-        on |= (
-            (cross == 0.0)
-            & (min(x1, x2) <= lon) & (lon <= max(x1, x2))
-            & (min(y1, y2) <= lat) & (lat <= max(y1, y2))
-        )
+        # rise = (lat - y1) * (x2 - x1), shared by the cross product and x_at
+        np.subtract(lat, y1, out=rise)
+        rise *= x2 - x1
+        # cross = (x2 - x1) * (lat - y1) - (y2 - y1) * (lon - x1)
+        np.subtract(lon, x1, out=cross)
+        cross *= y2 - y1
+        np.subtract(rise, cross, out=cross)
+        np.equal(cross, 0.0, out=hit)
+        hit &= np.greater_equal(lon, min(x1, x2), out=test)
+        hit &= np.less_equal(lon, max(x1, x2), out=test)
+        hit &= np.greater_equal(lat, min(y1, y2), out=test)
+        hit &= np.less_equal(lat, max(y1, y2), out=test)
+        on |= hit
         if y1 == y2:
             continue  # a horizontal edge spans no latitude
-        # half-open vertex rule so a ray through a vertex counts once
-        spans = (y1 > lat) != (y2 > lat)
-        x_at = x1 + (lat - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= spans & (lon < x_at)
+        # half-open vertex rule so a ray through a vertex counts once:
+        # spans = (y1 > lat) != (y2 > lat), x_at = x1 + rise / (y2 - y1)
+        np.less(lat, y1, out=hit)
+        hit ^= np.less(lat, y2, out=test)
+        rise /= y2 - y1
+        rise += x1
+        hit &= np.less(lon, rise, out=test)
+        inside ^= hit
     return on, inside
 
 
@@ -96,9 +112,9 @@ def contains(region: Region, lon, lat) -> np.ndarray:
     decides. Scalar inputs give a 0-d result usable as a bool.
     """
     lon, lat = np.broadcast_arrays(np.asarray(lon, dtype=float), np.asarray(lat, dtype=float))
-    on, inside = _ring_crossings(region.rings[0], lon, lat)
-    result = on | inside
-    undecided = inside & ~on
+    result, undecided = _ring_crossings(region.rings[0], lon, lat)
+    undecided &= ~result  # inside the outer ring, not on it
+    result |= undecided
     for hole in region.rings[1:]:
         on, in_hole = _ring_crossings(hole, lon, lat)
         result &= ~(undecided & in_hole & ~on)
@@ -115,15 +131,27 @@ def boundary_distance_km(region: Region, lon, lat) -> np.ndarray:
     """
     lon, lat = np.broadcast_arrays(np.asarray(lon, dtype=float), np.asarray(lat, dtype=float))
     best = np.full(lon.shape, np.inf)
+    px, py, t, step = (np.empty(lon.shape) for _ in range(4))
     ky = EARTH_RADIUS_KM * math.pi / 180.0
     for ring in region.rings:
         for x1, y1, x2, y2 in _edges(ring):
             kx = math.cos(math.radians((y1 + y2) / 2.0)) * EARTH_RADIUS_KM * math.pi / 180.0
-            px, py = (lon - x1) * kx, (lat - y1) * ky
+            np.subtract(lon, x1, out=px)
+            px *= kx
+            np.subtract(lat, y1, out=py)
+            py *= ky
             sx, sy = (x2 - x1) * kx, (y2 - y1) * ky
             seg2 = sx * sx + sy * sy
-            t = 0.0 if seg2 == 0.0 else np.clip((px * sx + py * sy) / seg2, 0.0, 1.0)
-            np.minimum(best, np.hypot(px - t * sx, py - t * sy), out=best)
+            if seg2 != 0.0:  # a zero-length edge is its end point: t = 0
+                # t = clip((px * sx + py * sy) / seg2, 0, 1); then px - t * sx
+                # and py - t * sy
+                np.multiply(px, sx, out=t)
+                t += np.multiply(py, sy, out=step)
+                t /= seg2
+                np.clip(t, 0.0, 1.0, out=t)
+                px -= np.multiply(t, sx, out=step)
+                py -= np.multiply(t, sy, out=step)
+            np.minimum(best, np.hypot(px, py, out=step), out=best)
     return best
 
 

@@ -28,10 +28,14 @@ _DIVERGING_STOPS = ((33, 102, 172), (247, 247, 247), (178, 24, 43))
 
 def _interpolate(stops, t: np.ndarray) -> np.ndarray:
     """Piecewise-linear color ramp through evenly spaced stops; t in [0, 1]
-    -> (n, 3) uint8, and t outside [0, 1] takes the end colors."""
+    -> (n, 3) uint8, and t outside [0, 1] takes the end colors. Each channel
+    is rounded in place and written straight into the pixels."""
     at = np.linspace(0.0, 1.0, len(stops))
-    color = np.column_stack([np.interp(t, at, channel) for channel in np.transpose(stops)])
-    return np.rint(color).astype(np.uint8)
+    pixels = np.empty((len(t), 3), dtype=np.uint8)
+    for j, channel in enumerate(np.transpose(stops)):
+        level = np.interp(t, at, channel)
+        pixels[:, j] = np.rint(level, out=level)
+    return pixels
 
 
 def render_heatmap(grid: Grid, palette: str, path) -> None:
@@ -60,16 +64,18 @@ def render_heatmap(grid: Grid, palette: str, path) -> None:
         stops = _DIVERGING_STOPS
 
     if hi > lo:
-        t = (values - lo) / (hi - lo)
+        t = np.subtract(values, lo)
+        t /= hi - lo
     else:
         t = np.full(values.shape, 0.5)
     pixels = _interpolate(stops, t)
     pixels[~flat_mask] = NODATA_COLOR
 
     path = Path(path)
-    header = f"P6\n{grid.ncols} {grid.nrows}\n255\n".encode("ascii")
     try:
-        path.write_bytes(header + pixels.tobytes())
+        with path.open("wb") as out:
+            out.write(f"P6\n{grid.ncols} {grid.nrows}\n255\n".encode("ascii"))
+            out.write(pixels.data)
     except OSError as exc:
         raise UsageError(f"cannot write image {path}: {exc}") from exc
     legend = (

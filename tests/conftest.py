@@ -21,7 +21,7 @@ def small_grid():
 
 def cell_index_ref(grid, lon, lat):
     """Cell of one point, or None outside the grid extent: the scalar oracle
-    of Grid.cell_index_arrays' half-open edge rule."""
+    of Grid.cell_numbers' half-open edge rule."""
     col = math.floor((lon - grid.xll) / grid.cellsize)
     row_from_bottom = math.floor((lat - grid.yll) / grid.cellsize)
     if col < 0 or col >= grid.ncols or row_from_bottom < 0 or row_from_bottom >= grid.nrows:

@@ -214,9 +214,9 @@ def test_criterion_06_pipeline_self_consistency():
     scenario = make_scenario(seed=606, fine_shape=(64, 64), coarse_factor=4,
                              noise_stdev=0.0, gap_fraction=0.0)
     queries = grid_centroids(scenario.truth)
-    rows, cols, inside = scenario.observed.cell_index_arrays(queries.lon, queries.lat)
-    assert inside.all()
-    pred = scenario.observed.values[rows, cols]
+    cells = scenario.observed.cell_numbers(queries.lon, queries.lat)
+    assert (cells >= 0).all()
+    pred = scenario.observed.values.ravel()[cells]
     ev = holdout_eval(scenario, queries.with_target(pred))
     residual_vals = ev.report.residual.values[ev.report.observed.data_mask]
     residual_zero = bool((residual_vals == 0.0).all())

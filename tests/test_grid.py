@@ -167,13 +167,14 @@ class TestGridBasics:
         g = random_grid(rng)
         lons = rng.uniform(g.xll - g.cellsize, g.xll + (g.ncols + 1) * g.cellsize, 200)
         lats = rng.uniform(g.yll - g.cellsize, g.yll + (g.nrows + 1) * g.cellsize, 200)
-        rows, cols, inside = g.cell_index_arrays(lons, lats)
+        cells = g.cell_numbers(lons, lats)
+        assert cells.dtype == np.int64
         for i in range(200):
             got = cell_index_ref(g, lons[i], lats[i])
             if got is None:
-                assert not inside[i]
+                assert cells[i] == -1
             else:
-                assert inside[i] and (rows[i], cols[i]) == got
+                assert divmod(int(cells[i]), g.ncols) == got
 
     def test_data_mask(self, small_grid):
         assert small_grid.data_mask.sum() == 3
@@ -564,6 +565,43 @@ class TestSampleCovariates:
         a = sample_covariates(pts, layers)
         b = sample_covariates(pts, layers)
         assert a == b
+
+    def test_far_point_dropped_without_warning(self):
+        # the range is tested on the floats, before the int64 cast, so a
+        # point 1e300 degrees away neither warns nor depends on the platform
+        layer = self.layer([[7.5]])
+        pts = PointTable([0.5, 1e300, -1e300, 0.5], [0.5, 0.5, 0.5, -1e300],
+                         [0.1, 0.2, 0.3, 0.4], np.zeros((4, 0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = layer.cell_numbers(pts.lon, pts.lat)
+            out = sample_covariates(pts, [layer])
+        assert cells.tolist() == [0, -1, -1, -1]
+        assert out.target.tolist() == [0.1]
+
+    def test_no_drop_shares_input_arrays(self, rng):
+        layers = [self.layer(rng.random((4, 5))) for _ in range(2)]
+        pts = grid_centroids(layers[0])
+        out = sample_covariates(pts, layers)
+        assert out.lon is pts.lon and out.lat is pts.lat and out.target is pts.target
+
+    def test_lattice_memory_is_block_and_one_int64_per_point(self, rng):
+        # 160 000 points on 4 layers: the covariate block, the int64 cell
+        # lookup and 1 MB for the rest. A whole gathered column beside the
+        # block, or copies of the lattice's arrays, would not fit
+        layers = [Grid(400, 400, 0.0, 0.0, 0.1, -9999.0, rng.random((400, 400)))
+                  for _ in range(4)]
+        lattice = grid_centroids(layers[0])
+        tracemalloc.start()
+        try:
+            out = sample_covariates(lattice, layers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.covariates.nbytes + 8 * len(lattice) + 2**20
+        # the lattice is in row-major cell order, across every slice of rows
+        for j, layer in enumerate(layers):
+            np.testing.assert_array_equal(out.covariates[:, j], layer.values.ravel())
 
     def test_mismatched_headers_rejected(self):
         a = self.layer([[1.0]])

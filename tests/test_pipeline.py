@@ -1,8 +1,11 @@
 import hashlib
 import importlib.util
 import json
+import logging
 import re
 import shutil
+import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -318,13 +321,103 @@ class TestRunKnn:
             caplog.clear()
             with caplog.at_level("DEBUG", logger="finegrid"):
                 run_pipeline(validate_config(base_config(data_dir, out, render=render)))
-            timed = [re.fullmatch(r"stage ([a-z-]+): \d+\.\d{6} s", r.getMessage())
+            timed = [re.fullmatch(r"stage ([a-z-]+): \d+\.\d{6} s, ru_maxrss \d+\.\d MB",
+                                  r.getMessage())
                      for r in caplog.records if r.levelname == "DEBUG"]
             assert all(timed)
             # one line per stage that ran, in order; render runs only when asked
             assert [m[1] for m in timed] == stages[:-1] + ["render"] * render + stages[-1:]
             manifests.append((out / "manifest.json").read_bytes())
         assert manifests[1] == manifests[2]
+
+    def test_stage_line_leaves_out_rss_without_resource(self, tmp_path, caplog, monkeypatch):
+        # where the resource module is missing (Windows) the line is the wall
+        # time alone; the manifest never carries either
+        _, data_dir = dump_scenario(tmp_path)
+        out = tmp_path / "out"
+        run_pipeline(validate_config(base_config(data_dir, out)))
+        manifest = (out / "manifest.json").read_bytes()
+        monkeypatch.setitem(sys.modules, "resource", None)
+        with caplog.at_level("DEBUG", logger="finegrid"):
+            run_pipeline(validate_config(base_config(data_dir, out)))
+        lines = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+        assert len(lines) == 12
+        assert all(re.fullmatch(r"stage [a-z-]+: \d+\.\d{6} s", line) for line in lines)
+        assert (out / "manifest.json").read_bytes() == manifest
+
+    def test_write_prediction_stage_memory(self, tmp_path):
+        # traced peak of the write-prediction stage on a 256 x 256 fine grid:
+        # the predictions' lon, lat and target, the raster, and the cell
+        # lookup's two float columns and masks, 6.5 floats a cell, plus
+        # 0.5 MB. A nodata raster held all run, a NaN target column, or the
+        # lookup's int64 rows and columns and their copies do not fit
+        make_scenario(3, (256, 256), coarse_factor=8, n_covariates=0,
+                      gap_fraction=0.1).dump(tmp_path / "data")
+        cfg = validate_config(base_config(tmp_path / "data", tmp_path / "out", k=4,
+                                          fine_factor=8))
+        peaks = {}
+
+        class StagePeaks(logging.Handler):
+            def emit(self, record):
+                if record.getMessage().startswith("stage "):
+                    peaks[record.getMessage().split()[1]] = tracemalloc.get_traced_memory()[1]
+                    tracemalloc.reset_peak()
+
+        handler = StagePeaks(level=logging.DEBUG)
+        logger = logging.getLogger("finegrid")
+        level = logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
+        tracemalloc.start()
+        try:
+            run_pipeline(cfg)
+        finally:
+            tracemalloc.stop()
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+        assert peaks["write-prediction:"] <= 8 * 256 * 256 * 6.5 + 2**19
+
+    def test_full_featured_knn_pinned_digests(self, tmp_path):
+        # region with a 50 km buffer, reporting region, PCA and render on a
+        # small scenario; every output but the manifest, which names the
+        # paths, is pinned to the bytes earlier releases wrote
+        make_scenario(7, (64, 64), coarse_factor=8, n_covariates=4, noise_stdev=0.01,
+                      gap_fraction=0.2).dump(tmp_path / "data")
+        data = tmp_path / "data"
+        out = tmp_path / "out"
+        run_pipeline(validate_config({
+            "observed_grid": str(data / "observed.asc"),
+            "covariate_layers": [str(data / f"cov{i:02d}.asc") for i in range(1, 5)],
+            "region_file": str(data / "region.geojson"), "buffer_km": 50.0,
+            "report_region_file": str(data / "region.geojson"),
+            "output_dir": str(out), "method": "knn", "k": 6, "weighting": "inverse-distance",
+            "feature_mode": "coords+covariates", "pca": True, "render": True, "fine_factor": 8,
+        }))
+        digests = output_digest(out)
+        del digests["manifest.json"]
+        assert digests == {
+            "aggregated.asc": "afb8368caa299d6134709e39f84dfe00720b8eb15ffc8d545f15c1f00c17e016",
+            "aggregated.ppm": "e6e0baf3bc74bb913a4b4e0a97bbad441f3037efeb157ff30db31ef933afb405",
+            "aggregated.ppm.legend.txt":
+                "e9780f6f5027f2434f828ac06dc2478045df1f9ad84f38165748b8b48d77b800",
+            "metrics.txt": "40278a4b2cf2c68a375baa2b7fced25dbd253225f8384ba57e66ee458c2f0649",
+            "pca_model.csv": "887869a25f1791750aadcfd8ef7d80289b1226ba9c77f43998bed39a79d96364",
+            "prediction.asc": "ff7090cd596a8df53dd71f16a0638877cdd794dcf51e58a0844b69d23659c46c",
+            "prediction.ppm": "21567d7eb31c88bf807c2f8f63a24f5b3f8a2695abf1e4bbf816ab6cd1419d38",
+            "prediction.ppm.legend.txt":
+                "e57a50b75d0e7f1ec6f6bb8e890eb69ab2574bddbf1c637d8c74f8e75f63aa06",
+            "relative_residual.asc":
+                "d1d514722088d922a6a5939ebdd7be576fa7d6320586c6ed18dbe0b856fa1a6e",
+            "relative_residual.ppm":
+                "bb98d79411cb9d0556c5875913f59f7ff885e3088c5b5eda2277de27241a58ac",
+            "relative_residual.ppm.legend.txt":
+                "05d4e567e15d309f831ea2889deca73293efe259a2dbbfbdbff63d0276d05679",
+            "residual.asc": "90a4f6d1f6329cdfa7fad943694e39bbff0f360d901c4e11141354160acf0f88",
+            "residual.ppm": "ebd683ee4343bd7537e08a1fd76f95674b70c592c0c07971bf4d50b001a4081b",
+            "residual.ppm.legend.txt":
+                "ea64745c4b88406ad6d608ca48a8c4985e7ec6a0636f2953f0677c5962ed8515",
+            "scatter.csv": "d68e8d0dd0dfe964e51ec7273f273c68ee6b875f18d8cabe2d0ac0ad542f1867",
+        }
 
     def test_manifest_records_config_and_derived(self, tmp_path):
         _, data_dir = dump_scenario(tmp_path)
@@ -520,8 +613,9 @@ class TestRf:
         queries = grid_centroids(scenario.observed)
         queries = sample_covariates(queries, list(scenario.covariate_layers))
         pred = read_ascii_grid(out / "prediction.asc")
-        rows, cols, inside = pred.cell_index_arrays(queries.lon, queries.lat)
-        raster_vals = pred.values[rows[inside], cols[inside]]
+        cells = pred.cell_numbers(queries.lon, queries.lat)
+        inside = cells >= 0
+        raster_vals = pred.values.ravel()[cells[inside]]
         direct = np.clip(rf_predict(forest, queries), 0.0, 1.0)
         np.testing.assert_array_equal(raster_vals, direct[inside])
 

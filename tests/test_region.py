@@ -91,6 +91,23 @@ def boundary_distance_km_ref(region, lon, lat):
     return best
 
 
+def boundary_distance_array_ref(region, lon, lat):
+    """The whole-array expression boundary_distance_km evaluated before it
+    reused its buffers: a fresh array for every term of every edge."""
+    best = np.full(lon.shape, np.inf)
+    ky = 6371.0088 * math.pi / 180.0
+    for ring in region.rings:
+        for i in range(len(ring)):
+            (x1, y1), (x2, y2) = ring[i], ring[(i + 1) % len(ring)]
+            kx = math.cos(math.radians((y1 + y2) / 2.0)) * 6371.0088 * math.pi / 180.0
+            px, py = (lon - x1) * kx, (lat - y1) * ky
+            sx, sy = (x2 - x1) * kx, (y2 - y1) * ky
+            seg2 = sx * sx + sy * sy
+            t = 0.0 if seg2 == 0.0 else np.clip((px * sx + py * sy) / seg2, 0.0, 1.0)
+            np.minimum(best, np.hypot(px - t * sx, py - t * sy), out=best)
+    return best
+
+
 def within_buffer_ref(region, lon, lat, distance_km):
     if contains_ref(region, lon, lat):
         return True
@@ -406,6 +423,20 @@ class TestVectorisedMatchesScalarReference:
             np.testing.assert_array_equal(keep, expect)
             pts = PointTable(lon, lat, np.arange(len(lon), dtype=float), np.zeros((len(lon), 0)))
             assert clip_points(pts, region, km) == pts.subset(np.array(expect))
+
+    @pytest.mark.parametrize("case", [0, 8])
+    def test_distance_buffers_keep_the_array_expression_bits(self, case):
+        # free-form and lattice rings, and a ring with zero-length edges
+        rng = np.random.default_rng(1000 + case)
+        region = random_region(rng, self.CASES[case])
+        lon, lat = probes(rng, region, 300, self.CASES[case])
+        np.testing.assert_array_equal(boundary_distance_km(region, lon, lat),
+                                      boundary_distance_array_ref(region, lon, lat))
+        ring = ((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+        region = Region(rings=(ring,))
+        lon, lat = rng.uniform(-1, 2, 200), rng.uniform(-1, 2, 200)
+        np.testing.assert_array_equal(boundary_distance_km(region, lon, lat),
+                                      boundary_distance_array_ref(region, lon, lat))
 
     def test_overlapping_holes_follow_ring_order(self):
         outer = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))

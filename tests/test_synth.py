@@ -190,9 +190,9 @@ class TestHoldoutEval:
         # containing-cell predictor reproduces the observed grid exactly
         s = self.scenario()
         queries = grid_centroids(s.truth)
-        rows, cols, inside = s.observed.cell_index_arrays(queries.lon, queries.lat)
-        assert inside.all()
-        pred = s.observed.values[rows, cols]
+        cells = s.observed.cell_numbers(queries.lon, queries.lat)
+        assert (cells >= 0).all()
+        pred = s.observed.values.ravel()[cells]
         ev = holdout_eval(s, queries.with_target(pred))
         assert ev.report.r2 == 1.0
         assert ev.report.rmse == 0.0
