@@ -7,14 +7,15 @@ leave-one-out error over the set is smallest (ties to the lower degree) is
 picked once, with the set's features centered on its centroid, and every
 query that shares the set takes that degree.
 
-The SVD that scores a degree also gives the set's own fit at it. When that
-fit has full rank, it is the set's unique least-squares polynomial, whatever
-the centre, so each query of the set is predicted by evaluating it at the
-query. Every other query is refit through fit_polynomial on its k neighbors
-centered on the query, so the fitted constant term is the prediction, one
-stacked call per degree and chunk of queries: degree 0, which is the
-neighbor mean in distance order, and the queries of a rank-deficient set,
-whose minimum-norm solution depends on the centre.
+The SVD that scores a degree also gives the set's own fit at it and the
+set's rank test, the only one HYPPO makes. When that fit has full rank, it
+is the set's unique least-squares polynomial, whatever the centre, so each
+query of the set is predicted by evaluating it at the query. Every other
+query is refit through fit_polynomial on its k neighbors centered on the
+query, so the fitted constant term is the prediction, one stacked call per
+degree and chunk of queries: degree 0, which is the neighbor mean in
+distance order, and the queries of a rank-deficient set, whose minimum-norm
+solution depends on the centre.
 
 Every fit of degree >= 1, leave-one-out fold, set fit or refit, is solved
 by pseudo-inverse with cutoff sigma <= 1e-10 * sigma_max, so rank-deficient
@@ -115,31 +116,27 @@ def _solve(
     return np.einsum("...rm,...r->...m", vt, scaled), keep.sum(axis=-1)
 
 
-def _lstsq(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse least squares on a stack x (..., n, m), z (..., n);
-    see _solve."""
-    return _solve(*np.linalg.svd(x, full_matrices=False), z)
+def _lstsq(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse least-squares coefficients (..., m) on a stack
+    x (..., n, m), z (..., n); see _solve."""
+    return _solve(*np.linalg.svd(x, full_matrices=False), z)[0]
 
 
-def fit_polynomial(
-    features: np.ndarray, targets: np.ndarray, degree: int
-) -> tuple[np.ndarray, np.ndarray]:
+def fit_polynomial(features: np.ndarray, targets: np.ndarray, degree: int) -> np.ndarray:
     """Least-squares fits over the full monomial basis of total degree <=
     degree, one per set of a stack: features (..., n, nvars), targets (..., n).
 
-    Returns the coefficients (..., m), constant term first, and whether each
-    fit is rank-deficient (...). Degree 0 is the neighbor mean; any other
-    degree is solved by pseudo-inverse with cutoff sigma <= 1e-10 * sigma_max.
+    Returns the coefficients (..., m), constant term first. Degree 0 is the
+    neighbor mean; any other degree is solved by pseudo-inverse with cutoff
+    sigma <= 1e-10 * sigma_max.
     """
     feats = np.asarray(features, dtype=float)
     z = np.asarray(targets, dtype=float)
     if z.shape[-1] < 1:
         raise UsageError("fit_polynomial needs at least one point")
     if degree == 0:
-        return neighbor_mean(z)[..., None], np.zeros(z.shape[:-1], dtype=bool)
-    exps = monomial_exponents(feats.shape[-1], degree)
-    coef, rank = _lstsq(design_matrix(feats, exps), z)
-    return coef, rank < len(exps)
+        return neighbor_mean(z)[..., None]
+    return _lstsq(design_matrix(feats, monomial_exponents(feats.shape[-1], degree)), z)
 
 
 def _tie_tolerance(targets: np.ndarray) -> np.ndarray:
@@ -201,7 +198,7 @@ def _loo_errors(
     sets, rows = np.nonzero(folded)
     if len(sets):
         rest = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)[rows]  # fold drops the row
-        coef, _ = _lstsq(x[sets[:, None], rest], z[sets[:, None], rest])
+        coef = _lstsq(x[sets[:, None], rest], z[sets[:, None], rest])
         errors[sets, rows] = z[sets, rows] - np.einsum("nm,nm->n", x[sets, rows], coef)
     return errors, folded, set_coef, rank == m
 
@@ -252,22 +249,21 @@ def hyppo_predict_with_degrees(
     space: FeatureSpace,
     stats: dict | None = None,
 ):
-    """Predictions, the per-query selected degree, and whether each query's
-    fit at that degree was rank-deficient.
+    """Predictions and the per-query selected degree.
 
     The degree is selected once per distinct neighbor set, so queries that
     share a set share a degree. A query of degree >= 1 whose set's own fit
-    at that degree has full rank is predicted by that fit; its flag is the
-    set's rank test, so it reads False. Every other query is refit through
-    fit_polynomial centered on the query, and its flag is that refit's. So
-    degree 0 predicts through the same neighbor-mean reduction as uniform
-    kNN, and the two agree bit for bit on identical neighborhoods. Sets are
-    scored in leave-one-out stacks of FOLD_STACK_BYTES' worth, and results do
-    not depend on that size. A ``stats`` dict, if given, receives the number
-    of distinct sets as ``neighbor_sets`` and, per candidate degree, the
+    at that degree has full rank is predicted by that fit. Every other query
+    is refit through fit_polynomial centered on the query. So degree 0
+    predicts through the same neighbor-mean reduction as uniform kNN, and
+    the two agree bit for bit on identical neighborhoods. Sets are scored in
+    leave-one-out stacks of FOLD_STACK_BYTES' worth, and results do not
+    depend on that size. A ``stats`` dict, if given, receives the number of
+    distinct sets as ``neighbor_sets`` and, per candidate degree, the
     number of leave-one-out rows that took their own fold fit as
     ``loo_fold_fits`` and of queries refit through fit_polynomial as
-    ``query_refits``, and the search's ``candidate_pairs``.
+    ``query_refits`` (from degree 1 up, the queries of rank-deficient sets),
+    and the search's ``candidate_pairs``.
     """
     z = train.require_targets()
     train_f = space.features(train)
@@ -304,7 +300,6 @@ def hyppo_predict_with_degrees(
                                  for d in candidates}
 
     predictions = np.empty(len(queries))
-    rank_deficient = ~set_full_rank[inverse]  # a refit overwrites its queries' flags
     # a refit stack (c, k, m) of FOLD_STACK_BYTES holds k - 1 times as many
     # queries as the chunk holds sets
     step = chunk * (cfg.k - 1)
@@ -312,15 +307,13 @@ def hyppo_predict_with_degrees(
         of_degree = degrees == d
         for sel in _runs(of_degree & refit, step):
             centered = train_f[idx[sel]] - query_f[sel][:, None, :]
-            coef, deficient = fit_polynomial(centered, z[idx[sel]], d)
-            predictions[sel] = coef[:, 0]
-            rank_deficient[sel] = deficient
+            predictions[sel] = fit_polynomial(centered, z[idx[sel]], d)[:, 0]
         exps = monomial_exponents(space.nvars, d)
         for sel in _runs(of_degree & ~refit, step):
             of_set = inverse[sel]
             x = design_matrix(query_f[sel] - centroids[of_set], exps)
             predictions[sel] = np.einsum("qm,qm->q", x, set_coef[of_set, :len(exps)])
-    return predictions, degrees, rank_deficient
+    return predictions, degrees
 
 
 def _runs(mask: np.ndarray, step: int):

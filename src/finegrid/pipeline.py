@@ -264,17 +264,13 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
         return values, None
     if cfg.method == "hyppo":
         stats = {}
-        values, degrees, rank_deficient = hyppo_predict_with_degrees(
+        values, degrees = hyppo_predict_with_degrees(
             training, prediction, model_cfg, space, stats=stats
         )
         derived["search_candidate_pairs"] = stats["candidate_pairs"]
         counts = np.bincount(degrees)
-        present = np.flatnonzero(counts)
         derived["hyppo_neighbor_sets"] = stats["neighbor_sets"]
-        derived["hyppo_degree_counts"] = {int(d): int(counts[d]) for d in present}
-        derived["hyppo_rank_deficient"] = {
-            int(d): int(np.count_nonzero(rank_deficient[degrees == d])) for d in present
-        }
+        derived["hyppo_degree_counts"] = {int(d): int(counts[d]) for d in np.flatnonzero(counts)}
         derived["hyppo_loo_fold_fits"] = stats["loo_fold_fits"]
         derived["hyppo_query_refits"] = stats["query_refits"]
         logger.info("hyppo: %d neighbor sets for %d queries, degree counts %s, "
@@ -440,15 +436,22 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         del cells
 
         enter("pca")
+        coords_only = s["feature_mode"] == "coords"
         if s["pca"]:
             model = cov.pca_fit(training)
             _check_mtry(s, model.retained, "component(s) retained by pca")
-            training = cov.pca_transform(model, training)
-            prediction_points = cov.pca_transform(model, prediction_points)
+            if not coords_only:
+                training = cov.pca_transform(model, training)
+                prediction_points = cov.pca_transform(model, prediction_points)
             cov.write_pca_sidecar(model, staging / "pca_model.csv")
             derived["pca_retained"] = model.retained
             derived["pca_eigenvalues"] = [float(v) for v in model.eigenvalues]
             logger.info("pca: %d components retained", derived["pca_retained"])
+        if coords_only:
+            # no later stage reads a covariate
+            training, prediction_points = (
+                PointTable(t.lon, t.lat, t.target, np.zeros((len(t), 0)))
+                for t in (training, prediction_points))
 
         enter("model")
         values, forest = _predict(cfg, training, prediction_points, derived)

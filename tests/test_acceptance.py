@@ -91,7 +91,7 @@ def test_criterion_02_hyppo_exact_recovery():
     qlon = rng.uniform(0.1, 0.9, 100)
     qlat = rng.uniform(0.1, 0.9, 100)
     queries = _points(qlon, qlat, np.full(100, np.nan))
-    pred, degrees, _ = hyppo_predict_with_degrees(
+    pred, degrees = hyppo_predict_with_degrees(
         train, queries, HyppoConfig(k=10, max_degree=3), space)
     truth = 2.0 * qlon + 3.0 * qlat
     degree1_share = float(np.mean(degrees == 1))

@@ -99,7 +99,7 @@ def fold_stack_errors(feats, z, degree):
     x = design_matrix(feats, monomial_exponents(feats.shape[2], degree))
     k = z.shape[1]
     rest = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)  # fold i drops row i
-    coef, _ = _lstsq(x[:, rest], z[:, rest])
+    coef = _lstsq(x[:, rest], z[:, rest])
     return z - np.einsum("ckm,ckm->ck", x, coef)
 
 
@@ -170,22 +170,21 @@ def evaluate(coef, features, degree):
 class TestFitPolynomial:
     def test_degree0_is_mean(self, rng):
         z = rng.random(9)
-        coef, rank_deficient = fit_polynomial(rng.normal(0, 1, (9, 2)), z, 0)
-        assert coef.shape == (1,) and not rank_deficient
+        coef = fit_polynomial(rng.normal(0, 1, (9, 2)), z, 0)
+        assert coef.shape == (1,)
         assert coef[0] == float(np.mean(z))
         assert evaluate(coef, np.zeros((3, 2)), 0) == pytest.approx([np.mean(z)] * 3)
 
     def test_degree0_equals_neighbor_mean_bitwise(self, rng):
         z = rng.random((7, 12))
-        coef, rank_deficient = fit_polynomial(rng.normal(0, 1, (7, 12, 2)), z, 0)
+        coef = fit_polynomial(rng.normal(0, 1, (7, 12, 2)), z, 0)
         np.testing.assert_array_equal(coef[:, 0], neighbor_mean(z))
         assert coef.shape == (7, 1)
-        np.testing.assert_array_equal(rank_deficient, np.zeros(7, dtype=bool))
 
     def test_degree1_interpolates_three_points(self):
         feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         z = np.array([1.0, 3.0, 2.0])  # plane 1 + 2x + y
-        coef, _ = fit_polynomial(feats, z, 1)
+        coef = fit_polynomial(feats, z, 1)
         np.testing.assert_allclose(coef, [1.0, 2.0, 1.0], atol=1e-12)
         assert evaluate(coef, np.array([[2.0, 2.0]]), 1)[0] == pytest.approx(7.0, abs=1e-10)
 
@@ -193,7 +192,7 @@ class TestFitPolynomial:
         # residual orthogonal to the column space beats any perturbed fit
         feats = rng.normal(0, 1, (30, 2))
         z = rng.normal(0, 1, 30)
-        coef, _ = fit_polynomial(feats, z, 2)
+        coef = fit_polynomial(feats, z, 2)
         x = design_matrix(feats, monomial_exponents(2, 2))
         base = float(((x @ coef - z) ** 2).sum())
         expect = np.linalg.pinv(x, rcond=1e-10) @ z
@@ -202,17 +201,6 @@ class TestFitPolynomial:
             perturbed = coef + rng.normal(0, 1e-3, len(coef))
             assert float(((x @ perturbed - z) ** 2).sum()) >= base - 1e-12
 
-    def test_rank_deficiency_flag(self):
-        # collinear points cannot pin down a full degree-1 basis
-        feats = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        z = np.array([0.0, 1.0, 2.0, 3.0])
-        coef, rank_deficient = fit_polynomial(feats, z, 1)
-        assert rank_deficient
-        np.testing.assert_allclose(evaluate(coef, feats, 1), z, atol=1e-10)
-        _, full = fit_polynomial(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                                 np.array([1.0, 2.0, 3.0]), 1)
-        assert not full
-
     def test_stack_equals_per_set_fits_bitwise(self, rng):
         # full-rank and collinear sets in one stack, as lattice refits mix them
         feats = rng.normal(0, 1, (6, 12, 2))
@@ -220,13 +208,10 @@ class TestFitPolynomial:
         feats[4, :, :] = np.repeat(np.arange(4.0), 3)[:, None] * [1.0, 0.0]
         z = rng.normal(0, 1, (6, 12))
         for degree in range(4):
-            coef, rank_deficient = fit_polynomial(feats, z, degree)
+            coef = fit_polynomial(feats, z, degree)
             assert coef.shape == (6, monomial_count(2, degree))
             for i in range(6):
-                one, flag = fit_polynomial(feats[i], z[i], degree)
-                np.testing.assert_array_equal(coef[i], one)
-                assert rank_deficient[i] == flag
-            assert rank_deficient[[2, 4]].all() == (degree > 0)
+                np.testing.assert_array_equal(coef[i], fit_polynomial(feats[i], z[i], degree))
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
@@ -291,6 +276,20 @@ class TestLooErrors:
                     np.testing.assert_allclose((errors ** 2).sum(axis=1), expect,
                                                rtol=1e-9, atol=0)
 
+    def test_set_full_rank(self):
+        # collinear points cannot pin down a full degree-1 basis; their
+        # minimum-norm fit still interpolates them
+        feats = np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]])
+        z = np.array([[0.0, 1.0, 2.0, 3.0]])
+        _, _, coef, full_rank = _loo_errors(feats, z, 1)
+        np.testing.assert_array_equal(full_rank, [False])
+        np.testing.assert_allclose(evaluate(coef[0], feats[0], 1), z[0], atol=1e-10)
+        # a triangle does, and every set has full rank at degree 0
+        triangle = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+        np.testing.assert_array_equal(
+            _loo_errors(triangle, np.array([[1.0, 2.0, 3.0]]), 1)[3], [True])
+        np.testing.assert_array_equal(_loo_errors(feats, z, 0)[3], [True])
+
     def test_lattice_fold_fits_match_fold_stack_bitwise(self, rng):
         # a lattice point that alone supports a degree-3 monomial has
         # leverage 1; its error comes from its own fold fit, the same
@@ -353,7 +352,7 @@ class TestHyppoPredict:
         space = FeatureSpace.fit("coords", train)
         queries = points(rng.uniform(0, 1, 8), rng.uniform(0, 1, 8),
                          np.full(8, np.nan))
-        pred, deg, _ = hyppo_predict_with_degrees(train, queries, HyppoConfig(k=8), space)
+        pred, deg = hyppo_predict_with_degrees(train, queries, HyppoConfig(k=8), space)
         np.testing.assert_allclose(pred, 0.3, atol=1e-12)
         np.testing.assert_array_equal(deg, 0)
 
@@ -370,8 +369,10 @@ class TestHyppoPredict:
 
     def test_matches_per_query_oracle(self, rng):
         # naive per-query pipeline: search, select via oracle LOO on the
-        # neighborhood centered on its centroid, pinv refit centered on the
-        # query; the lattice case adds rank-deficient folds and refits
+        # neighborhood centered on its centroid, then the centroid-centered
+        # pinv fit evaluated at the query, or a pinv refit centered on the
+        # query at degree 0 or where the centroid-centered design is
+        # rank-deficient; the lattice case adds rank-deficient folds and sets
         train_lon = rng.uniform(0, 1, 30)
         train_lat = rng.uniform(0, 1, 30)
         z = np.sin(3 * train_lon) * np.cos(2 * train_lat)
@@ -380,10 +381,11 @@ class TestHyppoPredict:
                             np.full(6, np.nan)), 9)
         lattice = (*lattice_case(rng, 24), 12)
         max_degree = 3
+        refit_degrees = []
         for train, queries, k in (scattered, lattice):
             z = train.target
             space = FeatureSpace.fit("coords", train)
-            pred, deg, rank_deficient = hyppo_predict_with_degrees(
+            pred, deg = hyppo_predict_with_degrees(
                 train, queries, HyppoConfig(k=k, max_degree=max_degree), space)
 
             train_f = space.features(train)
@@ -391,24 +393,27 @@ class TestHyppoPredict:
             for qi in range(len(queries)):
                 diff = train_f - query_f[qi]
                 order = np.argsort((diff * diff).sum(axis=1), kind="stable")[:k]
-                centered = train_f[order] - query_f[qi]
+                centroid = train_f[order].mean(axis=0)
                 nz = z[order]
                 degrees = admissible_degrees(2, k, max_degree)
-                errors = [loo_oracle(train_f[order] - train_f[order].mean(axis=0), nz, d)
-                          for d in degrees]
+                errors = [loo_oracle(train_f[order] - centroid, nz, d) for d in degrees]
                 tol = TIE_REL * (1.0 + float(np.mean(nz * nz)))
                 d = next(dd for dd, e in zip(degrees, errors) if e <= min(errors) + tol)
                 assert deg[qi] == d
+                exps = monomial_exponents(2, d)
+                x = design_matrix(train_f[order] - centroid, exps)
+                sv = np.linalg.svd(x, compute_uv=False)
                 if d == 0:
                     expect = float(np.mean(nz))
-                    assert not rank_deficient[qi]
-                else:
-                    x = design_matrix(centered, monomial_exponents(2, d))
+                elif (sv > 1e-10 * sv.max()).sum() < len(exps):
+                    x = design_matrix(train_f[order] - query_f[qi], exps)
                     expect = (np.linalg.pinv(x, rcond=1e-10) @ nz)[0]
-                    sv = np.linalg.svd(x, compute_uv=False)
-                    assert rank_deficient[qi] == ((sv > 1e-10 * sv.max()).sum() < x.shape[1])
+                    refit_degrees.append(d)
+                else:
+                    at_query = design_matrix((query_f[qi] - centroid)[None], exps)[0]
+                    expect = at_query @ np.linalg.pinv(x, rcond=1e-10) @ nz
                 assert pred[qi] == pytest.approx(expect, abs=1e-8)
-        assert rank_deficient.any()
+        assert 3 in refit_degrees
 
     def test_refits_degree0_and_rank_deficient_sets_only(self, rng, monkeypatch):
         # the wrapper hands back OFFSET plus each stack slot's number as the
@@ -419,10 +424,10 @@ class TestHyppoPredict:
         slots = []
 
         def numbered(features, targets, degree):
-            coef, rank_deficient = original(features, targets, degree)
+            coef = original(features, targets, degree)
             numbers = OFFSET + len(slots) + np.arange(len(coef))
-            slots.extend((int(degree), c, r) for c, r in zip(coef[:, 0], rank_deficient))
-            return np.column_stack([numbers, coef[:, 1:]]), rank_deficient
+            slots.extend((int(degree), c) for c in coef[:, 0])
+            return np.column_stack([numbers, coef[:, 1:]])
 
         cases = [(lattice_case(rng, 60), 12), (gapped_lattice_case(rng, 60), 12)]
         cases += [(scattered_case(rng, 60), k) for k in (8, 11, 14)]
@@ -432,15 +437,12 @@ class TestHyppoPredict:
             cfg = HyppoConfig(k=k, max_degree=3)
             stats = {}
             with fold_stack(cfg, space, 2):
-                pred, deg, rank_deficient = hyppo_predict_with_degrees(
-                    train, queries, cfg, space, stats=stats)
+                pred, deg = hyppo_predict_with_degrees(train, queries, cfg, space, stats=stats)
                 monkeypatch.setattr(hyppo, "fit_polynomial", numbered)
                 slots.clear()
-                named, named_deg, named_rd = hyppo_predict_with_degrees(
-                    train, queries, cfg, space)
+                named, named_deg = hyppo_predict_with_degrees(train, queries, cfg, space)
                 monkeypatch.setattr(hyppo, "fit_polynomial", original)
             np.testing.assert_array_equal(named_deg, deg)
-            np.testing.assert_array_equal(named_rd, rank_deficient)
 
             train_f, query_f = space.features(train), space.features(queries)
             idx, _ = search_tables(train_f, query_f, k)
@@ -454,16 +456,14 @@ class TestHyppoPredict:
                 set_full_rank = (sv > 1e-10 * sv.max()).sum() == len(exps)
                 assert refit[q] == (deg[q] == 0 or not set_full_rank)
                 if refit[q]:
-                    assert slots[int(named[q] - OFFSET)] == (deg[q], pred[q], rank_deficient[q])
-                    deficient_refits += bool(rank_deficient[q])
+                    assert slots[int(named[q] - OFFSET)] == (deg[q], pred[q])
+                    deficient_refits += bool(deg[q])
                     continue
                 assert named[q] == pred[q]
                 # the set's fit against the query-centered pinv refit
                 x = design_matrix(train_f[idx[q]] - query_f[q], exps)
                 expect = (np.linalg.pinv(x, rcond=1e-10) @ train.target[idx[q]])[0]
                 assert abs(pred[q] - expect) <= 1e-12
-                sv = np.linalg.svd(x, compute_uv=False)
-                assert rank_deficient[q] == ((sv > 1e-10 * sv.max()).sum() < len(exps))
                 set_path += 1
             assert stats["query_refits"] == {d: int(np.count_nonzero(refit[deg == d]))
                                              for d in admissible_degrees(2, k, 3)}
@@ -515,23 +515,26 @@ class TestHyppoPredict:
                                       (lattice, HyppoConfig(k=12, max_degree=3)),
                                       (mixed, HyppoConfig(k=12, max_degree=3))):
             space = FeatureSpace.fit("coords", train)
-            runs = []
+            runs, refits = [], []
             for sets in (1, 5, None):
                 stacks.clear()
+                refits.append({})
                 with fold_stack(cfg, space, sets):
-                    runs.append(hyppo_predict_with_degrees(train, queries, cfg, space))
+                    runs.append(hyppo_predict_with_degrees(train, queries, cfg, space,
+                                                           stats=refits[-1]))
                 if sets:
                     assert max(stacks) == sets
-            for run in runs[1:]:
+            for run, stats in zip(runs[1:], refits[1:]):
                 for a, b in zip(runs[0], run):
                     np.testing.assert_array_equal(a, b)
-        _, degrees, rank_deficient = runs[0]
-        assert 0 < np.count_nonzero(rank_deficient[degrees == 3]) < np.count_nonzero(degrees == 3)
+                assert stats["query_refits"] == refits[0]["query_refits"]
+        degrees = runs[0][1]
+        assert 0 < refits[0]["query_refits"][3] < np.count_nonzero(degrees == 3)
 
     def test_shared_neighbor_set_shares_degree(self, rng):
         train, queries = lattice_case(rng, 300)
         space = FeatureSpace.fit("coords", train)
-        _, deg, _ = hyppo_predict_with_degrees(train, queries, HyppoConfig(k=12), space)
+        _, deg = hyppo_predict_with_degrees(train, queries, HyppoConfig(k=12), space)
         idx, _ = search_tables(space.features(train), space.features(queries), 12)
         by_set = {}
         for row, d in zip(np.sort(idx, axis=1), deg):

@@ -553,6 +553,45 @@ class TestCovariatesAndPca:
         np.testing.assert_array_equal(a.values, b.values)
         assert (pca_out / "pca_model.csv").exists()
 
+    @pytest.mark.parametrize("pca", [False, True])
+    def test_coords_mode_models_see_no_covariates(self, tmp_path, monkeypatch, pca):
+        import finegrid.covariates as covariates_module
+        import finegrid.pipeline as pipeline_module
+
+        _, data_dir = dump_scenario(tmp_path)
+        seen, transformed = [], []
+
+        def recorded(name):
+            original = getattr(pipeline_module, name)
+
+            def call(train, queries, *args, **kwargs):
+                seen.append((name, train.p, queries.p))
+                return original(train, queries, *args, **kwargs)
+            return call
+
+        def transform(*args):
+            transformed.append(args)
+            return original_transform(*args)
+
+        original_transform = covariates_module.pca_transform
+        for name in ("knn_predict", "hyppo_predict_with_degrees"):
+            monkeypatch.setattr(pipeline_module, name, recorded(name))
+        monkeypatch.setattr(covariates_module, "pca_transform", transform)
+        layers = [str(data_dir / "cov01.asc"), str(data_dir / "cov02.asc")]
+        for method in ("knn", "hyppo"):
+            out = tmp_path / method
+            run_pipeline(validate_config(base_config(
+                data_dir, out, method=method, k=8, pca=pca, covariate_layers=layers)))
+            assert (out / "pca_model.csv").exists() == pca
+        assert seen == [("knn_predict", 0, 0), ("hyppo_predict_with_degrees", 0, 0)]
+        assert transformed == []
+        # in covariate space both tables keep their covariates, or their scores
+        run_pipeline(validate_config(base_config(
+            data_dir, tmp_path / "cov", k=8, pca=pca, covariate_layers=layers,
+            feature_mode="coords+covariates")))
+        assert seen[-1][1] == seen[-1][2] > 0
+        assert len(transformed) == 2 * pca
+
     def test_pca_manifest_entries(self, tmp_path):
         _, data_dir = dump_scenario(tmp_path, n_covariates=3)
         out = tmp_path / "out"
@@ -1079,18 +1118,13 @@ class TestHyppoPipeline:
             f"query refits { {int(d): n for d, n in refits.items()} }, "
             f"search candidate pairs {derived['search_candidate_pairs']}")
         assert all(int(d) <= 2 for d in counts)
-        # training points are coarse centroids on a lattice, so some
-        # degree-2 refits are rank-deficient; degree 0 never is
-        rank_deficient = derived["hyppo_rank_deficient"]
-        assert rank_deficient.keys() == counts.keys()
-        assert all(0 <= rank_deficient[d] <= counts[d] for d in counts)
-        assert rank_deficient["0"] == 0 and rank_deficient["2"] > 0
-        # every degree-0 query refits, and of the others exactly those of a
-        # rank-deficient set, whose query-centered refits are rank-deficient
+        # every degree-0 query refits, and of the others those of a
+        # rank-deficient set; training points are coarse centroids on a
+        # lattice, so some degree-2 sets are rank-deficient
+        assert "hyppo_rank_deficient" not in derived
         assert refits.keys() == fold_fits.keys()
-        assert refits["0"] == counts.get("0", 0)
-        assert all(refits[d] == rank_deficient.get(d, 0) for d in ("1", "2"))
-        assert refits["2"] < counts["2"]
+        assert refits["0"] == counts["0"]
+        assert 0 < refits["2"] < counts["2"]
 
     def test_max_degree_zero_matches_knn(self, tmp_path):
         _, data_dir = dump_scenario(tmp_path)
