@@ -284,7 +284,8 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
         tuned = tune_mtry(training, model_cfg, s["mtry_grid"], folds=s["folds"], stats=stats)
         derived["tuned_mtry"] = tuned
         derived["mtry_cv_rmse"] = stats["cv_rmse"]
-        cv = f", cv_rmse {stats['cv_rmse']}"
+        derived["mtry_tune_groups"] = stats["fold_groups"]
+        cv = f", cv_rmse {stats['cv_rmse']}, tune groups {stats['fold_groups']}"
         model_cfg = replace(model_cfg, mtry=tuned)
     forest = rf_fit(training, model_cfg, workers=s["workers"])
     derived["oob_rmse"] = forest.oob_rmse

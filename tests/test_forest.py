@@ -1,6 +1,7 @@
 import collections
 import math
 import re
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -366,8 +367,9 @@ def tune_rmse_ref(train, cfg, candidates, folds):
 
 
 class TestTuneOracle:
-    """tune_mtry's (candidate, fold) RMSEs, from rf_fit and rf_predict on each
-    fold, must equal the reference loop's over the recursive fit, bit for bit."""
+    """tune_mtry's (candidate, fold) RMSEs, from each fold group's lockstep and
+    masked scoring pass, must equal the reference loop's over the recursive
+    fit and rf_predict on each fold, bit for bit, however the folds group."""
 
     @staticmethod
     def tune(train, cfg, candidates, folds):
@@ -375,8 +377,16 @@ class TestTuneOracle:
         choice = tune_mtry(train, cfg, candidates, folds=folds, stats=stats)
         return choice, stats
 
-    @pytest.mark.parametrize("name", ["covariates_15", "rounded", "duplicated", "tiny"])
-    def test_matches_reference_loop(self, name):
+    # a pair budget of 1 grows every fold alone, and 2**40 all folds together;
+    # the default budget keeps the bare case name
+    @pytest.mark.parametrize("name, pairs", [
+        pytest.param(name, pairs,
+                     id=name if pairs == forest_module.ROUTE_PAIRS else f"{name}-{pairs}")
+        for name in ("covariates_15", "rounded", "duplicated", "tiny")
+        for pairs in (1, 7, forest_module.ROUTE_PAIRS, 2**40)
+    ])
+    def test_matches_reference_loop(self, name, pairs, monkeypatch):
+        monkeypatch.setattr(forest_module, "ROUTE_PAIRS", pairs)
         train, candidates, min_leaf = tune_case(name)
         cfg = RfConfig(ntree=4, mtry="tune", min_leaf=min_leaf, seed=5)
         ref = tune_rmse_ref(train, cfg, candidates, 3)
@@ -711,26 +721,56 @@ class TestTuneMtry:
         assert choice in default_mtry_grid(3)
         assert tune_mtry(train, cfg, folds=3) == choice
 
-    def test_fits_and_scores_through_rf_fit_and_rf_predict(self, rng, monkeypatch):
-        # wrapped at the module binding, as perfbench/tracing.py wraps them
-        fits, predictions = [], []
-        fit, predict = forest_module.rf_fit, forest_module.rf_predict
+    def test_grows_each_fold_group_once_per_candidate(self, rng, monkeypatch):
+        # wrapped at the module bindings, as perfbench/tracing.py wraps rf_fit
+        grown, drawn, fits = [], [], []
+        grow, draw = forest_module._grow_trees, forest_module._bootstraps
 
-        def counted_fit(train, cfg, *args, **kwargs):
-            fits.append((len(train), cfg.mtry))
-            return fit(train, cfg, *args, **kwargs)
+        def counted_grow(x, z, boots, keys, mtry, min_leaf):
+            grown.append((len(boots), mtry))
+            return grow(x, z, boots, keys, mtry, min_leaf)
 
-        def counted_predict(forest, queries, *args, **kwargs):
-            predictions.append(len(queries))
-            return predict(forest, queries, *args, **kwargs)
+        def counted_draw(cfg, n):
+            drawn.append(n)
+            return draw(cfg, n)
 
-        monkeypatch.setattr(forest_module, "rf_fit", counted_fit)
-        monkeypatch.setattr(forest_module, "rf_predict", counted_predict)
+        monkeypatch.setattr(forest_module, "_grow_trees", counted_grow)
+        monkeypatch.setattr(forest_module, "_bootstraps", counted_draw)
+        monkeypatch.setattr(forest_module, "rf_fit", lambda *args, **kwargs: fits.append(args))
+        monkeypatch.setattr(forest_module, "rf_predict", lambda *args, **kwargs: fits.append(args))
         train = random_train(rng, 100)
-        tune_mtry(train, RfConfig(ntree=4, mtry="tune", min_leaf=3, seed=7), [1, 2, 3], folds=3)
         sizes = [34, 33, 33]  # np.array_split of 100 records into 3 folds
-        assert fits == [(100 - size, cand) for size in sizes for cand in (1, 2, 3)]
-        assert predictions == [size for size in sizes for _ in range(3)]
+        # the default budget holds all 3 folds of 4 trees; 2 * 67 * 4 pairs
+        # hold the first two folds' 66 and 67 training records, not the third
+        for pairs, groups in ((forest_module.ROUTE_PAIRS, [3]), (2 * 67 * 4, [2, 1])):
+            grown.clear()
+            drawn.clear()
+            monkeypatch.setattr(forest_module, "ROUTE_PAIRS", pairs)
+            stats = {}
+            tune_mtry(train, RfConfig(ntree=4, mtry="tune", min_leaf=3, seed=7), [1, 2, 3],
+                      folds=3, stats=stats)
+            assert stats["fold_groups"] == groups
+            assert grown == [(4 * size, cand) for size in groups for cand in (1, 2, 3)]
+            assert drawn == [100 - size for size in sizes]
+        assert fits == []
+
+    def test_fold_groups_draw_their_bootstraps_in_turn(self, rng, monkeypatch):
+        # a budget of one fold's pairs makes every fold its own group, so at
+        # most one fold's bootstraps are held at a time, never all of them
+        n, folds, ntree = 2000, 20, 10
+        fitting = n - n // folds
+        monkeypatch.setattr(forest_module, "ROUTE_PAIRS", ntree * fitting)
+        train = random_train(rng, n, 2)
+        stats = {}
+        tracemalloc.start()
+        try:
+            tune_mtry(train, RfConfig(ntree=ntree, mtry="tune", min_leaf=100, seed=7), [1],
+                      folds=folds, stats=stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats["fold_groups"] == [1] * folds
+        assert peak < folds * ntree * fitting * np.dtype(np.int64).itemsize
 
     def test_default_grid(self):
         assert default_mtry_grid(1) == [1]

@@ -665,7 +665,7 @@ class TestRf:
                 f"forest_max_depth {derived['forest_max_depth']}")
         if how == "tuned":
             cv_rmse = {int(c): rmse for c, rmse in derived["mtry_cv_rmse"].items()}
-            line += f", cv_rmse {cv_rmse}"
+            line += f", cv_rmse {cv_rmse}, tune groups {derived['mtry_tune_groups']}"
         return line
 
     def test_fixed_mtry_logged(self, tmp_path, caplog):
@@ -696,6 +696,8 @@ class TestRf:
         cv_rmse = {int(c): rmse for c, rmse in derived["mtry_cv_rmse"].items()}
         assert list(cv_rmse) == default_mtry_grid(3)
         assert min(cv_rmse, key=cv_rmse.get) == derived["tuned_mtry"]
+        # the 3 folds' 4 trees each fit one ROUTE_PAIRS group
+        assert derived["mtry_tune_groups"] == [3]
         assert np.isfinite(derived["oob_rmse"])
         forest = read_forest(out / "forest.txt")
 
