@@ -86,6 +86,12 @@ class FeatureSpace:
 SEARCH_TILE_PAIRS = 1 << 13
 SEARCH_TILE_MIN = 64
 
+# pairs a search batch may hold: (tile, record) pairs in a block of centre
+# distances, and (query, candidate) pairs in a padded distance stack; large
+# enough to amortise the per-batch numpy calls, small enough that a batch's
+# arrays add about 0.3 MB at peak; one tile alone may exceed it
+SEARCH_BATCH_PAIRS = 1 << 14
+
 # relative slack on the pruning radius, far above the rounding error of the
 # distances it compares (see neighbor_search)
 PRUNE_MARGIN = 1e-9
@@ -129,17 +135,22 @@ def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int, re
 
     Each query's k neighbors, ascending by distance with ties broken by
     lower training-record index, form one row of an (indices, distances)
-    pair of (tile, k) tables: bit for bit what a brute-force scan of every
+    pair of (rows, k) tables: bit for bit what a brute-force scan of every
     training record gives, whatever the tile size (SEARCH_TILE_PAIRS // n
-    queries, at least SEARCH_TILE_MIN). Each tile's tables go through
-    ``reduce(indices, distances)`` as soon as the tile is searched, and only
+    queries, at least SEARCH_TILE_MIN) or the batch budget
+    (SEARCH_BATCH_PAIRS). Consecutive tiles are searched in batches (see
+    _search_batches), and each batch's tables go through
+    ``reduce(indices, distances)`` as soon as the batch is searched; only
     the reducer's per-query rows are kept: row q of the result is its row
     for query q, and the shape past the first axis and the dtype are those
-    of ``reduce`` on a tile of 0 queries. So memory does not grow with
-    queries x k. A reducer that treats each row on its own gives, bit for
-    bit, its value on the whole tables. A ``stats`` dict, if given,
-    receives the number of (query, candidate) distances computed, summed
-    over tiles, as ``candidate_pairs``.
+    of ``reduce`` on 0 queries. So memory does not grow with queries x k.
+    A reducer that treats each row on its own gives, bit for bit, its
+    value on the whole tables. A
+    ``stats`` dict, if given, receives the number of (query, candidate)
+    distances computed, padding not counted, as ``candidate_pairs``, and
+    the number of queries whose k nearest were sorted again stably (see
+    _first_k) as ``tie_resorts``; that count depends on the batches'
+    widths, the results do not.
 
     A squared distance is the sum of the features' squared differences
     added in feature order from 0.0. Below 8 features this is bit for bit
@@ -165,9 +176,12 @@ def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int, re
     (2 * dim + 9) * 2**-53, which PRUNE_MARGIN exceeds for any width below
     a million features, given finite features whose squared differences
     neither overflow nor underflow (standardised features are far from
-    both). On the candidates, kept in ascending index order, a stable
-    argsort of the squared distances takes the k smallest, so the result is
-    the brute-force one; the tile order only decides how much is pruned.
+    both). Each tile's candidates are kept in ascending index order and
+    padded with +inf distances up to the batch's widest tile; every tile
+    has at least k finite candidates, so _first_k's k smallest, which are
+    those of a stable argsort, are the brute-force result. The tile order
+    and the batches only decide how much is pruned and how many numpy
+    calls a search makes.
     """
     n = train_feats.shape[0]
     if not 1 <= k <= n:
@@ -175,44 +189,124 @@ def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int, re
     tile = max(SEARCH_TILE_MIN, SEARCH_TILE_PAIRS // n)
     empty = reduce(np.empty((0, k), dtype=np.int64), np.empty((0, k)))
     reduced = np.empty((len(query_feats),) + empty.shape[1:], dtype=empty.dtype)
-    pairs = 0
-    for rows, cand, d2 in _search_tiles(train_feats, query_feats, k, tile):
-        pick = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        reduced[rows] = reduce(cand[pick], np.sqrt(np.take_along_axis(d2, pick, axis=1)))
-        pairs += d2.size
+    pairs = resorts = 0
+    for rows, idx, dist, batch_pairs, tied in _search_batches(train_feats, query_feats, k, tile):
+        reduced[rows] = reduce(idx, dist)
+        pairs += batch_pairs
+        resorts += tied
     if stats is not None:
         stats["candidate_pairs"] = pairs
+        stats["tie_resorts"] = resorts
     return reduced
 
 
-def _search_tiles(train_feats: np.ndarray, query_feats: np.ndarray, k: int, tile: int):
-    """Yield, per tile of queries, the query rows, the candidate records in
-    ascending index order and the (rows, candidates) squared distances; see
-    neighbor_search."""
-    nq = len(query_feats)
+def _first_k(d2: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """The column positions of each row's k smallest values, ascending with
+    ties to the lower position: ``np.argsort(d2, axis=1, kind="stable")[:, :k]``
+    bit for bit, with the number of rows that took the stable sort when
+    the fast one could not settle them.
+
+    A row at most 2k wide takes the stable sort. A wider row takes numpy's
+    default argsort, which may be a SIMD kernel that orders equal values
+    arbitrarily, and is re-sorted stably only if two of its k + 1 smallest
+    values are equal. That is exact: when v_0 < v_1 < ... < v_k are the
+    first k + 1 values in sorted order, each v_j with j < k is held by one
+    position alone, since any other position holding it would sort before
+    j (values below v_j) or after it (values from v_{j+1} up). So every
+    sort, stable or not, puts that one position at j, and the first k
+    positions are the stable sort's, on any CPU and with any sort kernel.
+    Values must not be NaN (+inf is fine: equal infinities count as a tie).
+    """
+    # the leading columns are copied, so the whole argsort is freed at once
+    if d2.shape[1] <= 2 * k:
+        return np.argsort(d2, axis=1, kind="stable")[:, :k].copy(), 0
+    pick = np.argsort(d2, axis=1)[:, :k + 1].copy()
+    head = _gather(d2, np.arange(len(d2)), pick)
+    equal = head[:, 1:] == head[:, :-1]
+    if not equal.any():  # one flat test; the per-row one costs several times more
+        return pick[:, :k], 0
+    tied = np.flatnonzero(equal.any(axis=1))
+    pick[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k + 1]
+    return pick[:, :k], len(tied)
+
+
+def _search_batches(train_feats: np.ndarray, query_feats: np.ndarray, k: int, tile: int):
+    """Yield, per batch of consecutive tiles, the query rows, their (rows,
+    k) neighbor indices and distances, the number of (query, candidate)
+    distances computed, padding not counted, and the rows _first_k sorted
+    again; see neighbor_search.
+
+    The tiles' centre distances are taken a block of SEARCH_BATCH_PAIRS // n
+    tiles at a time, and each block is cut into batches of equal tile count
+    whose padded stacks, at the block's widest tile, hold at most
+    SEARCH_BATCH_PAIRS pairs, or one tile."""
+    nq, dim = query_feats.shape
     if nq == 0:
         return
+    n = len(train_feats)
+    tiles = -(-nq // tile)
     # everything runs feature-major: numpy reduces a few contiguous rows far
     # faster than many rows of a few columns
     order = _tile_order(query_feats.T, tile)
-    # permuted one feature at a time: a take of the whole transposed view
-    # would first copy it
-    query_cols = np.empty((query_feats.shape[1], nq))
+    # permuted one feature at a time, as a take of the whole transposed view
+    # would first copy it; the last tile is filled up with copies of its
+    # last query, which leave its geometry as it is, so that the queries of
+    # any run of tiles reshape to (tiles, tile)
+    query_cols = np.empty((dim, tiles * tile))
     for f, col in enumerate(query_cols):
-        col[:] = query_feats[order, f]
-    train_cols = np.ascontiguousarray(train_feats.T)
+        col[:nq] = query_feats[order, f]
+        col[nq:] = col[nq - 1]
+    # record n, a column of +inf, pads the candidate blocks: its squared
+    # distance to any finite query is +inf
+    train_cols = np.empty((dim, n + 1))
+    train_cols[:, :n] = train_feats.T
+    train_cols[:, n] = np.inf
     # every tile's bounding-box centre and radius, one feature at a time
-    starts = np.arange(0, nq, tile)
+    starts = np.arange(0, tiles * tile, tile)
     centres = (np.minimum.reduceat(query_cols, starts, axis=1)
                + np.maximum.reduceat(query_cols, starts, axis=1)) / 2
     radii = np.sqrt(np.maximum.reduceat(
-        _squared_distances(query_cols, (np.repeat(c, tile)[:nq] for c in centres)), starts))
-    for start, centre, radius in zip(starts, centres.T, radii):
-        to_centre = np.sqrt(_squared_distances(train_cols, centre))
-        reach = np.partition(to_centre, k - 1)[k - 1]
-        cand = np.flatnonzero(to_centre <= (reach + 2 * radius) * (1 + PRUNE_MARGIN))
-        d2 = _squared_distances(query_cols[:, start:start + tile, None], train_cols[:, cand])
-        yield order[start:start + tile], cand, d2
+        _squared_distances(query_cols, (np.repeat(c, tile) for c in centres)), starts))
+    block = max(1, SEARCH_BATCH_PAIRS // n)
+    for first in range(0, tiles, block):
+        span = slice(first, first + block)
+        to_centre = _squared_distances(train_cols[:, None, :n], centres[:, span, None])
+        np.sqrt(to_centre, out=to_centre)
+        reach = np.partition(to_centre, k - 1, axis=1)[:, k - 1]
+        keep = to_centre <= ((reach + 2 * radii[span]) * (1 + PRUNE_MARGIN))[:, None]
+        # reach is a view of the partitioned copy: both go before the stacks
+        del to_centre, reach
+        widths = np.count_nonzero(keep, axis=1)
+        step = max(1, SEARCH_BATCH_PAIRS // (tile * int(widths.max())))
+        for b in range(0, len(widths), step):
+            width = widths[b:b + step]
+            count, widest = len(width), int(width.max())
+            # np.nonzero walks the tiles in turn, each in ascending index order
+            cand = np.full((count, widest), n)
+            cand[np.arange(widest) < width[:, None]] = np.nonzero(keep[b:b + step])[1]
+            lo = (first + b) * tile
+            hi = min(lo + count * tile, nq)
+            d2 = _squared_distances(
+                query_cols[:, lo:lo + count * tile].reshape(dim, count, tile, 1),
+                train_cols[:, cand][:, :, None, :])
+            # the filled-up rows of the last tile are searched but not kept
+            d2 = d2.reshape(count * tile, widest)[:hi - lo]
+            pick, tied = _first_k(d2, k)
+            rows = np.arange(hi - lo)
+            dist = np.sqrt(_gather(d2, rows, pick))
+            # row i of the batch belongs to its tile i // tile
+            idx = _gather(cand, rows // tile, pick)
+            del d2  # so the stack is freed before the next batch's is built
+            # every row scans its tile's real candidates; filled-up rows count none
+            pairs = tile * int(width.sum()) - (lo + count * tile - hi) * int(width[-1])
+            yield order[lo:hi], idx, dist, pairs, tied
+
+
+def _gather(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``table[rows[i], cols[i, j]]`` for every (i, j), as one flat take: on
+    a batch's arrays take_along_axis and 2-D fancy indexing cost three to
+    four times as much."""
+    return table.take(cols + (rows * table.shape[1])[:, None])
 
 
 def _squared_distances(a_cols, b_cols) -> np.ndarray:

@@ -263,7 +263,7 @@ def hyppo_predict_with_degrees(
     number of leave-one-out rows that took their own fold fit as
     ``loo_fold_fits`` and of queries refit through fit_polynomial as
     ``query_refits`` (from degree 1 up, the queries of rank-deficient sets),
-    and the search's ``candidate_pairs``.
+    and the search's ``candidate_pairs`` and ``tie_resorts``.
     """
     z = train.require_targets()
     train_f = space.features(train)

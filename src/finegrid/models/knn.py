@@ -50,10 +50,11 @@ def knn_predict(
 
     Uniform weighting is the arithmetic mean; inverse-distance weighting uses
     w = 1/max(d, 1e-12) over the scaled Euclidean distances. Each search
-    tile is reduced as soon as it is found (see neighbor_search), so memory
-    does not grow with queries x k, and every row is reduced on its own, so
-    each prediction is bit for bit that of the whole (nq, k) tables. A
-    ``stats`` dict, if given, receives the search's ``candidate_pairs``.
+    batch is reduced as soon as it is searched (see neighbor_search), so
+    memory does not grow with queries x k, and every row is reduced on its
+    own, so each prediction is bit for bit that of the whole (nq, k)
+    tables. A ``stats`` dict, if given, receives the search's
+    ``candidate_pairs`` and ``tie_resorts``.
     """
     z = train.require_targets()
 

@@ -260,7 +260,9 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
         stats = {}
         values = knn_predict(training, prediction, model_cfg, space, stats=stats)
         derived["search_candidate_pairs"] = stats["candidate_pairs"]
-        logger.info("knn: search candidate pairs %d", stats["candidate_pairs"])
+        derived["search_tie_resorts"] = stats["tie_resorts"]
+        logger.info("knn: search candidate pairs %d, tie resorts %d",
+                    stats["candidate_pairs"], stats["tie_resorts"])
         return values, None
     if cfg.method == "hyppo":
         stats = {}
@@ -268,15 +270,18 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
             training, prediction, model_cfg, space, stats=stats
         )
         derived["search_candidate_pairs"] = stats["candidate_pairs"]
+        derived["search_tie_resorts"] = stats["tie_resorts"]
         counts = np.bincount(degrees)
         derived["hyppo_neighbor_sets"] = stats["neighbor_sets"]
         derived["hyppo_degree_counts"] = {int(d): int(counts[d]) for d in np.flatnonzero(counts)}
         derived["hyppo_loo_fold_fits"] = stats["loo_fold_fits"]
         derived["hyppo_query_refits"] = stats["query_refits"]
         logger.info("hyppo: %d neighbor sets for %d queries, degree counts %s, "
-                    "leave-one-out fold fits %s, query refits %s, search candidate pairs %d",
+                    "leave-one-out fold fits %s, query refits %s, search candidate pairs %d, "
+                    "tie resorts %d",
                     stats["neighbor_sets"], len(prediction), derived["hyppo_degree_counts"],
-                    stats["loo_fold_fits"], stats["query_refits"], stats["candidate_pairs"])
+                    stats["loo_fold_fits"], stats["query_refits"], stats["candidate_pairs"],
+                    stats["tie_resorts"])
         return values, None
     cv = ""
     if model_cfg.mtry == "tune":

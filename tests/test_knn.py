@@ -3,6 +3,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finegrid import (
     FeatureSpace,
@@ -106,6 +107,58 @@ def search_tile(size):
             patch.setattr(features, "SEARCH_TILE_MIN", size)
             patch.setattr(features, "SEARCH_TILE_PAIRS", 0)
         yield
+
+
+@contextmanager
+def search_batch(pairs):
+    """Search in batches of the given pair budget; None keeps the module's."""
+    with pytest.MonkeyPatch.context() as patch:
+        if pairs is not None:
+            patch.setattr(features, "SEARCH_BATCH_PAIRS", pairs)
+        yield
+
+
+def stable_first_k(d2, k):
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def tied_head_rows(d2, k):
+    """Rows with two equal values among their k + 1 smallest."""
+    head = np.sort(d2, axis=1)[:, :k + 1]
+    return int(np.count_nonzero((head[:, 1:] == head[:, :-1]).any(axis=1)))
+
+
+class TestFirstK:
+    @pytest.mark.parametrize("k", [1, 2, 5, 12])
+    def test_matches_stable_argsort_on_heavy_ties(self, rng, k):
+        # small integers tie on almost every row, and +inf entries tie with
+        # each other; widths run from k to 4k, both sides of the 2k rule
+        for width in range(k, 4 * k + 1):
+            d2 = rng.integers(0, 4, (60, width)).astype(float)
+            d2[rng.random(d2.shape) < 0.15] = np.inf
+            pick, resorts = features._first_k(d2, k)
+            assert pick.tobytes() == stable_first_k(d2, k).tobytes()
+            assert resorts == (tied_head_rows(d2, k) if width > 2 * k else 0)
+
+    @pytest.mark.parametrize("k", [1, 12])
+    def test_distinct_values_take_no_resort(self, rng, k):
+        for width in (k, 2 * k, 2 * k + 1, 4 * k):
+            d2 = rng.permutation(60 * width).reshape(60, width).astype(float)
+            pick, resorts = features._first_k(d2, k)
+            assert pick.tobytes() == stable_first_k(d2, k).tobytes() and resorts == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_stable_argsort(self, data):
+        k = data.draw(st.integers(1, 8), label="k")
+        width = data.draw(st.integers(k, 4 * k), label="width")
+        rows = data.draw(st.integers(1, 6), label="rows")
+        values = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, np.inf])
+        d2 = np.array(data.draw(st.lists(values, min_size=rows * width, max_size=rows * width),
+                                label="d2")).reshape(rows, width)
+        pick, resorts = features._first_k(d2, k)
+        assert pick.tobytes() == stable_first_k(d2, k).tobytes()
+        assert resorts == (tied_head_rows(d2, k) if width > 2 * k else 0)
 
 
 class TestNeighborSearch:
@@ -270,11 +323,58 @@ class TestNeighborSearch:
             stats = {}
             with search_tile(1):
                 neighbor_search(train_f, query_f, k, lambda idx, d: d[:, 0], stats=stats)
-            assert stats == {"candidate_pairs": int(np.count_nonzero(dist <= reach))}
+            assert stats["candidate_pairs"] == int(np.count_nonzero(dist <= reach))
             # any tiling scans at least k and at most every record per query
             with search_tile(None):
                 neighbor_search(train_f, query_f, k, lambda idx, d: d[:, 0], stats=stats)
             assert k * len(query_f) <= stats["candidate_pairs"] <= dist.size
+
+    def test_batch_budget_invariance(self, rng):
+        # one tile per batch, the default budget and one batch for the whole
+        # search give the same bits and the same pair count
+        cx, cy = np.meshgrid(np.arange(24) + 0.5, np.arange(24) + 0.5)
+        lattice = np.column_stack([cx.ravel(), cy.ravel()]) - 12.0
+        fx, fy = np.meshgrid(np.arange(48) / 2 + 0.25, np.arange(48) / 2 + 0.25)
+        cases = [(lattice[rng.random(len(lattice)) >= 0.2],
+                  np.column_stack([fx.ravel(), fy.ravel()]) - 12.0, 12)]
+        for dim in (2, 4):
+            cases += [(t, q, 9) for t, q in feature_cases(rng, dim, nq=700, n=150)]
+        for train_f, query_f, k in cases:
+            found = []
+            for pairs in (0, None, 2**40):
+                stats = {}
+                with search_batch(pairs):
+                    both = neighbor_search(train_f, query_f, k, lambda idx, dist: np.hstack(
+                        [idx.astype(np.float64), dist]), stats=stats)
+                found.append((both.tobytes(), stats["candidate_pairs"]))
+            assert found[0] == found[1] == found[2]
+
+    @pytest.mark.parametrize("pairs", [0, None, 2**40])
+    def test_rounded_covariate_space_matches_brute_force(self, rng, pairs):
+        # 4-D covariate space, the paper's predictors: pruning keeps wide
+        # candidate blocks, so selection takes the default argsort, and the
+        # rounded features tie, so rows fall back to the stable sort
+        covs = np.round(rng.normal(0, 1, (1000, 4)) * 2) / 2
+        table = PointTable(rng.uniform(0, 10, 1000), rng.uniform(0, 10, 1000),
+                           rng.random(1000), covs)
+        train, queries = table.subset(slice(0, 300)), table.subset(slice(300, None))
+        space = FeatureSpace.fit("covariates", train)
+        train_f, query_f = space.features(train), space.features(queries)
+        k, stats, widths = 12, {}, []
+        first_k = features._first_k
+
+        def recorded(d2, k):
+            widths.append(d2.shape[1])
+            return first_k(d2, k)
+
+        with search_batch(pairs), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(features, "_first_k", recorded)
+            both = neighbor_search(train_f, query_f, k, lambda idx, dist: np.hstack(
+                [idx.astype(np.float64), dist]), stats=stats)
+        bidx, bdist = brute_force_knn(train_f, query_f, k)
+        np.testing.assert_array_equal(both[:, :k].astype(np.int64), bidx)
+        np.testing.assert_array_equal(both[:, k:], bdist)
+        assert max(widths) > 2 * k and stats["tie_resorts"] > 0
 
     def test_duplicate_training_rows_tie_break(self):
         train_f = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [2.0, 2.0]])

@@ -279,7 +279,8 @@ class TestRunKnn:
         metrics = (out / "metrics.txt").read_text().strip()
         derived = json.loads((out / "manifest.json").read_text())["derived"]
         assert [r.getMessage() for r in caplog.records] == count_lines(derived) + [
-            f"knn: search candidate pairs {derived['search_candidate_pairs']}",
+            f"knn: search candidate pairs {derived['search_candidate_pairs']}, "
+            f"tie resorts {derived['search_tie_resorts']}",
             f"agreement: {metrics}"]
 
     def test_stage_record_counts_logged_at_info(self, tmp_path, caplog):
@@ -303,7 +304,8 @@ class TestRunKnn:
             f"after the clip: {counts[0]} training records, {counts[1]} prediction cells",
             f"report count: {counts[3]}",
             f"pca: {counts[2]} components retained",
-            f"knn: search candidate pairs {derived['search_candidate_pairs']}",
+            f"knn: search candidate pairs {derived['search_candidate_pairs']}, "
+            f"tie resorts {derived['search_tie_resorts']}",
             f"agreement: {metrics}",
         ]
         assert all(r.levelname == "INFO" for r in caplog.records)
@@ -462,6 +464,8 @@ class TestRunKnn:
             derived[method] = json.loads((out / "manifest.json").read_text())["derived"]
         pairs = derived["knn"]["search_candidate_pairs"]
         assert pairs == derived["hyppo"]["search_candidate_pairs"]
+        # the same search, in the same batches, re-sorts the same rows
+        assert derived["knn"]["search_tie_resorts"] == derived["hyppo"]["search_tie_resorts"]
         nq, n = derived["knn"]["predict_count_initial"], derived["knn"]["train_count_initial"]
         assert 8 * nq <= pairs < n * nq
 
@@ -1118,7 +1122,8 @@ class TestHyppoPipeline:
             f"degree counts { {int(d): c for d, c in counts.items()} }, "
             f"leave-one-out fold fits { {int(d): n for d, n in fold_fits.items()} }, "
             f"query refits { {int(d): n for d, n in refits.items()} }, "
-            f"search candidate pairs {derived['search_candidate_pairs']}")
+            f"search candidate pairs {derived['search_candidate_pairs']}, "
+            f"tie resorts {derived['search_tie_resorts']}")
         assert all(int(d) <= 2 for d in counts)
         # every degree-0 query refits, and of the others those of a
         # rank-deficient set; training points are coarse centroids on a

@@ -185,7 +185,8 @@ class TestCli:
         assert verbose.err == (
             f"training records: {derived['train_count_initial']} after sampling\n"
             f"prediction cells: {derived['predict_count_initial']} after sampling\n"
-            f"knn: search candidate pairs {derived['search_candidate_pairs']}\n"
+            f"knn: search candidate pairs {derived['search_candidate_pairs']}, "
+            f"tie resorts {derived['search_tie_resorts']}\n"
             f"agreement: {metrics}\n")
         assert verbose.out == quiet.out
         # the handler goes away with the run
