@@ -80,16 +80,16 @@ class FeatureSpace:
         return _finite(scaled, self.mode)
 
 
-# distance pairs a search tile may cost against the whole training set; sets
-# the tile size, floored at SEARCH_TILE_MIN queries so the per-tile numpy
-# calls stay amortised
-SEARCH_TILE_PAIRS = 1 << 13
-SEARCH_TILE_MIN = 64
+# queries per search tile: each tile has one centre, radius and candidate
+# set, so a smaller tile prunes closer; the per-tile numpy calls are
+# amortised by the batches
+SEARCH_TILE = 64
 
 # pairs a search batch may hold: (tile, record) pairs in a block of centre
-# distances, and (query, candidate) pairs in a padded distance stack; large
-# enough to amortise the per-batch numpy calls, small enough that a batch's
-# arrays add about 0.3 MB at peak; one tile alone may exceed it
+# distances, and (query, candidate) pairs in a padded distance stack, cut
+# by _batches; large enough to amortise the per-batch numpy calls, small
+# enough that a batch's arrays add about 0.3 MB at peak; one tile alone
+# may exceed it
 SEARCH_BATCH_PAIRS = 1 << 14
 
 # relative slack on the pruning radius, far above the rounding error of the
@@ -108,8 +108,6 @@ def _tile_order(cols: np.ndarray, tile: int) -> np.ndarray:
     consecutive cells touch.
     """
     dim, nq = cols.shape
-    if nq <= tile:
-        return np.arange(nq)
     g = max(1, min(int(np.ceil((nq / tile) ** (1 / dim))), int(2 ** (16 / dim))))
 
     def bins(col: np.ndarray) -> np.ndarray:
@@ -136,10 +134,9 @@ def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int, re
     Each query's k neighbors, ascending by distance with ties broken by
     lower training-record index, form one row of an (indices, distances)
     pair of (rows, k) tables: bit for bit what a brute-force scan of every
-    training record gives, whatever the tile size (SEARCH_TILE_PAIRS // n
-    queries, at least SEARCH_TILE_MIN) or the batch budget
-    (SEARCH_BATCH_PAIRS). Consecutive tiles are searched in batches (see
-    _search_batches), and each batch's tables go through
+    training record gives, whatever the tile size (SEARCH_TILE queries) or
+    the batch budget (SEARCH_BATCH_PAIRS). Consecutive tiles are searched in
+    batches (see _search_batches), and each batch's tables go through
     ``reduce(indices, distances)`` as soon as the batch is searched; only
     the reducer's per-query rows are kept: row q of the result is its row
     for query q, and the shape past the first axis and the dtype are those
@@ -147,10 +144,10 @@ def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int, re
     A reducer that treats each row on its own gives, bit for bit, its
     value on the whole tables. A
     ``stats`` dict, if given, receives the number of (query, candidate)
-    distances computed, padding not counted, as ``candidate_pairs``, and
-    the number of queries whose k nearest were sorted again stably (see
-    _first_k) as ``tie_resorts``; that count depends on the batches'
-    widths, the results do not.
+    distances computed, padding not counted, as ``candidate_pairs``, which
+    depends on the tile, and the number of queries whose k nearest were
+    sorted again stably (see _first_k) as ``tie_resorts``, which depends on
+    how the batches are cut; the results depend on neither.
 
     A squared distance is the sum of the features' squared differences
     added in feature order from 0.0. Below 8 features this is bit for bit
@@ -186,11 +183,10 @@ def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int, re
     n = train_feats.shape[0]
     if not 1 <= k <= n:
         raise UsageError(f"k = {k} must lie in [1, {n}]: there are {n} training records")
-    tile = max(SEARCH_TILE_MIN, SEARCH_TILE_PAIRS // n)
     empty = reduce(np.empty((0, k), dtype=np.int64), np.empty((0, k)))
     reduced = np.empty((len(query_feats),) + empty.shape[1:], dtype=empty.dtype)
     pairs = resorts = 0
-    for rows, idx, dist, batch_pairs, tied in _search_batches(train_feats, query_feats, k, tile):
+    for rows, idx, dist, batch_pairs, tied in _search_batches(train_feats, query_feats, k):
         reduced[rows] = reduce(idx, dist)
         pairs += batch_pairs
         resorts += tied
@@ -230,20 +226,21 @@ def _first_k(d2: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     return pick[:, :k], len(tied)
 
 
-def _search_batches(train_feats: np.ndarray, query_feats: np.ndarray, k: int, tile: int):
+def _search_batches(train_feats: np.ndarray, query_feats: np.ndarray, k: int):
     """Yield, per batch of consecutive tiles, the query rows, their (rows,
     k) neighbor indices and distances, the number of (query, candidate)
     distances computed, padding not counted, and the rows _first_k sorted
     again; see neighbor_search.
 
-    The tiles' centre distances are taken a block of SEARCH_BATCH_PAIRS // n
-    tiles at a time, and each block is cut into batches of equal tile count
-    whose padded stacks, at the block's widest tile, hold at most
-    SEARCH_BATCH_PAIRS pairs, or one tile."""
+    Queries are searched in tiles of SEARCH_TILE. The tiles' centre
+    distances are taken a block of SEARCH_BATCH_PAIRS // n tiles at a time,
+    and _batches cuts each block into runs of consecutive tiles whose padded
+    stacks, at the run's widest tile, hold at most SEARCH_BATCH_PAIRS pairs,
+    or one tile."""
     nq, dim = query_feats.shape
     if nq == 0:
         return
-    n = len(train_feats)
+    n, tile = len(train_feats), SEARCH_TILE
     tiles = -(-nq // tile)
     # everything runs feature-major: numpy reduces a few contiguous rows far
     # faster than many rows of a few columns
@@ -277,14 +274,13 @@ def _search_batches(train_feats: np.ndarray, query_feats: np.ndarray, k: int, ti
         # reach is a view of the partitioned copy: both go before the stacks
         del to_centre, reach
         widths = np.count_nonzero(keep, axis=1)
-        step = max(1, SEARCH_BATCH_PAIRS // (tile * int(widths.max())))
-        for b in range(0, len(widths), step):
-            width = widths[b:b + step]
+        for part in _batches(widths.tolist(), tile, SEARCH_BATCH_PAIRS):
+            width = widths[part]
             count, widest = len(width), int(width.max())
             # np.nonzero walks the tiles in turn, each in ascending index order
             cand = np.full((count, widest), n)
-            cand[np.arange(widest) < width[:, None]] = np.nonzero(keep[b:b + step])[1]
-            lo = (first + b) * tile
+            cand[np.arange(widest) < width[:, None]] = np.nonzero(keep[part])[1]
+            lo = (first + part.start) * tile
             hi = min(lo + count * tile, nq)
             d2 = _squared_distances(
                 query_cols[:, lo:lo + count * tile].reshape(dim, count, tile, 1),
@@ -300,6 +296,18 @@ def _search_batches(train_feats: np.ndarray, query_feats: np.ndarray, k: int, ti
             # every row scans its tile's real candidates; filled-up rows count none
             pairs = tile * int(width.sum()) - (lo + count * tile - hi) * int(width[-1])
             yield order[lo:hi], idx, dist, pairs, tied
+
+
+def _batches(sizes: list, unit: int, budget: int):
+    """Cut consecutive items into slices whose count × largest size × unit
+    fits budget; an item too large for the budget forms a slice of its own."""
+    start, width = 0, 0
+    for k, size in enumerate(sizes):
+        width = max(width, size)
+        if k > start and (k + 1 - start) * width * unit > budget:
+            yield slice(start, k)
+            start, width = k, size
+    yield slice(start, len(sizes))
 
 
 def _gather(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -56,6 +56,7 @@ import numpy as np
 
 from ..errors import ParseError, UsageError
 from ..grid import PointTable
+from .features import _batches
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -258,18 +259,6 @@ def _split_search(x: np.ndarray, z: np.ndarray, rows, sizes, feats: np.ndarray, 
     found = score[k, best] < math.inf
     f, i = np.divmod(best, width - 1)
     return np.where(found, feats[k, f], -1), np.where(found, mid[k, f, i], 0.0)
-
-
-def _batches(sizes: list, unit: int, budget: int):
-    """Cut consecutive items into slices whose count × largest size × unit
-    fits budget; an item too large for the budget forms a slice of its own."""
-    start, width = 0, 0
-    for k, size in enumerate(sizes):
-        width = max(width, size)
-        if k > start and (k + 1 - start) * width * unit > budget:
-            yield slice(start, k)
-            start, width = k, size
-    yield slice(start, len(sizes))
 
 
 def _leaf_flags(z: np.ndarray, rows: np.ndarray, sizes: np.ndarray, min_leaf: int) -> np.ndarray:

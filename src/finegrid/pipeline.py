@@ -256,32 +256,25 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
     model_cfg = _model_config(s)
     if cfg.method != "rf":
         space = FeatureSpace.fit(s["feature_mode"], training)
-    if cfg.method == "knn":
-        stats = {}
-        values = knn_predict(training, prediction, model_cfg, space, stats=stats)
+        stats, facts = {}, ""
+        if cfg.method == "knn":
+            values = knn_predict(training, prediction, model_cfg, space, stats=stats)
+        else:
+            values, degrees = hyppo_predict_with_degrees(
+                training, prediction, model_cfg, space, stats=stats
+            )
+            counts = np.bincount(degrees)
+            derived["hyppo_neighbor_sets"] = stats["neighbor_sets"]
+            derived["hyppo_degree_counts"] = {int(d): int(counts[d]) for d in np.flatnonzero(counts)}
+            derived["hyppo_loo_fold_fits"] = stats["loo_fold_fits"]
+            derived["hyppo_query_refits"] = stats["query_refits"]
+            facts = (f"{stats['neighbor_sets']} neighbor sets for {len(prediction)} queries, "
+                     f"degree counts {derived['hyppo_degree_counts']}, leave-one-out fold fits "
+                     f"{stats['loo_fold_fits']}, query refits {stats['query_refits']}, ")
         derived["search_candidate_pairs"] = stats["candidate_pairs"]
         derived["search_tie_resorts"] = stats["tie_resorts"]
-        logger.info("knn: search candidate pairs %d, tie resorts %d",
+        logger.info("%s: %ssearch candidate pairs %d, tie resorts %d", cfg.method, facts,
                     stats["candidate_pairs"], stats["tie_resorts"])
-        return values, None
-    if cfg.method == "hyppo":
-        stats = {}
-        values, degrees = hyppo_predict_with_degrees(
-            training, prediction, model_cfg, space, stats=stats
-        )
-        derived["search_candidate_pairs"] = stats["candidate_pairs"]
-        derived["search_tie_resorts"] = stats["tie_resorts"]
-        counts = np.bincount(degrees)
-        derived["hyppo_neighbor_sets"] = stats["neighbor_sets"]
-        derived["hyppo_degree_counts"] = {int(d): int(counts[d]) for d in np.flatnonzero(counts)}
-        derived["hyppo_loo_fold_fits"] = stats["loo_fold_fits"]
-        derived["hyppo_query_refits"] = stats["query_refits"]
-        logger.info("hyppo: %d neighbor sets for %d queries, degree counts %s, "
-                    "leave-one-out fold fits %s, query refits %s, search candidate pairs %d, "
-                    "tie resorts %d",
-                    stats["neighbor_sets"], len(prediction), derived["hyppo_degree_counts"],
-                    stats["loo_fold_fits"], stats["query_refits"], stats["candidate_pairs"],
-                    stats["tie_resorts"])
         return values, None
     cv = ""
     if model_cfg.mtry == "tune":
@@ -471,6 +464,10 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             write_forest(forest, staging / "forest.txt")
 
         enter("write-prediction")
+        # such a value would read back from prediction.asc as a gap
+        clash = np.count_nonzero(predicted.target == fine.nodata)
+        if clash:
+            raise UsageError(f"{clash} predicted value(s) equal the nodata value {fine.nodata!r}")
         # one spare last cell takes the -1 of any record outside the grid
         raster = np.full(fine.nrows * fine.ncols + 1, fine.nodata)
         raster[fine.cell_numbers(predicted.lon, predicted.lat)] = predicted.target

@@ -100,12 +100,10 @@ def knn_whole_tables(z, train_f, query_f, k, weighting):
 
 @contextmanager
 def search_tile(size):
-    """Search in tiles of exactly ``size`` queries, whatever the training
-    count; None keeps the module's budgets."""
+    """Search in tiles of ``size`` queries; None keeps SEARCH_TILE."""
     with pytest.MonkeyPatch.context() as patch:
         if size is not None:
-            patch.setattr(features, "SEARCH_TILE_MIN", size)
-            patch.setattr(features, "SEARCH_TILE_PAIRS", 0)
+            patch.setattr(features, "SEARCH_TILE", size)
         yield
 
 
@@ -161,6 +159,40 @@ class TestFirstK:
         assert resorts == (tied_head_rows(d2, k) if width > 2 * k else 0)
 
 
+class TestBatches:
+    """_batches, the one rule that cuts search batches, split-search slices
+    and tuning's fold groups."""
+
+    @staticmethod
+    def cut(sizes, unit, budget):
+        return [(part.start, part.stop) for part in features._batches(sizes, unit, budget)]
+
+    def test_cases(self):
+        # everything fits in one slice
+        assert self.cut([3, 5, 2, 4], 2, 40) == [(0, 4)]
+        # an oversized first item forms a slice of its own
+        assert self.cut([30, 2, 3, 1], 1, 10) == [(0, 1), (1, 4)]
+        # an oversized middle item too
+        assert self.cut([2, 3, 30, 1, 2], 1, 10) == [(0, 2), (2, 3), (3, 5)]
+        # the slice's largest item sets its cost: a wide item closes the slice
+        assert self.cut([1, 1, 1, 5], 1, 12) == [(0, 3), (3, 4)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=30), st.integers(1, 8),
+           st.integers(0, 400))
+    def test_slices_are_consecutive_cover_every_item_and_fit(self, sizes, unit, budget):
+        parts = list(features._batches(sizes, unit, budget))
+        assert [p.start for p in parts] == [0] + [p.stop for p in parts[:-1]]
+        assert parts[-1].stop == len(sizes) and all(p.stop > p.start for p in parts)
+
+        def cost(part):
+            return (part.stop - part.start) * max(sizes[part]) * unit
+
+        assert all(cost(p) <= budget or p.stop - p.start == 1 for p in parts)
+        # greedy: a slice ends only where its next item would break the budget
+        assert all(cost(slice(p.start, p.stop + 1)) > budget for p in parts[:-1])
+
+
 class TestNeighborSearch:
     def test_matches_brute_force_bitwise(self, rng):
         for _ in range(10):
@@ -194,7 +226,7 @@ class TestNeighborSearch:
         train_f = rng.normal(0, 1, (40, 2))
         with search_tile(size):
             search_tables(train_f, train_f, 3)
-        assert tiles == [size or max(features.SEARCH_TILE_MIN, features.SEARCH_TILE_PAIRS // 40)]
+        assert tiles == [size or features.SEARCH_TILE]
 
     def test_lattice_with_gaps_matches_brute_force_bitwise(self, rng):
         # coarse-cell centroids with 20 % gaps as training, fine-cell centres
@@ -349,6 +381,33 @@ class TestNeighborSearch:
                 found.append((both.tobytes(), stats["candidate_pairs"]))
             assert found[0] == found[1] == found[2]
 
+    @pytest.mark.parametrize("pairs", [0, 1500, None])
+    def test_stacks_fit_the_batch_budget(self, rng, pairs):
+        # every stack _first_k sorts holds at most SEARCH_BATCH_PAIRS pairs,
+        # or is one tile: with fewer than 128 records, where a tile once
+        # grew past SEARCH_TILE queries, and in 4-D, where stacks are wide
+        cases = [(rng.normal(0, 1, (40, 2)), rng.normal(0, 1, (700, 2))),
+                 (np.round(rng.normal(0, 1, (300, 4)) * 2) / 2,
+                  np.round(rng.normal(0, 1, (700, 4)) * 2) / 2)]
+        first_k, stacks = features._first_k, []
+        for train_f, query_f in cases:
+            shapes = []
+
+            def recorded(d2, k):
+                shapes.append(d2.shape)
+                return first_k(d2, k)
+
+            with search_batch(pairs), pytest.MonkeyPatch.context() as patch:
+                patch.setattr(features, "_first_k", recorded)
+                budget = features.SEARCH_BATCH_PAIRS
+                search_tables(train_f, query_f, 9)
+            assert sum(rows for rows, _ in shapes) == len(query_f)
+            assert all(rows * width <= budget or rows <= features.SEARCH_TILE
+                       for rows, width in shapes)
+            stacks.append(shapes)
+        # the 40 records' tiles are narrow enough to share a default batch
+        assert pairs is not None or max(rows for rows, _ in stacks[0]) > features.SEARCH_TILE
+
     @pytest.mark.parametrize("pairs", [0, None, 2**40])
     def test_rounded_covariate_space_matches_brute_force(self, rng, pairs):
         # 4-D covariate space, the paper's predictors: pruning keeps wide
@@ -484,7 +543,7 @@ class TestKnnPredict:
             queries.target, np.r_[train.covariates[:20], queries.covariates[20:]])
         space = FeatureSpace.fit("coords+covariates", train)
         train_f, query_f = space.features(train), space.features(queries)
-        # the default tile, max(64, 8192 // 60) queries, splits 400 into 3
+        # the default tile, SEARCH_TILE queries, splits 400 into 7
         for k in (1, 12, 60):
             expect = knn_whole_tables(train.target, train_f, query_f, k, weighting)
             with search_tile(len(queries) if size == "all" else size):

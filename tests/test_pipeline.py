@@ -453,9 +453,8 @@ class TestRunKnn:
         assert first == second
 
     def test_search_candidate_pairs_recorded(self, tmp_path):
-        # knn and hyppo record the pairs their one search scanned; with more
-        # training records than SEARCH_TILE_PAIRS spreads over a tile, the
-        # spatially compact tiles prune
+        # knn and hyppo record the pairs their one search scanned; the
+        # spatially compact tiles of SEARCH_TILE queries prune
         _, data_dir = dump_scenario(tmp_path, fine_shape=(64, 64))
         derived = {}
         for method in ("knn", "hyppo"):
@@ -540,6 +539,29 @@ class TestFineHeader:
                      "scatter.csv", "metrics.txt"):
             assert (plain / name).read_bytes() == (override / name).read_bytes(), name
         assert read_ascii_grid(override / "aggregated.asc").nodata == scenario.observed.nodata
+
+    def test_prediction_equal_to_nodata_refused(self, tmp_path):
+        # at k 1 each fine cell takes its nearest observed cell's value, so a
+        # nodata override equal to observed cell (0, 0)'s value would write
+        # that cell's 8 x 8 fine cells as gaps
+        scenario, data_dir = dump_scenario(tmp_path, seed=1, fine_shape=(64, 64),
+                                           coarse_factor=8, n_covariates=0, gap_fraction=0.0)
+        out = tmp_path / "out"
+        header = self.derived_header(data_dir, factor=8)
+        # the default nodata, -9999, lies outside the default clamp [0, 1]
+        cfg = base_config(data_dir, out, k=1, fine_header=header)
+        del cfg["fine_factor"]
+        run_pipeline(validate_config(cfg))
+        first = output_digest(out)
+        clash = float(scenario.observed.values[0, 0])
+        assert read_ascii_grid(out / "prediction.asc").nodata == -9999.0 != clash
+        cfg["fine_header"] = {**header, "nodata": clash}
+        with pytest.raises(EngineError, match=re.escape(
+                f"stage write-prediction: 64 predicted value(s) equal the nodata value {clash!r}")):
+            run_pipeline(validate_config(cfg))
+        # the failed run leaves no staging directory and the earlier outputs as they were
+        assert sorted(path.name for path in out.iterdir()) == sorted(first)
+        assert output_digest(out) == first
 
 
 class TestCovariatesAndPca:
