@@ -36,12 +36,20 @@ class ResidualReport:
     r2_degenerate: bool = False
 
 
+def refuse_nodata(name: str, values: np.ndarray, nodata: float) -> None:
+    """Raise UsageError if any of a grid's data values equals its nodata
+    value: written, such a value would read back as a gap."""
+    clash = np.count_nonzero(values == nodata)
+    if clash:
+        raise UsageError(f"{clash} {name} value(s) equal the nodata value {nodata!r}")
+
+
 def aggregate_fine_to_coarse(fine: PointTable, coarse: Grid) -> Grid:
     """Mean of the fine-point targets landing in each coarse cell.
 
     Points outside the coarse extent are ignored; cells receiving no point
-    become nodata. Sums are exact, so the result is independent of point
-    order.
+    become nodata, and a mean equal to nodata is refused. Sums are exact, so
+    the result is independent of point order.
     """
     if len(fine) == 0:
         raise UsageError("aggregate_fine_to_coarse needs a non-empty point table")
@@ -60,6 +68,7 @@ def aggregate_fine_to_coarse(fine: PointTable, coarse: Grid) -> Grid:
     out = np.full((coarse.nrows, coarse.ncols), coarse.nodata)
     out.flat[filled] = [math.fsum(ranked[a:b]) / (b - a)
                         for a, b in zip(ends[filled].tolist(), ends[filled + 1].tolist())]
+    refuse_nodata("aggregated", out.flat[filled], coarse.nodata)
     return coarse.with_values(out)
 
 
@@ -91,7 +100,8 @@ def residual_report(aggregated: Grid, observed: Grid) -> ResidualReport:
     """Per-cell residuals and global agreement metrics.
 
     A residual cell is nodata iff either input is nodata there; the relative
-    residual is additionally nodata where the observed value is 0.
+    residual is additionally nodata where the observed value is 0. A
+    residual equal to the observed nodata value is refused.
     """
     if not aggregated.same_header(observed):
         raise UsageError("aggregated and observed grids must share a header")
@@ -104,6 +114,8 @@ def residual_report(aggregated: Grid, observed: Grid) -> ResidualReport:
     relative[nonzero] = (aggregated.values[nonzero] - observed.values[nonzero]) / observed.values[
         nonzero
     ]
+    refuse_nodata("residual", residual[paired], nodata)
+    refuse_nodata("relative residual", relative[nonzero], nodata)
     n_cells = int(paired.sum())
     if n_cells:
         res = residual[paired]

@@ -22,27 +22,45 @@ alone, one node at a time from a FIFO queue, bit for bit:
 - a stable argsort's permutation is unique, so sorting a node's padded row
   orders its records exactly as sorting them alone does, and the cumulative
   sums, midpoints and scores over that prefix are the same float operations;
-- padding sorts last (+inf features) and adds nothing (0.0 targets); every
-  padded position fails the size or midpoint test, so it never wins;
+- the search sorts integer rank codes (:func:`_rank_codes`), coded once per
+  fit, not the values: a column's dense ranks keep its values' order and
+  ties, so the stable argsort's permutation is the same, and the sorted
+  values are read from x through it, bit for bit;
+- padding is one extra record, sorting last (+inf features, the largest
+  code) and adding nothing (0.0 target); every padded position fails the
+  size or midpoint test, so it never wins;
 - leaf values are settled after growth, one ``np.mean(axis=1)`` per distinct
   leaf size over a (leaves, size) block, which sums each row in the same
   pairwise order as ``np.mean`` over that leaf alone. Rows are never padded:
   numpy's pairwise sum groups by length.
 
 Fitting is therefore bit-identical run to run, for any batch size and
-whichever trees grow together.
+whichever trees grow together. Training covariates must be finite.
 
-Routing (:func:`_route`) walks every (tree, row) pair at once over the
-trees' node arrays laid end to end, reading covariates feature-major.
-Comparisons are exact, so every pair reaches the leaf that routing it alone
-does. One pass (:func:`_leaf_sums`) routes and sums for ``rf_predict``,
-over all trees, for the out-of-bag error, over each record's out-of-bag
-trees, and for tuning's held-out scores, over the trees of each record's own
-fold. It takes rows in chunks of at most ROUTE_PAIRS pairs, and at least one
-row of ntree pairs, so memory does not grow with the query count. bincount
-adds each row's leaves in tree order from 0.0: the same float additions as a
-per-tree loop. The chunks run on ``workers`` threads, each writing only its
-own rows; chunk bounds do not depend on ``workers``, so neither do the sums.
+Routing uses leaf bitmasks (QuickScorer: Lucchese et al., SIGIR 2015), not
+a walk. :func:`_stack` compiles the trees: each tree's leaves are numbered
+left to right, and a split node's mask keeps every leaf but those of its
+left subtree. A row goes right at every node whose threshold lies below its
+value (NaN included), and each such node rules out its left subtree; the
+exit leaf is the leftmost leaf left, the lowest set bit of the AND of those
+masks. It is the leaf the walk reaches: every leaf left of it lies in the
+left subtree of a node where the row's path turns right, and no node whose
+left subtree holds it sends the row right. On one feature, a tree's nodes
+below x are the first of its nodes in threshold order, so a count table
+indexed by x's rank among the forest's thresholds and one prefix-AND per
+count give their mask. Comparisons are exact, so every pair reaches the
+leaf that the walk does.
+
+One pass (:func:`_leaf_sums`) routes and sums for ``rf_predict``, over all
+trees, for the out-of-bag error, over each record's out-of-bag trees, and
+for tuning's held-out scores, over the trees of each record's own fold. It
+takes rows in chunks of at most ROUTE_PAIRS pairs, and at least one row of
+ntree pairs, so memory does not grow with the query count. Each chunk is
+one (trees × rows) block. bincount adds each row's leaves in tree order from
+0.0, and a tree the row does not sum adds 0.0, which leaves a sum from +0.0
+unchanged: the same float additions as a per-tree loop. The chunks run on
+``workers`` threads, each writing only its own rows; chunk bounds do not
+depend on ``workers``, so neither do the sums.
 """
 
 from __future__ import annotations
@@ -63,7 +81,7 @@ _SEED_MASK = (1 << 64) - 1
 # stream tag separating the fold shuffle in tune_mtry from tree streams
 _TUNE_STREAM = 0x7E5
 
-# (tree, row) pairs one routing chunk walks at most; a chunk is still at least
+# (tree, row) pairs one routing chunk holds at most; a chunk is still at least
 # one row of ntree pairs, and memory does not grow with the query count. It
 # also bounds the (tree, bootstrap record) pairs of one tune_mtry fold group,
 # which still holds at least one fold
@@ -107,7 +125,8 @@ class Tree:
     value: np.ndarray
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return _route(_stack((self,)), x, np.zeros(len(x), dtype=np.int64), np.arange(len(x)))
+        """The value of the leaf each row of x reaches, added to 0.0."""
+        return _leaf_sums(_stack((self,)), x, np.ones((1, len(x)), dtype=bool), 1)
 
     @property
     def n_nodes(self) -> int:
@@ -140,51 +159,128 @@ class Forest:
 
 
 def _stack(trees) -> tuple:
-    """(roots, feature, threshold, children, value): the trees' nodes end to
-    end, each tree's root id, and node i's right and left child ids, offset
-    into the joint arrays, at children[2i] and children[2i + 1]."""
+    """Compile trees for :func:`_leaf_sums` (QuickScorer: Lucchese et al.,
+    SIGIR 2015), over all their nodes at once, level by level from the roots.
+
+    Each tree's leaves are numbered left to right, and a mask holds one bit
+    per leaf in as many uint64 words as the largest tree needs. Split node
+    n's mask keeps every leaf but those of its left subtree: the leaves a row
+    can still exit at once it goes right at n. Only nodes reachable from the
+    roots count, so breadth-first and preorder ids both work. Returns
+    (cuts, base, prefix, leaf_base, leaf_value):
+
+    - cuts: (f, U, counts) per feature f some tree splits on: U the forest's
+      distinct thresholds on f, ascending, and counts[t, g] how many of tree
+      t's thresholds on f lie in U[:g], uint8 while every (tree, feature)
+      has fewer than 256 nodes;
+    - prefix: (words, entries) masks. Entry base[t, f] + c is the AND of the
+      masks of the first c of tree t's nodes on f in threshold order; entry
+      0, and every entry for c = 0, keeps all leaves;
+    - leaf_value: every tree's leaf values, left to right, tree t's leftmost
+      at leaf_base[t].
+    """
+    ntree = len(trees)
     sizes = np.array([tree.n_nodes for tree in trees], dtype=np.int64)
     roots = np.cumsum(sizes) - sizes
-    children = [np.stack([t.right, t.left], axis=1) + root for t, root in zip(trees, roots)]
-    return (
-        roots,
-        np.concatenate([tree.feature for tree in trees]),
-        np.concatenate([tree.threshold for tree in trees]),
-        np.concatenate(children).ravel(),
-        np.concatenate([tree.value for tree in trees]),
-    )
-
-
-def _route(stacked: tuple, x: np.ndarray, trees: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Value of the leaf that row ``rows[k]`` of x reaches in tree ``trees[k]``
-    of the :func:`_stack` arrays, for every pair k."""
-    roots, feature, threshold, children, value = stacked
-    # feature-major, so row q's feature f sits at f * len(x) + q
-    xt = x.T.ravel()
-    nodes = roots[trees]
-    active = np.flatnonzero(feature[nodes] >= 0)
-    while len(active):
-        ids = nodes[active]
-        go_left = xt[feature[ids] * len(x) + rows[active]] <= threshold[ids]
-        nodes[active] = children[2 * ids + go_left]
-        active = active[feature[nodes[active]] >= 0]
-    return value[nodes]
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    left = np.concatenate([tree.left + root for tree, root in zip(trees, roots)])
+    right = np.concatenate([tree.right + root for tree, root in zip(trees, roots)])
+    value = np.concatenate([tree.value for tree in trees])
+    # the split nodes and leaves each level reaches, from the roots down
+    splits, leaves, level = [], [], roots
+    while len(level):
+        at_split = feature[level] >= 0
+        splits.append(level[at_split])
+        leaves.append(level[~at_split])
+        level = np.concatenate([left[splits[-1]], right[splits[-1]]])
+    # leaf counts bottom-up, then each subtree's leftmost leaf number top-down
+    count = np.ones(len(feature), dtype=np.int64)
+    for split in reversed(splits):
+        count[split] = count[left[split]] + count[right[split]]
+    first = np.zeros(len(feature), dtype=np.int64)
+    for split in splits:
+        first[left[split]] = first[split]
+        first[right[split]] = first[split] + count[left[split]]
+    split, leaf = np.concatenate(splits), np.concatenate(leaves)
+    tree = np.repeat(np.arange(ntree), sizes)
+    leaf_base = np.cumsum(count[roots]) - count[roots]
+    leaf_value = np.empty(int(count[roots].sum()))
+    leaf_value[leaf_base[tree[leaf]] + first[leaf]] = value[leaf]
+    # each split node's mask: word w clears bits [lo, hi), its left subtree's
+    words = (int(count[roots].max()) + 63) // 64
+    lo = first[split] - 64 * np.arange(words)[:, None]
+    hi = lo + count[left[split]]
+    below = np.array([(1 << b) - 1 for b in range(65)], dtype=np.uint64)
+    masks = ~(below[np.clip(lo, 0, 64)] ^ below[np.clip(hi, 0, 64)])
+    # each (tree, feature)'s nodes in threshold order, a run, and their
+    # prefix-AND by a log-step scan within each run
+    order = np.lexsort((threshold[split], feature[split], tree[split]))
+    split, masks = split[order], masks[:, order]
+    tree, feature, threshold = tree[split], feature[split], threshold[split]
+    nf = int(feature.max(initial=-1)) + 1
+    new = np.diff(tree * nf + feature, prepend=-1) != 0
+    starts = np.flatnonzero(new)
+    run_of = np.cumsum(new) - 1
+    rank = np.arange(len(split)) - starts[run_of]
+    deepest, step = int(rank.max(initial=0)), 1
+    while step <= deepest:
+        later = np.flatnonzero(rank >= step)
+        masks[:, later] &= masks[:, later - step]
+        step *= 2
+    prefix = np.full((words, 1 + len(split) + len(starts)), ~np.uint64(0))
+    prefix[:, 2 + np.arange(len(split)) + run_of] = masks
+    base = np.zeros((ntree, nf), dtype=np.int64)
+    base[tree[starts], feature[starts]] = 1 + starts + np.arange(len(starts))
+    # a (tree, feature)'s count over U rises to rank + 1 at the last of its
+    # nodes with each threshold
+    last = np.ones(len(split), dtype=bool)
+    last[:-1] = new[1:] | (threshold[1:] != threshold[:-1])
+    dtype = np.min_scalar_type(deepest + 1)
+    cuts = []
+    for f in range(nf):
+        on = feature == f
+        if not on.any():
+            continue
+        cut = np.sort(threshold[on])
+        cut = cut[np.diff(cut, prepend=-np.inf) != 0]
+        counts = np.zeros((ntree, len(cut) + 1), dtype=dtype)
+        on &= last
+        counts[tree[on], np.searchsorted(cut, threshold[on]) + 1] = rank[on] + 1
+        np.maximum.accumulate(counts, axis=1, out=counts)
+        cuts.append((f, cut, counts))
+    return cuts, base, prefix, leaf_base, leaf_value
 
 
 def _leaf_sums(stacked: tuple, x: np.ndarray, member: np.ndarray, workers: int) -> np.ndarray:
     """Per row q of x, the sum of the leaves q reaches in the trees t of the
-    :func:`_stack` arrays where ``member[t, q]`` holds, added in tree order
+    :func:`_stack` tables where ``member[t, q]`` holds, added in tree order
     from 0.0; row chunks run on ``workers`` threads (see the module docstring)."""
+    cuts, base, prefix, leaf_base, leaf_value = stacked
     ntree, nq = member.shape
     step = max(1, ROUTE_PAIRS // ntree)
     sums = np.empty(nq)
 
     def route_chunk(lo: int) -> None:
         chunk = x[lo : lo + step]
-        # tree-major pairs, so bincount adds each row's leaves in tree order
-        trees, rows = np.nonzero(member[:, lo : lo + step])
-        leaves = _route(stacked, chunk, trees, rows)
-        sums[lo : lo + step] = np.bincount(rows, weights=leaves, minlength=len(chunk))
+        # the leaves each (tree, row) pair may still exit at; on feature f a row
+        # goes right at the nodes whose threshold lies below x, the first
+        # counts[t, g] of tree t's nodes on f in threshold order (NaN: all)
+        kept = np.full((len(prefix), ntree, len(chunk)), ~np.uint64(0))
+        for f, cut, counts in cuts:
+            entries = counts.take(np.searchsorted(cut, chunk[:, f]), axis=1) + base[:, f, None]
+            kept &= prefix.take(entries, axis=1)
+        # the exit leaf is the lowest set bit, v & -v, of the first nonzero word
+        at = None
+        for w in reversed(range(len(kept))):
+            low = np.negative(kept[w])
+            low &= kept[w]
+            leaf = np.frexp(low)[1] + (leaf_base[:, None] + (64 * w - 1))
+            at = leaf if at is None else np.where(low != 0, leaf, at)
+        values = np.where(member[:, lo : lo + step], leaf_value.take(at), 0.0)
+        # tree-major, so bincount adds each row's leaves in tree order
+        rows = np.broadcast_to(np.arange(len(chunk)), values.shape).ravel()
+        sums[lo : lo + step] = np.bincount(rows, weights=values.ravel(), minlength=len(chunk))
 
     # one thread needs no pool, whose start cost about 2 ms a call on rf-tune's inputs
     if workers == 1:
@@ -195,30 +291,55 @@ def _leaf_sums(stacked: tuple, x: np.ndarray, member: np.ndarray, workers: int) 
     return sums
 
 
-def _split_search(x: np.ndarray, z: np.ndarray, rows, sizes, feats: np.ndarray, min_leaf: int):
+def _rank_codes(x: np.ndarray) -> np.ndarray:
+    """Each x[i, f]'s dense rank among column f's distinct values, so equal
+    values, -0.0 and 0.0 among them, share a code and codes keep the
+    values' order. Codes are uint8 while a column holds at most 256 distinct
+    values and uint16 while it holds at most 65 536, as numpy's stable
+    argsort of those types is a radix sort, and int64 beyond."""
+    n, p = x.shape
+    order = np.argsort(x, axis=0)
+    xs = np.take_along_axis(x, order, axis=0)
+    new = np.ones((n, p), dtype=bool)
+    new[1:] = xs[1:] != xs[:-1]
+    ranks = np.cumsum(new, axis=0) - 1
+    top = int(ranks[-1].max(initial=0))
+    codes = np.empty((n, p), dtype=np.min_scalar_type(top) if top < 1 << 16 else np.int64)
+    np.put_along_axis(codes, order, ranks, axis=0)
+    return codes
+
+
+def _split_search(x: np.ndarray, codes: np.ndarray, z: np.ndarray, rows, sizes,
+                  feats: np.ndarray, min_leaf: int):
     """Lowest-SSE (feature, threshold) of each node over its sampled features.
 
     Node k holds ``sizes[k]`` records of x and z, listed node after node in
-    ``rows``, and samples the features ``feats[k]``. Thresholds are midpoints
-    between consecutive sorted values, kept only when they fall strictly
-    between the two values and both children reach min_leaf. Ties keep the
-    earliest sampled feature, then the lowest threshold. All nodes are
-    searched in one padded (nodes, mtry, largest node) stack. Returns the
-    (feature, threshold) arrays; feature is -1 where no threshold is kept.
+    ``rows``, and samples the features ``feats[k]``; the last record of x,
+    z and their :func:`_rank_codes` pads the nodes to the largest. Thresholds
+    are midpoints between consecutive sorted values, kept only when they fall
+    strictly between the two values and both children reach min_leaf. Ties
+    keep the earliest sampled feature, then the lowest threshold. All nodes
+    are searched in one padded (nodes, mtry, largest node) stack, sorted by
+    rank code. Returns the (feature, threshold) arrays; feature is -1 where
+    no threshold is kept.
     """
     nodes, mtry = feats.shape
     width = int(sizes.max())
-    node = np.repeat(np.arange(nodes), sizes)
-    pos = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    xs = np.full((nodes, mtry, width), np.inf)
-    xs[node, :, pos] = x[rows[:, None], feats[node]]
-    zs = np.zeros((nodes, 1, width))
-    zs[node, 0, pos] = z[rows]
-    del node, pos
-    order = np.argsort(xs, axis=-1, kind="stable")
-    xs = np.take_along_axis(xs, order, axis=-1)
-    zs = np.take_along_axis(zs, order, axis=-1)
+    slot = np.arange(width)
+    starts = np.cumsum(sizes) - sizes
+    # each node's records, then the pad record, as (nodes, width)
+    recs = np.append(rows, len(x) - 1)[
+        np.where(slot < sizes[:, None], starts[:, None] + slot, len(rows))
+    ]
+    # one flat take, as in features._gather: 2-D fancy indexing costs more
+    order = np.argsort(codes.take(recs[:, None, :] * x.shape[1] + feats[:, :, None]),
+                       axis=-1, kind="stable")
+    order += (np.arange(nodes) * width)[:, None, None]
+    recs = recs.take(order)
     del order
+    xs = x.take(recs * x.shape[1] + feats[:, :, None])
+    zs = z.take(recs)
+    del recs
     c1 = np.cumsum(zs, axis=-1)
     zs **= 2
     c2 = np.cumsum(zs, axis=-1)
@@ -300,6 +421,11 @@ def _grow_trees(x: np.ndarray, z: np.ndarray, boots, keys: np.ndarray, mtry: int
     """Grow tree t on the records ``boots[t]`` from the root key ``keys[t]``,
     all trees breadth first together (see the module docstring)."""
     ntree, p = len(boots), x.shape[1]
+    # one pad record, last: +inf features sort after every value, and its 0.0
+    # target adds nothing
+    x = np.vstack([x, np.full(p, np.inf)])
+    z = np.append(z, 0.0)
+    codes = _rank_codes(x)
     # the level's nodes, tree after tree and in id order within a tree: each
     # node's tree, key and record count, and its records, node after node
     tree, key = np.arange(ntree), keys
@@ -320,7 +446,7 @@ def _grow_trees(x: np.ndarray, z: np.ndarray, boots, keys: np.ndarray, mtry: int
             bounds = np.concatenate([[0], np.cumsum(search_sizes)])
             splits = [
                 _split_search(
-                    x, z, search_rows[bounds[part.start] : bounds[part.stop]],
+                    x, codes, z, search_rows[bounds[part.start] : bounds[part.stop]],
                     search_sizes[part], feats[part], min_leaf,
                 )
                 for part in _batches(search_sizes.tolist(), 8 * mtry, SPLIT_STACK_BYTES)
@@ -375,6 +501,15 @@ def _bootstraps(cfg: RfConfig, n: int) -> tuple:
     )
 
 
+def _training_covariates(train: PointTable) -> np.ndarray:
+    """train's covariates, refused if any is not finite: a NaN has no place in
+    the split search's order."""
+    bad = np.count_nonzero(~np.isfinite(train.covariates))
+    if bad:
+        raise UsageError(f"random forest: {bad} non-finite training covariate value(s)")
+    return train.covariates
+
+
 def rf_fit(train: PointTable, cfg: RfConfig, workers: int = 1) -> Forest:
     """Grow cfg.ntree trees on bootstrap samples of the training covariates.
 
@@ -393,7 +528,7 @@ def rf_fit(train: PointTable, cfg: RfConfig, workers: int = 1) -> Forest:
         raise UsageError("mtry is 'tune'; resolve it with tune_mtry before fitting")
     if cfg.mtry > p:
         raise UsageError(f"mtry = {cfg.mtry} exceeds covariate count {p}")
-    x = train.covariates
+    x = _training_covariates(train)
 
     boots = _bootstraps(cfg, n)
     keys = _root_keys(cfg.seed, cfg.ntree)
@@ -470,7 +605,7 @@ def tune_mtry(
     fold_of = np.empty(n, dtype=np.int64)
     for f, test_idx in enumerate(tests):
         fold_of[test_idx] = f
-    x = train.covariates
+    x = _training_covariates(train)
     keys = _root_keys(cfg.seed, cfg.ntree)
     fold_rmse = np.empty((len(candidates), folds))
     groups = list(_batches([n - len(t) for t in tests], cfg.ntree, ROUTE_PAIRS))
@@ -576,6 +711,7 @@ def read_forest(path) -> Forest:
         left = np.full(n_nodes, -1, dtype=np.int64)
         right = np.full(n_nodes, -1, dtype=np.int64)
         value = np.zeros(n_nodes)
+        linked = set()
         for node in range(n_nodes):
             i += 1
             try:
@@ -593,6 +729,10 @@ def read_forest(path) -> Forest:
                     # older files), so routing cannot cycle
                     if not (node < lo < n_nodes and node < hi < n_nodes):
                         raise ValueError(f"children {lo}, {hi} outside ({node}, {n_nodes})")
+                    # and no node has two parents, so the leaves have one order
+                    if lo == hi or {lo, hi} & linked:
+                        raise ValueError(f"children {lo}, {hi}: a node with two parents")
+                    linked |= {lo, hi}
                     feature[node], threshold[node] = feat, _finite(parts[3], "threshold")
                     left[node], right[node] = lo, hi
                 else:

@@ -30,6 +30,7 @@ from .analysis import (
     ResidualReport,
     aggregate_fine_to_coarse,
     format_metrics,
+    refuse_nodata,
     residual_report,
     scatter_export,
 )
@@ -464,10 +465,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             write_forest(forest, staging / "forest.txt")
 
         enter("write-prediction")
-        # such a value would read back from prediction.asc as a gap
-        clash = np.count_nonzero(predicted.target == fine.nodata)
-        if clash:
-            raise UsageError(f"{clash} predicted value(s) equal the nodata value {fine.nodata!r}")
+        refuse_nodata("predicted", predicted.target, fine.nodata)
         # one spare last cell takes the -1 of any record outside the grid
         raster = np.full(fine.nrows * fine.ncols + 1, fine.nodata)
         raster[fine.cell_numbers(predicted.lon, predicted.lat)] = predicted.target

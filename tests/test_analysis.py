@@ -56,6 +56,13 @@ class TestAggregate:
         assert out.values[0, 0] == 0.3
         assert out.values[0, 1] == NODATA
 
+    def test_mean_equal_to_nodata_refused(self):
+        # written, the cell would read back as a gap
+        coarse = coarse_grid([[0.0, 0.0]])
+        with pytest.raises(UsageError, match=r"^1 aggregated value\(s\) equal the nodata value -9999\.0$"):
+            aggregate_fine_to_coarse(pts([0.5, 0.5, 1.5], [0.5, 0.5, 0.5],
+                                         [-9998.0, -10000.0, 0.3]), coarse)
+
     def test_order_invariance_exact(self, rng):
         coarse = coarse_grid(np.zeros((3, 3)))
         lon = rng.uniform(0, 3, 200)
@@ -161,6 +168,14 @@ class TestResidualReport:
         assert report.rmse == pytest.approx(expect, abs=1e-15)
         r2_expect = float(np.corrcoef(agg_vals.ravel(), obs_vals.ravel())[0, 1]) ** 2
         assert report.r2 == pytest.approx(r2_expect, abs=1e-12)
+
+    def test_residuals_equal_to_nodata_refused(self):
+        # 1.0 - 10000.0 is the nodata value; so is (-19996.0 - 2.0) / 2.0
+        # as a relative residual, whose residual -19998.0 is not
+        for agg, obs, name in (([1.0, 0.5], [10000.0, 0.5], "residual"),
+                               ([-19996.0, 0.5], [2.0, 0.5], "relative residual")):
+            with pytest.raises(UsageError, match=rf"^1 {name} value\(s\) equal the nodata value -9999\.0$"):
+                residual_report(coarse_grid([agg]), coarse_grid([obs]))
 
     def test_relative_residual_nodata_at_zero_observed(self):
         observed = coarse_grid([[0.0, 0.5]])

@@ -220,6 +220,10 @@ def oracle_case(name):
         covs = np.round(np.vstack([covs[:60], covs[:60], covs[:30]]), 1)
     elif name == "p_1":
         covs, mtry = np.round(covs[:, :1], 1), 1
+    elif name == "signed_zeros":  # rounding (-0.5, 0) gives -0.0, [0, 0.5) gives 0.0
+        covs = np.round(covs)
+    elif name == "distinct_300":  # more than 256 distinct values: uint16 rank codes
+        covs = np.vstack([covs, rng.normal(0, 1, (150, p))])
     z = covs[:, 0] * 0.5 + np.sin(covs[:, -1]) + rng.normal(0, 0.05, len(covs))
     if name == "constant":
         z = np.full(len(covs), 0.7)
@@ -228,6 +232,7 @@ def oracle_case(name):
 
 ORACLE_CASES = [
     "rounded", "min_leaf_1", "mtry_1", "mtry_p", "constant", "tiny", "duplicated", "p_1",
+    "signed_zeros", "distinct_300",
 ]
 
 
@@ -266,6 +271,23 @@ class TestLockstepOracle:
             assert all(t.n_nodes == 1 for t in ref.trees)
         self.assert_same(self.fit(train, cfg), ref, train)
         self.assert_same(self.fit(train, cfg, workers=3), ref, train)
+
+    def test_cases_reach_their_code_paths(self):
+        covs = oracle_case("signed_zeros")[0].covariates
+        zeros = covs[covs == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        assert forest_module._rank_codes(covs).dtype == np.uint8
+        assert forest_module._rank_codes(oracle_case("distinct_300")[0].covariates).dtype == np.uint16
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int64])
+    def test_every_code_dtype_grows_the_same_forest(self, dtype, monkeypatch):
+        # wider codes than the rule picks sort the stacks in the same order
+        train, mtry, min_leaf = oracle_case("rounded")
+        cfg = RfConfig(ntree=8, mtry=mtry, min_leaf=min_leaf, seed=4)
+        ref = rf_fit_ref(train, cfg)
+        rank_codes = forest_module._rank_codes
+        monkeypatch.setattr(forest_module, "_rank_codes", lambda x: rank_codes(x).astype(dtype))
+        self.assert_same(self.fit(train, cfg), ref, train)
 
     @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_batch_size_invariance(self, name, monkeypatch):
@@ -463,6 +485,130 @@ class TestRoutingOracle:
         fitted = TestLockstepOracle.fit(train, cfg)
         TestLockstepOracle.assert_same(fitted, ref, train)
         assert same_bits(rf_predict(fitted[0], train), rf_predict_ref(ref, train))
+
+
+class TestRankCodes:
+    @pytest.mark.parametrize("distinct, dtype", [
+        (1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.int64),
+    ])
+    def test_dtype_follows_the_distinct_count(self, distinct, dtype):
+        x = np.column_stack([np.arange(distinct, 0, -1) / 8.0, np.zeros(distinct)])
+        codes = forest_module._rank_codes(x)
+        assert codes.dtype == dtype
+        np.testing.assert_array_equal(codes[:, 0], np.arange(distinct - 1, -1, -1))
+        assert (codes[:, 1] == 0).all()
+
+    def test_equal_values_share_a_code(self):
+        x = np.array([[0.5, -0.0, 0.0, -1.0, 0.5, np.inf]]).T
+        assert forest_module._rank_codes(x)[:, 0].tolist() == [2, 1, 1, 0, 2, 3]
+
+    def test_stable_sort_orders_records_as_the_values_do(self):
+        # ties, -0.0 and 0.0 among them, keep their record order either way
+        x = np.round(np.random.default_rng(5).normal(0, 1, (500, 3)), 1)
+        assert np.signbit(x[x == 0.0]).any() and not np.signbit(x[x == 0.0]).all()
+        codes = forest_module._rank_codes(x)
+        for f in range(3):
+            np.testing.assert_array_equal(np.argsort(codes[:, f], kind="stable"),
+                                          np.argsort(x[:, f], kind="stable"))
+
+
+def hand_forest(trees, p):
+    """A Forest of (feature, threshold, left, right, value) node lists."""
+    built = tuple(forest_module.Tree(np.array(f, dtype=np.int64), np.array(t, dtype=float),
+                                     np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64),
+                                     np.array(v, dtype=float))
+                  for f, t, lo, hi, v in trees)
+    return Forest(built, 0.0, p, RfConfig(ntree=len(built), mtry=1))
+
+
+def preorder(tree):
+    """tree with its nodes renumbered in preorder, a left subtree before its
+    parent's right child, as older forest files numbered them."""
+    order, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if tree.feature[node] >= 0:
+            stack += [tree.right[node], tree.left[node]]
+    new = np.full(tree.n_nodes, -1, dtype=np.int64)
+    new[order] = np.arange(len(order))
+    split = tree.feature[order] >= 0
+    left = np.where(split, new[tree.left[order]], -1)
+    right = np.where(split, new[tree.right[order]], -1)
+    return forest_module.Tree(tree.feature[order], tree.threshold[order], left, right,
+                              tree.value[order])
+
+
+class TestBitmaskRouting:
+    """Every branch of the leaf-bitmask router against the per-tree walk."""
+
+    @staticmethod
+    def assert_routes_as_walk(forest, covs):
+        queries = table(covs, np.zeros(len(covs)))
+        assert same_bits(rf_predict(forest, queries), rf_predict_ref(forest, queries))
+        for tree in forest.trees:
+            # a one-tree sum adds the leaf to 0.0, which changes only a -0.0 leaf
+            assert same_bits(tree.predict(covs), 0.0 + tree_predict_ref(tree, covs))
+
+    def test_thresholds_signed_zeros_and_non_finite_queries(self):
+        # tree 0 splits on features 0 and 1 at 0.0, -0.0 and 0.5; tree 1 is one
+        # leaf; tree 2 splits only on feature 2; no tree shares a threshold
+        # list with another, and feature 1 has a -0.0 threshold
+        forest = hand_forest([
+            ([0, 1, 0, -1, -1, -1, -1], [0.0, -0.0, 0.5, 0, 0, 0, 0],
+             [1, 3, 5, -1, -1, -1, -1], [2, 4, 6, -1, -1, -1, -1],
+             [0, 0, 0, 1.0, 2.0, 3.0, 4.0]),
+            ([-1], [0.0], [-1], [-1], [-0.0]),
+            ([2, -1, 2, -1, -1], [0.5, 0, 0.0, 0, 0], [1, -1, 3, -1, -1], [2, -1, 4, -1, -1],
+             [0, 8.0, 0, 16.0, 32.0]),
+        ], p=3)
+        grid = [-0.5, -0.0, 0.0, 0.5, np.nextafter(0.5, 1), np.nextafter(0.0, -1), np.nan,
+                np.inf, -np.inf]
+        covs = np.array(np.meshgrid(grid, grid, grid, indexing="ij")).reshape(3, -1).T
+        self.assert_routes_as_walk(forest, covs)
+        # NaN goes right at every node, as x <= threshold is false
+        nan = forest.trees[0].predict(np.full((1, 3), np.nan))
+        assert nan.tolist() == [4.0]
+
+    def test_trees_over_128_leaves(self):
+        # three or more mask words per tree
+        rng = np.random.default_rng(129)
+        train = table(rng.normal(0, 1, (600, 2)), rng.normal(0, 1, 600))
+        forest = rf_fit(train, RfConfig(ntree=3, mtry=2, min_leaf=1, seed=5))
+        assert forest_module._stack(forest.trees)[2].shape[0] >= 3
+        boots = bootstraps_ref(forest.config, len(train))
+        assert forest.oob_rmse == oob_rmse_ref(forest.trees, boots, train)
+        self.assert_routes_as_walk(forest, np.vstack([train.covariates, rng.normal(0, 1, (200, 2))]))
+
+    def test_feature_with_256_nodes_in_one_tree(self):
+        # one covariate and one-record leaves: a tree splits on it at every
+        # node, so its count table needs uint16
+        rng = np.random.default_rng(256)
+        train = table(rng.normal(0, 1, (700, 1)), rng.normal(0, 1, 700))
+        forest = rf_fit(train, RfConfig(ntree=2, mtry=1, min_leaf=1, seed=1))
+        (f, cut, counts), = forest_module._stack(forest.trees)[0]
+        assert counts.dtype == np.uint16 and counts.max() >= 256
+        covs = np.vstack([train.covariates, cut[:, None], rng.normal(0, 1, (100, 1))])
+        self.assert_routes_as_walk(forest, covs)
+
+    def test_forest_read_from_preorder_file(self, tmp_path):
+        train, mtry, min_leaf = oracle_case("rounded")
+        forest = rf_fit(train, RfConfig(ntree=5, mtry=mtry, min_leaf=min_leaf, seed=6))
+        path = tmp_path / "forest.txt"
+        write_forest(Forest(tuple(map(preorder, forest.trees)), forest.oob_rmse, forest.p,
+                            forest.config), path)
+        back = read_forest(path)
+        assert any((tree.left != moved.left).any() for tree, moved in zip(forest.trees, back.trees))
+        assert same_bits(rf_predict(back, train), rf_predict(forest, train))
+        self.assert_routes_as_walk(back, train.covariates)
+
+    def test_unreachable_nodes_ignored(self, tmp_path):
+        # nodes no split links to are never reached, so they number no leaf
+        path = tmp_path / "forest.txt"
+        path.write_text("forest ntree=1 p=1 min_leaf=1 seed=0 mtry=1 oob_rmse=0.5\n"
+                        "tree 0 nodes=6\n0 split 0 0.5 2 4\n1 split 0 0.1 3 5\n2 leaf 1.0\n"
+                        "3 leaf 7.0\n4 leaf 2.0\n5 leaf 9.0\n")
+        self.assert_routes_as_walk(read_forest(path), np.array([[0.0], [0.5], [1.0]]))
 
 
 class TestDeterminism:
@@ -684,6 +830,17 @@ class TestSerialization:
             with pytest.raises(ParseError, match=r"bad forest header: .*:1\)"):
                 read_forest(path)
 
+    def test_node_with_two_parents_rejected(self, tmp_path):
+        # routing numbers each tree's leaves left to right, which needs a tree
+        path = tmp_path / "bad.txt"
+        header = "forest ntree=1 p=2 min_leaf=5 seed=0 mtry=1 oob_rmse=0.1\n"
+        for tree, line in (("tree 0 nodes=3\n0 split 0 0.5 1 1\n1 leaf 0.0\n2 leaf 1.0\n", 3),
+                           ("tree 0 nodes=5\n0 split 0 0.5 1 2\n1 split 1 0.5 3 4\n"
+                            "2 split 1 0.25 3 4\n3 leaf 0.0\n4 leaf 1.0\n", 5)):
+            path.write_text(header + tree)
+            with pytest.raises(ParseError, match=rf"bad node line: .*two parents .*:{line}\)"):
+                read_forest(path)
+
     @pytest.mark.parametrize("node, line", [
         ("0 split 0 nan 1 2", 3), ("0 split 0 -inf 1 2", 3), ("2 leaf nan", 5), ("1 leaf inf", 4),
     ], ids=["threshold-nan", "threshold-inf", "leaf-nan", "leaf-inf"])
@@ -813,6 +970,15 @@ class TestValidation:
             RfConfig(mtry="grid")
         with pytest.raises(UsageError):
             RfConfig(min_leaf=0)
+
+    def test_non_finite_training_covariates_rejected(self, rng):
+        train = random_train(rng, 60)
+        train.covariates[3, 1] = np.nan
+        train.covariates[7, 0] = -np.inf
+        for call in (lambda: rf_fit(train, RfConfig(ntree=2, mtry=2)),
+                     lambda: tune_mtry(train, RfConfig(ntree=2), [1, 2], folds=3)):
+            with pytest.raises(UsageError, match="2 non-finite training covariate"):
+                call()
 
     def test_query_width_mismatch(self, rng):
         forest = rf_fit(random_train(rng, 40, 3), RfConfig(ntree=2, mtry=2))

@@ -563,6 +563,31 @@ class TestFineHeader:
         assert sorted(path.name for path in out.iterdir()) == sorted(first)
         assert output_digest(out) == first
 
+    def test_residual_equal_to_nodata_refused(self, tmp_path):
+        # at k 1 and fine_factor 1 every prediction at an observed cell is that
+        # cell's value, so every residual is 0.0; with nodata 0.0 residual.asc
+        # would hold no data cell while metrics.txt counted every pair
+        scenario, data_dir = dump_scenario(tmp_path, seed=1, fine_shape=(32, 32),
+                                           coarse_factor=4, n_covariates=0, gap_fraction=0.2)
+        observed = scenario.observed
+        assert (observed.values[observed.data_mask] != 0.0).all()
+        zero = tmp_path / "observed_zero.asc"
+        write_ascii_grid(replace(observed, nodata=0.0,
+                                 values=np.where(observed.data_mask, observed.values, 0.0)), zero)
+        out = tmp_path / "out"
+        cfg = base_config(data_dir, out, k=1, fine_factor=1)
+        run_pipeline(validate_config(cfg))
+        first = output_digest(out)
+        n = int(observed.data_mask.sum())
+        assert (out / "metrics.txt").read_text().endswith(f" n={n}\n")
+        cfg["observed_grid"] = str(zero)
+        with pytest.raises(EngineError, match=re.escape(
+                f"stage analysis: {n} residual value(s) equal the nodata value 0.0")):
+            run_pipeline(validate_config(cfg))
+        # the failed run leaves no staging directory and the earlier outputs as they were
+        assert sorted(path.name for path in out.iterdir()) == sorted(first)
+        assert output_digest(out) == first
+
 
 class TestCovariatesAndPca:
     def test_pca_inert_for_coords_knn(self, tmp_path):
