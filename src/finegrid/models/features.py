@@ -33,12 +33,13 @@ def raw_features(table: PointTable, mode: str) -> np.ndarray:
     raise UsageError(f"unknown feature mode {mode!r}; expected one of {MODES}")
 
 
-def _finite(values: np.ndarray, mode: str) -> np.ndarray:
-    """Refuse non-finite features: one NaN in a training column makes that
-    whole scaled column NaN, and NaN or infinite distances have no order."""
+def _finite(values: np.ndarray, subject: str, noun: str = "feature") -> np.ndarray:
+    """Refuse non-finite values, naming ``subject`` and their ``noun``: one
+    NaN in a training column makes that whole scaled column NaN, and NaN or
+    infinite distances, like NaN split values, have no order."""
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
-        raise UsageError(f"feature mode {mode!r}: {bad} non-finite feature value(s)")
+        raise UsageError(f"{subject}: {bad} non-finite {noun} value(s)")
     return values
 
 
@@ -56,7 +57,7 @@ class FeatureSpace:
         constant feature gets stdev 1, so it scales to zero."""
         if len(table) == 0:
             raise UsageError("a feature space needs at least one training record")
-        raw = _finite(raw_features(table, mode), mode)
+        raw = _finite(raw_features(table, mode), f"feature mode {mode!r}")
         means = raw.mean(axis=0)
         stdevs = raw.std(axis=0)
         stdevs = np.where(stdevs > 0, stdevs, 1.0)
@@ -77,7 +78,7 @@ class FeatureSpace:
         # _finite reports it as a UsageError, so numpy need not warn too
         with np.errstate(over="ignore"):
             scaled = (raw - self.means) / self.stdevs
-        return _finite(scaled, self.mode)
+        return _finite(scaled, f"feature mode {self.mode!r}")
 
 
 # queries per search tile: each tile has one centre, radius and candidate

@@ -74,7 +74,7 @@ import numpy as np
 
 from ..errors import ParseError, UsageError
 from ..grid import PointTable
-from .features import _batches
+from .features import _batches, _finite
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -501,15 +501,6 @@ def _bootstraps(cfg: RfConfig, n: int) -> tuple:
     )
 
 
-def _training_covariates(train: PointTable) -> np.ndarray:
-    """train's covariates, refused if any is not finite: a NaN has no place in
-    the split search's order."""
-    bad = np.count_nonzero(~np.isfinite(train.covariates))
-    if bad:
-        raise UsageError(f"random forest: {bad} non-finite training covariate value(s)")
-    return train.covariates
-
-
 def rf_fit(train: PointTable, cfg: RfConfig, workers: int = 1) -> Forest:
     """Grow cfg.ntree trees on bootstrap samples of the training covariates.
 
@@ -528,7 +519,7 @@ def rf_fit(train: PointTable, cfg: RfConfig, workers: int = 1) -> Forest:
         raise UsageError("mtry is 'tune'; resolve it with tune_mtry before fitting")
     if cfg.mtry > p:
         raise UsageError(f"mtry = {cfg.mtry} exceeds covariate count {p}")
-    x = _training_covariates(train)
+    x = _finite(train.covariates, "random forest", "training covariate")
 
     boots = _bootstraps(cfg, n)
     keys = _root_keys(cfg.seed, cfg.ntree)
@@ -605,7 +596,7 @@ def tune_mtry(
     fold_of = np.empty(n, dtype=np.int64)
     for f, test_idx in enumerate(tests):
         fold_of[test_idx] = f
-    x = _training_covariates(train)
+    x = _finite(train.covariates, "random forest", "training covariate")
     keys = _root_keys(cfg.seed, cfg.ntree)
     fold_rmse = np.empty((len(candidates), folds))
     groups = list(_batches([n - len(t) for t in tests], cfg.ntree, ROUTE_PAIRS))
@@ -665,7 +656,7 @@ def write_forest(forest: Forest, path) -> None:
     Path(path).write_text(serialize_forest(forest))
 
 
-def _finite(text: str, what: str) -> float:
+def _parse_finite(text: str, what: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{what} {text} is not finite")
@@ -720,7 +711,7 @@ def read_forest(path) -> Forest:
                     raise ValueError(f"node id {parts[0]} out of order")
                 if parts[1] == "leaf":
                     feature[node] = -1
-                    value[node] = _finite(parts[2], "leaf value")
+                    value[node] = _parse_finite(parts[2], "leaf value")
                 elif parts[1] == "split":
                     feat, lo, hi = int(parts[2]), int(parts[4]), int(parts[5])
                     if not 0 <= feat < p:
@@ -733,7 +724,7 @@ def read_forest(path) -> Forest:
                     if lo == hi or {lo, hi} & linked:
                         raise ValueError(f"children {lo}, {hi}: a node with two parents")
                     linked |= {lo, hi}
-                    feature[node], threshold[node] = feat, _finite(parts[3], "threshold")
+                    feature[node], threshold[node] = feat, _parse_finite(parts[3], "threshold")
                     left[node], right[node] = lo, hi
                 else:
                     raise ValueError(f"unknown node kind {parts[1]!r}")

@@ -219,6 +219,16 @@ def load_config(path) -> PipelineConfig:
     return validate_config(raw, base_dir=path.parent)
 
 
+class _Facts(dict):
+    """The manifest's derived facts. Each one recorded is logged at INFO as
+    ``key: value``, the value in the manifest's own JSON encoding."""
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        if logger.isEnabledFor(logging.INFO):
+            logger.info("%s: %s", key, json.dumps(value, sort_keys=True))
+
+
 @dataclass(frozen=True)
 class RunResult:
     output_dir: Path
@@ -257,7 +267,7 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
     model_cfg = _model_config(s)
     if cfg.method != "rf":
         space = FeatureSpace.fit(s["feature_mode"], training)
-        stats, facts = {}, ""
+        stats = {}
         if cfg.method == "knn":
             values = knn_predict(training, prediction, model_cfg, space, stats=stats)
         else:
@@ -269,31 +279,21 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
             derived["hyppo_degree_counts"] = {int(d): int(counts[d]) for d in np.flatnonzero(counts)}
             derived["hyppo_loo_fold_fits"] = stats["loo_fold_fits"]
             derived["hyppo_query_refits"] = stats["query_refits"]
-            facts = (f"{stats['neighbor_sets']} neighbor sets for {len(prediction)} queries, "
-                     f"degree counts {derived['hyppo_degree_counts']}, leave-one-out fold fits "
-                     f"{stats['loo_fold_fits']}, query refits {stats['query_refits']}, ")
         derived["search_candidate_pairs"] = stats["candidate_pairs"]
         derived["search_tie_resorts"] = stats["tie_resorts"]
-        logger.info("%s: %ssearch candidate pairs %d, tie resorts %d", cfg.method, facts,
-                    stats["candidate_pairs"], stats["tie_resorts"])
         return values, None
-    cv = ""
     if model_cfg.mtry == "tune":
         stats = {}
         tuned = tune_mtry(training, model_cfg, s["mtry_grid"], folds=s["folds"], stats=stats)
         derived["tuned_mtry"] = tuned
         derived["mtry_cv_rmse"] = stats["cv_rmse"]
         derived["mtry_tune_groups"] = stats["fold_groups"]
-        cv = f", cv_rmse {stats['cv_rmse']}, tune groups {stats['fold_groups']}"
         model_cfg = replace(model_cfg, mtry=tuned)
     forest = rf_fit(training, model_cfg, workers=s["workers"])
     derived["oob_rmse"] = forest.oob_rmse
     derived["forest_nodes"] = sum(tree.n_nodes for tree in forest.trees)
     derived["forest_max_depth"] = max(tree.depth for tree in forest.trees)
     derived["mtry_used"] = model_cfg.mtry
-    logger.info("rf: %s mtry %d, oob_rmse %r, forest_nodes %d, forest_max_depth %d%s",
-                "tuned" if s["mtry"] == "tune" else "fixed", model_cfg.mtry,
-                forest.oob_rmse, derived["forest_nodes"], derived["forest_max_depth"], cv)
     return rf_predict(forest, prediction, workers=s["workers"]), forest
 
 
@@ -320,7 +320,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     directory and moved into place only once ``manifest.json`` is written.
     Any failure aborts with a stage-labeled EngineError and removes that
     temporary directory, so the outputs of an earlier run stay as they were.
-    Each stage that completes logs its wall time at DEBUG level on the
+    Each fact of the manifest's ``derived`` block is logged at INFO level
+    as it is recorded, and the agreement line after the analysis. Each
+    stage that completes logs its wall time at DEBUG level on the
     ``finegrid`` logger, with the process's peak resident set size so far
     where the platform reports it; neither enters the manifest, so reruns
     stay byte for byte the same.
@@ -344,7 +346,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         out_dir.mkdir(parents=True, exist_ok=True)
         # inside out_dir, so the final os.replace stays on one filesystem
         staging = Path(tempfile.mkdtemp(prefix=".partial-", dir=out_dir))
-        derived: dict = {}
+        derived = _Facts()
 
         enter("load-observed")
         if "observed_grid" in s:
@@ -392,8 +394,6 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             derived["train_dropped_sampling"] = before - len(training)
             if len(training) == 0:
                 raise UsageError("no training records remain after covariate sampling")
-        logger.info("training records: %d after sampling", derived["train_count_initial"]
-                    - derived.get("train_dropped_sampling", 0))
 
         enter("fine-grid")
         fine = _fine_grid_header(cfg, observed)
@@ -406,8 +406,6 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             if len(prediction_points) == 0:
                 raise UsageError("no prediction records remain after covariate sampling")
         del layers  # sampled; the grids need not outlive this stage
-        logger.info("prediction cells: %d after sampling", derived["predict_count_initial"]
-                    - derived.get("predict_dropped_sampling", 0))
 
         enter("clip")
         if region is not None:
@@ -415,8 +413,6 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             prediction_points = clip_points(prediction_points, region, s["buffer_km"])
             derived["train_count_after_clip"] = len(training)
             derived["predict_count_after_clip"] = len(prediction_points)
-            logger.info("after the clip: %d training records, %d prediction cells",
-                        derived["train_count_after_clip"], derived["predict_count_after_clip"])
             if len(training) == 0:
                 raise UsageError("no training records remain after region clipping")
             if len(prediction_points) == 0:
@@ -425,7 +421,6 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             prediction_points = prediction_points.subset(
                 contains(report_region, prediction_points.lon, prediction_points.lat))
             derived["report_count"] = len(prediction_points)
-            logger.info("report count: %d", derived["report_count"])
             if len(prediction_points) == 0:
                 raise UsageError("no predictions fall inside the reporting region")
         # the analysis pairs only the cells in observed data cells, so with
@@ -446,7 +441,6 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             cov.write_pca_sidecar(model, staging / "pca_model.csv")
             derived["pca_retained"] = model.retained
             derived["pca_eigenvalues"] = [float(v) for v in model.eigenvalues]
-            logger.info("pca: %d components retained", derived["pca_retained"])
         if coords_only:
             # no later stage reads a covariate
             training, prediction_points = (

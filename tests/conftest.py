@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -65,3 +66,23 @@ def search_tables(train_f, query_f, k):
     both = neighbor_search(train_f, query_f, k,
                            lambda idx, dist: np.hstack([idx.astype(np.float64), dist]))
     return both[:, :k].astype(np.int64), both[:, k:]
+
+
+def logged_facts(messages, out_dir):
+    """Check a run's INFO lines against its outputs: one ``agreement:`` line
+    quoting metrics.txt, and otherwise one ``key: json`` line per fact of
+    manifest.json's derived block, each key once with the manifest's value.
+    Values compare as re-encoded JSON text, so a NaN equals itself and an
+    int-keyed dict sorts as the manifest's string keys do. Returns the keys
+    in logged order."""
+    metrics = (out_dir / "metrics.txt").read_text().strip()
+    derived = json.loads((out_dir / "manifest.json").read_text())["derived"]
+    facts = [m for m in messages if m != f"agreement: {metrics}"]
+    assert len(facts) == len(messages) - 1
+    logged = {}
+    for line in facts:
+        key, sep, text = line.partition(": ")
+        assert sep and key not in logged, line
+        logged[key] = json.dumps(json.loads(text), sort_keys=True)
+    assert logged == {key: json.dumps(value, sort_keys=True) for key, value in derived.items()}
+    return list(logged)

@@ -34,7 +34,7 @@ from finegrid.grid import grid_centroids
 from finegrid.models.features import neighbor_search
 from finegrid.pipeline import _SCHEMA, OUTPUT_FILES
 
-from conftest import search_tables
+from conftest import logged_facts, search_tables
 
 
 def dump_scenario(tmp_path, **kwargs):
@@ -59,25 +59,11 @@ def base_config(data_dir, out_dir, **kwargs):
     return cfg
 
 
-def count_lines(derived):
-    """The record counts a run logs at INFO before its model stage, from its
-    manifest's derived facts, in stage order."""
-    lines = [
-        "training records: "
-        f"{derived['train_count_initial'] - derived.get('train_dropped_sampling', 0)}"
-        " after sampling",
-        "prediction cells: "
-        f"{derived['predict_count_initial'] - derived.get('predict_dropped_sampling', 0)}"
-        " after sampling",
-    ]
-    if "train_count_after_clip" in derived:
-        lines.append(f"after the clip: {derived['train_count_after_clip']} training records, "
-                     f"{derived['predict_count_after_clip']} prediction cells")
-    if "report_count" in derived:
-        lines.append(f"report count: {derived['report_count']}")
-    if "pca_retained" in derived:
-        lines.append(f"pca: {derived['pca_retained']} components retained")
-    return lines
+def facts_in_order(caplog, result):
+    """The facts a run logged, checked by logged_facts, are its derived
+    facts in the order it recorded them."""
+    messages = [r.getMessage() for r in caplog.records]
+    return logged_facts(messages, result.output_dir) == list(result.manifest["derived"])
 
 
 def output_digest(out_dir):
@@ -274,22 +260,18 @@ class TestRunKnn:
         _, data_dir = dump_scenario(tmp_path)
         out = tmp_path / "out"
         with caplog.at_level("INFO", logger="finegrid"):
-            run_pipeline(validate_config(base_config(data_dir, out)))
+            result = run_pipeline(validate_config(base_config(data_dir, out)))
         assert capsys.readouterr().out == ""
-        metrics = (out / "metrics.txt").read_text().strip()
-        derived = json.loads((out / "manifest.json").read_text())["derived"]
-        assert [r.getMessage() for r in caplog.records] == count_lines(derived) + [
-            f"knn: search candidate pairs {derived['search_candidate_pairs']}, "
-            f"tie resorts {derived['search_tie_resorts']}",
-            f"agreement: {metrics}"]
+        assert facts_in_order(caplog, result)
 
     def test_stage_record_counts_logged_at_info(self, tmp_path, caplog):
-        # every count is logged: sampling, region clip, report clip, pca
+        # every count is logged: sampling, region clip, report clip, pca,
+        # and the pca eigenvalues beside them
         _, data_dir = dump_scenario(tmp_path, n_covariates=3)
         out = tmp_path / "out"
         region = str(data_dir / "region.geojson")
         with caplog.at_level("INFO", logger="finegrid"):
-            run_pipeline(validate_config(base_config(
+            result = run_pipeline(validate_config(base_config(
                 data_dir, out, pca=True, region_file=region, buffer_km=20.0,
                 report_region_file=region,
                 covariate_layers=[str(data_dir / f"cov{i:02d}.asc") for i in (1, 2, 3)])))
@@ -297,17 +279,9 @@ class TestRunKnn:
         counts = [derived[key] for key in (
             "train_count_after_clip", "predict_count_after_clip", "pca_retained",
             "report_count")]
-        metrics = (out / "metrics.txt").read_text().strip()
-        assert [r.getMessage() for r in caplog.records] == [
-            f"training records: {derived['train_count_initial']} after sampling",
-            f"prediction cells: {derived['predict_count_initial']} after sampling",
-            f"after the clip: {counts[0]} training records, {counts[1]} prediction cells",
-            f"report count: {counts[3]}",
-            f"pca: {counts[2]} components retained",
-            f"knn: search candidate pairs {derived['search_candidate_pairs']}, "
-            f"tie resorts {derived['search_tie_resorts']}",
-            f"agreement: {metrics}",
-        ]
+        assert facts_in_order(caplog, result)
+        eigenvalues = json.dumps(derived["pca_eigenvalues"])
+        assert f"pca_eigenvalues: {eigenvalues}" in [r.getMessage() for r in caplog.records]
         assert all(r.levelname == "INFO" for r in caplog.records)
         assert 0 < counts[1] < derived["predict_count_initial"]
         assert 0 < counts[3] < counts[1]
@@ -709,26 +683,18 @@ class TestRf:
         direct = np.clip(rf_predict(forest, queries), 0.0, 1.0)
         np.testing.assert_array_equal(raster_vals, direct[inside])
 
-    @staticmethod
-    def rf_log_line(derived, how):
-        line = (f"rf: {how} mtry {derived['mtry_used']}, oob_rmse {derived['oob_rmse']!r}, "
-                f"forest_nodes {derived['forest_nodes']}, "
-                f"forest_max_depth {derived['forest_max_depth']}")
-        if how == "tuned":
-            cv_rmse = {int(c): rmse for c, rmse in derived["mtry_cv_rmse"].items()}
-            line += f", cv_rmse {cv_rmse}, tune groups {derived['mtry_tune_groups']}"
-        return line
-
     def test_fixed_mtry_logged(self, tmp_path, caplog):
         _, data_dir = dump_scenario(tmp_path)
         out = tmp_path / "out"
         with caplog.at_level("INFO", logger="finegrid"):
-            run_pipeline(validate_config(base_config(
+            result = run_pipeline(validate_config(base_config(
                 data_dir, out, method="rf", ntree=3, mtry=1,
                 covariate_layers=[str(data_dir / "cov01.asc"), str(data_dir / "cov02.asc")])))
-        derived = json.loads((out / "manifest.json").read_text())["derived"]
-        messages = [r.getMessage() for r in caplog.records]
-        assert messages[:-1] == count_lines(derived) + [self.rf_log_line(derived, "fixed")]
+        assert facts_in_order(caplog, result)
+        # a fixed mtry is used as given, with no tuning facts
+        derived = result.manifest["derived"]
+        assert derived["mtry_used"] == 1
+        assert not {"tuned_mtry", "mtry_cv_rmse", "mtry_tune_groups"} & derived.keys()
 
     def test_tuned_mtry_recorded(self, tmp_path, caplog):
         _, data_dir = dump_scenario(tmp_path, n_covariates=3)
@@ -737,11 +703,10 @@ class TestRf:
             data_dir, out, method="rf", ntree=4, folds=3,
             covariate_layers=[str(data_dir / f"cov{i:02d}.asc") for i in (1, 2, 3)]))
         with caplog.at_level("INFO", logger="finegrid"):
-            run_pipeline(cfg)
+            result = run_pipeline(cfg)
         manifest = (out / "manifest.json").read_bytes()
         derived = json.loads(manifest)["derived"]
-        messages = [r.getMessage() for r in caplog.records]
-        assert messages[:-1] == count_lines(derived) + [self.rf_log_line(derived, "tuned")]
+        assert facts_in_order(caplog, result)
         assert derived["tuned_mtry"] == derived["mtry_used"]
         assert derived["tuned_mtry"] in (1, 2)
         cv_rmse = {int(c): rmse for c, rmse in derived["mtry_cv_rmse"].items()}
@@ -807,7 +772,7 @@ class TestRf:
 
 
 class TestDailyGrids:
-    def test_list_of_files_averaged(self, tmp_path):
+    def test_list_of_files_averaged(self, tmp_path, caplog):
         scenario, data_dir = dump_scenario(tmp_path, gap_fraction=0.0)
         obs = scenario.observed
         day1 = obs.with_values(obs.values + 0.01)
@@ -818,12 +783,15 @@ class TestDailyGrids:
         cfg = base_config(data_dir, out, k=1, fine_factor=1)
         del cfg["observed_grid"]
         cfg["daily_grids"] = [str(tmp_path / "day1.asc"), str(tmp_path / "day2.asc")]
-        run_pipeline(validate_config(cfg))
+        with caplog.at_level("INFO", logger="finegrid"):
+            result = run_pipeline(validate_config(cfg))
         pred = read_ascii_grid(out / "prediction.asc")
         expect = (day1.values + day2.values) / 2.0
         np.testing.assert_allclose(pred.values, expect, atol=1e-12)
         derived = json.loads((out / "manifest.json").read_text())["derived"]
         assert derived["daily_grid_count"] == 2
+        assert facts_in_order(caplog, result)
+        assert "daily_grid_count: 2" in [r.getMessage() for r in caplog.records]
 
     def test_directory_form(self, tmp_path):
         scenario, data_dir = dump_scenario(tmp_path, gap_fraction=0.0)
@@ -1143,13 +1111,13 @@ class TestHyppoPipeline:
         searched = []
 
         def search(*args, **kwargs):
-            result = neighbor_search(*args, **kwargs)
+            found = neighbor_search(*args, **kwargs)
             searched.append(search_tables(*args)[0])
-            return result
+            return found
 
         monkeypatch.setattr(hyppo_module, "neighbor_search", search)
         with caplog.at_level("INFO", logger="finegrid"):
-            run_pipeline(validate_config(base_config(
+            result = run_pipeline(validate_config(base_config(
                 data_dir, out, method="hyppo", k=8, max_degree=2)))
         derived = json.loads((out / "manifest.json").read_text())["derived"]
         counts = derived["hyppo_degree_counts"]
@@ -1162,15 +1130,7 @@ class TestHyppoPipeline:
         fold_fits = derived["hyppo_loo_fold_fits"]
         assert fold_fits.keys() == {"0", "1", "2"} and fold_fits["0"] == 0
         refits = derived["hyppo_query_refits"]
-        messages = [r.getMessage() for r in caplog.records]
-        assert messages[:-2] == count_lines(derived)
-        assert messages[-2] == (
-            f"hyppo: {sets} neighbor sets for {derived['predict_count_initial']} queries, "
-            f"degree counts { {int(d): c for d, c in counts.items()} }, "
-            f"leave-one-out fold fits { {int(d): n for d, n in fold_fits.items()} }, "
-            f"query refits { {int(d): n for d, n in refits.items()} }, "
-            f"search candidate pairs {derived['search_candidate_pairs']}, "
-            f"tie resorts {derived['search_tie_resorts']}")
+        assert facts_in_order(caplog, result)
         assert all(int(d) <= 2 for d in counts)
         # every degree-0 query refits, and of the others those of a
         # rank-deficient set; training points are coarse centroids on a

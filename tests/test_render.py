@@ -17,6 +17,8 @@ from finegrid import (
 from finegrid.cli import main
 from finegrid.render import _DIVERGING_STOPS, _SEQUENTIAL_STOPS, NODATA_COLOR, _interpolate
 
+from conftest import logged_facts
+
 NODATA = -9999.0
 
 
@@ -180,14 +182,8 @@ class TestCli:
         handlers = list(logging.getLogger("finegrid").handlers)
         assert main(["run", "--config", str(cfg_path), "--verbose"]) == 0
         verbose = capsys.readouterr()
-        metrics = (out_dir / "metrics.txt").read_text().strip()
-        derived = json.loads((out_dir / "manifest.json").read_text())["derived"]
-        assert verbose.err == (
-            f"training records: {derived['train_count_initial']} after sampling\n"
-            f"prediction cells: {derived['predict_count_initial']} after sampling\n"
-            f"knn: search candidate pairs {derived['search_candidate_pairs']}, "
-            f"tie resorts {derived['search_tie_resorts']}\n"
-            f"agreement: {metrics}\n")
+        # the INFO lines alone: each derived fact once, and the agreement line
+        logged_facts(verbose.err.splitlines(), out_dir)
         assert verbose.out == quiet.out
         # the handler goes away with the run
         assert logging.getLogger("finegrid").handlers == handlers
