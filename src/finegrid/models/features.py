@@ -136,19 +136,22 @@ def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int, re
     lower training-record index, form one row of an (indices, distances)
     pair of (rows, k) tables: bit for bit what a brute-force scan of every
     training record gives, whatever the tile size (SEARCH_TILE queries) or
-    the batch budget (SEARCH_BATCH_PAIRS). Consecutive tiles are searched in
-    batches (see _search_batches), and each batch's tables go through
-    ``reduce(indices, distances)`` as soon as the batch is searched; only
-    the reducer's per-query rows are kept: row q of the result is its row
-    for query q, and the shape past the first axis and the dtype are those
-    of ``reduce`` on 0 queries. So memory does not grow with queries x k.
-    A reducer that treats each row on its own gives, bit for bit, its
-    value on the whole tables. A
-    ``stats`` dict, if given, receives the number of (query, candidate)
-    distances computed, padding not counted, as ``candidate_pairs``, which
-    depends on the tile, and the number of queries whose k nearest were
-    sorted again stably (see _first_k) as ``tie_resorts``, which depends on
-    how the batches are cut; the results depend on neither.
+    the batch budget (SEARCH_BATCH_PAIRS). Queries are searched in tiles of
+    SEARCH_TILE. The tiles' centre distances are taken a block of
+    SEARCH_BATCH_PAIRS // n tiles at a time, and _batches cuts each block
+    into batches of consecutive tiles whose padded stacks, at the batch's
+    widest tile, hold at most SEARCH_BATCH_PAIRS pairs, or one tile. Each
+    batch's tables go through ``reduce(indices, distances)`` as soon as the
+    batch is searched; only the reducer's per-query rows are kept: row q of
+    the result is its row for query q, and the shape past the first axis
+    and the dtype are those of ``reduce`` on 0 queries. So memory does not
+    grow with queries x k. A reducer that treats each row on its own gives,
+    bit for bit, its value on the whole tables. A ``stats`` dict, if given,
+    receives the number of (query, candidate) distances computed, padding
+    not counted, as ``candidate_pairs``, which depends on the tile, and the
+    number of queries whose k nearest were sorted again stably (see
+    _first_k) as ``tie_resorts``, which depends on how the batches are cut;
+    the results depend on neither.
 
     A squared distance is the sum of the features' squared differences
     added in feature order from 0.0. Below 8 features this is bit for bit
@@ -184,64 +187,15 @@ def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int, re
     n = train_feats.shape[0]
     if not 1 <= k <= n:
         raise UsageError(f"k = {k} must lie in [1, {n}]: there are {n} training records")
-    empty = reduce(np.empty((0, k), dtype=np.int64), np.empty((0, k)))
-    reduced = np.empty((len(query_feats),) + empty.shape[1:], dtype=empty.dtype)
-    pairs = resorts = 0
-    for rows, idx, dist, batch_pairs, tied in _search_batches(train_feats, query_feats, k):
-        reduced[rows] = reduce(idx, dist)
-        pairs += batch_pairs
-        resorts += tied
-    if stats is not None:
-        stats["candidate_pairs"] = pairs
-        stats["tie_resorts"] = resorts
-    return reduced
-
-
-def _first_k(d2: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """The column positions of each row's k smallest values, ascending with
-    ties to the lower position: ``np.argsort(d2, axis=1, kind="stable")[:, :k]``
-    bit for bit, with the number of rows that took the stable sort when
-    the fast one could not settle them.
-
-    A row at most 2k wide takes the stable sort. A wider row takes numpy's
-    default argsort, which may be a SIMD kernel that orders equal values
-    arbitrarily, and is re-sorted stably only if two of its k + 1 smallest
-    values are equal. That is exact: when v_0 < v_1 < ... < v_k are the
-    first k + 1 values in sorted order, each v_j with j < k is held by one
-    position alone, since any other position holding it would sort before
-    j (values below v_j) or after it (values from v_{j+1} up). So every
-    sort, stable or not, puts that one position at j, and the first k
-    positions are the stable sort's, on any CPU and with any sort kernel.
-    Values must not be NaN (+inf is fine: equal infinities count as a tie).
-    """
-    # the leading columns are copied, so the whole argsort is freed at once
-    if d2.shape[1] <= 2 * k:
-        return np.argsort(d2, axis=1, kind="stable")[:, :k].copy(), 0
-    pick = np.argsort(d2, axis=1)[:, :k + 1].copy()
-    head = _gather(d2, np.arange(len(d2)), pick)
-    equal = head[:, 1:] == head[:, :-1]
-    if not equal.any():  # one flat test; the per-row one costs several times more
-        return pick[:, :k], 0
-    tied = np.flatnonzero(equal.any(axis=1))
-    pick[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k + 1]
-    return pick[:, :k], len(tied)
-
-
-def _search_batches(train_feats: np.ndarray, query_feats: np.ndarray, k: int):
-    """Yield, per batch of consecutive tiles, the query rows, their (rows,
-    k) neighbor indices and distances, the number of (query, candidate)
-    distances computed, padding not counted, and the rows _first_k sorted
-    again; see neighbor_search.
-
-    Queries are searched in tiles of SEARCH_TILE. The tiles' centre
-    distances are taken a block of SEARCH_BATCH_PAIRS // n tiles at a time,
-    and _batches cuts each block into runs of consecutive tiles whose padded
-    stacks, at the run's widest tile, hold at most SEARCH_BATCH_PAIRS pairs,
-    or one tile."""
     nq, dim = query_feats.shape
+    empty = reduce(np.empty((0, k), dtype=np.int64), np.empty((0, k)))
+    reduced = np.empty((nq,) + empty.shape[1:], dtype=empty.dtype)
+    pairs = resorts = 0
     if nq == 0:
-        return
-    n, tile = len(train_feats), SEARCH_TILE
+        if stats is not None:
+            stats["candidate_pairs"] = stats["tie_resorts"] = 0
+        return reduced
+    tile = SEARCH_TILE
     tiles = -(-nq // tile)
     # everything runs feature-major: numpy reduces a few contiguous rows far
     # faster than many rows of a few columns
@@ -294,9 +248,44 @@ def _search_batches(train_feats: np.ndarray, query_feats: np.ndarray, k: int):
             # row i of the batch belongs to its tile i // tile
             idx = _gather(cand, rows // tile, pick)
             del d2  # so the stack is freed before the next batch's is built
+            reduced[order[lo:hi]] = reduce(idx, dist)
             # every row scans its tile's real candidates; filled-up rows count none
-            pairs = tile * int(width.sum()) - (lo + count * tile - hi) * int(width[-1])
-            yield order[lo:hi], idx, dist, pairs, tied
+            pairs += tile * int(width.sum()) - (lo + count * tile - hi) * int(width[-1])
+            resorts += tied
+    if stats is not None:
+        stats["candidate_pairs"] = pairs
+        stats["tie_resorts"] = resorts
+    return reduced
+
+
+def _first_k(d2: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """The column positions of each row's k smallest values, ascending with
+    ties to the lower position: ``np.argsort(d2, axis=1, kind="stable")[:, :k]``
+    bit for bit, with the number of rows that took the stable sort when
+    the fast one could not settle them.
+
+    A row at most 2k wide takes the stable sort. A wider row takes numpy's
+    default argsort, which may be a SIMD kernel that orders equal values
+    arbitrarily, and is re-sorted stably only if two of its k + 1 smallest
+    values are equal. That is exact: when v_0 < v_1 < ... < v_k are the
+    first k + 1 values in sorted order, each v_j with j < k is held by one
+    position alone, since any other position holding it would sort before
+    j (values below v_j) or after it (values from v_{j+1} up). So every
+    sort, stable or not, puts that one position at j, and the first k
+    positions are the stable sort's, on any CPU and with any sort kernel.
+    Values must not be NaN (+inf is fine: equal infinities count as a tie).
+    """
+    # the leading columns are copied, so the whole argsort is freed at once
+    if d2.shape[1] <= 2 * k:
+        return np.argsort(d2, axis=1, kind="stable")[:, :k].copy(), 0
+    pick = np.argsort(d2, axis=1)[:, :k + 1].copy()
+    head = _gather(d2, np.arange(len(d2)), pick)
+    equal = head[:, 1:] == head[:, :-1]
+    if not equal.any():  # one flat test; the per-row one costs several times more
+        return pick[:, :k], 0
+    tied = np.flatnonzero(equal.any(axis=1))
+    pick[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k + 1]
+    return pick[:, :k], len(tied)
 
 
 def _batches(sizes: list, unit: int, budget: int):

@@ -309,6 +309,20 @@ def _peak_rss_mb() -> float | None:
     return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
+def _listed_outputs(manifest_path: Path) -> set:
+    """The plain file names in an earlier manifest's ``output_digests``.
+    That manifest is outside input: a missing, unreadable or malformed one
+    lists nothing, and a name with a path separator, or ``.`` or ``..``,
+    is skipped."""
+    try:
+        listed = json.loads(manifest_path.read_text())["derived"]["output_digests"]
+    except (OSError, ValueError, LookupError, TypeError, RecursionError):
+        return set()
+    if not isinstance(listed, dict):
+        return set()
+    return {name for name in listed if name not in ("", ".", "..") and Path(name).name == name}
+
+
 def run_pipeline(cfg: PipelineConfig) -> RunResult:
     """Execute the full workflow; see module docstring.
 
@@ -320,6 +334,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     directory and moved into place only once ``manifest.json`` is written.
     Any failure aborts with a stage-labeled EngineError and removes that
     temporary directory, so the outputs of an earlier run stay as they were.
+    A run that succeeds removes the files the previous ``manifest.json``
+    listed and it did not write.
     Each fact of the manifest's ``derived`` block is logged at INFO level
     as it is recorded, and the agreement line after the analysis. Each
     stage that completes logs its wall time at DEBUG level on the
@@ -497,10 +513,21 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         manifest = {"config": s, "derived": derived}
         manifest_path = staging / "manifest.json"
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        stale = _listed_outputs(out_dir / "manifest.json")
         # the manifest moves last, so a new manifest means every output is new
         for path in outputs + [manifest_path]:
             os.replace(path, out_dir / path.name)
+            stale.discard(path.name)
         staging.rmdir()
+        # an earlier run's outputs that this run did not write go, so the
+        # directory holds exactly what the new manifest lists
+        for name in sorted(stale):
+            path = out_dir / name
+            if path.is_file() and not path.is_symlink():
+                try:
+                    path.unlink()
+                except OSError as exc:
+                    logger.warning("cannot remove an earlier run's %s: %s", path, exc)
         enter(None)
     except Exception as exc:
         if staging is not None:

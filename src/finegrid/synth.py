@@ -43,15 +43,10 @@ class Scenario:
     def dump(self, out_dir) -> dict:
         """Write all scenario artifacts as ordinary input files.
 
-        Returns a manifest dict naming every file written.
+        Returns a manifest dict naming every file written. A directory or
+        file that cannot be written is a UsageError naming the directory.
         """
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_ascii_grid(self.observed, out / "observed.asc")
-        write_ascii_grid(self.truth, out / "truth.asc")
-        for name, layer in zip(self.covariate_names, self.covariate_layers):
-            write_ascii_grid(layer, out / f"{name}.asc")
-        write_region(self.region, out / "region.geojson")
         manifest = {
             "seed": self.seed,
             "observed": "observed.asc",
@@ -59,7 +54,16 @@ class Scenario:
             "covariates": [f"{name}.asc" for name in self.covariate_names],
             "region": "region.geojson",
         }
-        (out / "scenario.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            write_ascii_grid(self.observed, out / "observed.asc")
+            write_ascii_grid(self.truth, out / "truth.asc")
+            for name, layer in zip(self.covariate_names, self.covariate_layers):
+                write_ascii_grid(layer, out / f"{name}.asc")
+            write_region(self.region, out / "region.geojson")
+            (out / "scenario.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write scenario to {out}: {exc}") from exc
         return manifest
 
 

@@ -356,6 +356,18 @@ class TestHyppoPredict:
         np.testing.assert_allclose(pred, 0.3, atol=1e-12)
         np.testing.assert_array_equal(deg, 0)
 
+    def test_no_query(self, rng):
+        train = points(rng.uniform(0, 1, 40), rng.uniform(0, 1, 40), rng.uniform(0, 1, 40))
+        cfg = HyppoConfig(k=12, max_degree=3)
+        stats = {}
+        pred, deg = hyppo_predict_with_degrees(train, points([], [], []), cfg,
+                                               FeatureSpace.fit("coords", train), stats=stats)
+        assert pred.shape == (0,) and pred.dtype == np.float64
+        assert deg.shape == (0,) and deg.dtype == np.int64
+        zeros = {d: 0 for d in range(4)}
+        assert stats == {"candidate_pairs": 0, "tie_resorts": 0, "neighbor_sets": 0,
+                         "loo_fold_fits": zeros, "query_refits": zeros}
+
     def test_linear_field_exact(self, rng):
         lon = rng.uniform(0, 2, 40)
         lat = rng.uniform(0, 2, 40)

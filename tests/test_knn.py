@@ -278,6 +278,15 @@ class TestNeighborSearch:
             assert kept.shape == (len(q), 2) and kept.dtype == np.float32
             np.testing.assert_array_equal(kept, every_other(*search_tables(train_f, q, 4)))
 
+    def test_zero_queries_record_no_pairs(self, rng):
+        # the stats are written, and the result takes the reducer's trailing
+        # shape and dtype, before any tile is built
+        stats = {}
+        kept = neighbor_search(rng.normal(0, 1, (30, 3)), np.empty((0, 3)), 4,
+                               reduce=lambda idx, _: idx[:, :3].astype(np.int16), stats=stats)
+        assert kept.shape == (0, 3) and kept.dtype == np.int16
+        assert stats == {"candidate_pairs": 0, "tie_resorts": 0}
+
     def test_feature_order_is_numpy_row_sum_below_8_features(self, rng):
         # the claim the search's exactness rests on, checked on the numpy at hand
         for dim in range(1, 8):
@@ -456,6 +465,17 @@ class TestKnnPredict:
         pred = knn_predict(train, points([0.1], [0.01], [np.nan]),
                            KnnConfig(k=3), space)
         assert pred[0] == pytest.approx(0.2, abs=1e-15)
+
+    def test_no_query(self, rng):
+        train = random_table(rng, 30, 2)
+        for mode in ("coords", "covariates"):
+            for weighting in WEIGHTINGS:
+                stats = {}
+                pred = knn_predict(train, random_table(rng, 0, 2),
+                                   KnnConfig(k=5, weighting=weighting),
+                                   FeatureSpace.fit(mode, train), stats=stats)
+                assert pred.shape == (0,) and pred.dtype == np.float64
+                assert stats == {"candidate_pairs": 0, "tie_resorts": 0}
 
     def test_k1_recovers_training_targets(self, rng):
         train = random_table(rng, 30, 0)

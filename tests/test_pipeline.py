@@ -1104,6 +1104,62 @@ class TestFailureCleanup:
         assert output_digest(out) == first
 
 
+class TestRerunOutputs:
+    def rf_then_knn(self, tmp_path, between=None):
+        # make_scenario(1, (32, 32), coarse_factor=4, n_covariates=2)
+        scenario, data_dir = dump_scenario(tmp_path, seed=1, gap_fraction=0.0)
+        layers = [str(data_dir / f"{name}.asc") for name in scenario.covariate_names]
+        out = tmp_path / "out"
+        run_pipeline(validate_config(base_config(
+            data_dir, out, method="rf", ntree=5, mtry=1, pca=True, render=True,
+            covariate_layers=layers)))
+        if between is not None:
+            between(out)
+        result = run_pipeline(validate_config(base_config(data_dir, out, k=3)))
+        return out, result
+
+    def test_rerun_leaves_only_its_own_outputs(self, tmp_path):
+        out, result = self.rf_then_knn(tmp_path)
+        listed = set(result.manifest["derived"]["output_digests"])
+        assert {"forest.txt", "pca_model.csv", "prediction.ppm"}.isdisjoint(listed)
+        assert {path.name for path in out.iterdir()} == listed | {"manifest.json"}
+
+    def test_listed_names_outside_the_directory_stay(self, tmp_path):
+        outside = tmp_path / "outside.txt"
+
+        def list_outside(out):
+            outside.write_text("keep\n")
+            (out / "sub").mkdir()
+            (out / "sub" / "inner.txt").write_text("keep\n")
+            (out / "link").symlink_to(outside)
+            manifest = json.loads((out / "manifest.json").read_text())
+            manifest["derived"]["output_digests"].update(
+                {name: "0" for name in ("../outside.txt", "sub", "sub/inner.txt", "link",
+                                        "..", ".", "")})
+            (out / "manifest.json").write_text(json.dumps(manifest))
+
+        out, result = self.rf_then_knn(tmp_path, list_outside)
+        assert outside.read_text() == "keep\n"
+        assert (out / "sub" / "inner.txt").read_text() == "keep\n"
+        assert ({path.name for path in out.iterdir()}
+                == set(result.manifest["derived"]["output_digests"])
+                | {"manifest.json", "sub", "link"})
+
+    @pytest.mark.parametrize("previous", [
+        None, "", "{not json", "[]", '{"derived": []}', '{"derived": {"output_digests": "ab"}}',
+        '{"derived": {"output_digests": ["forest.txt"]}}'])
+    def test_unusable_previous_manifest_removes_nothing(self, tmp_path, previous):
+        def replace_manifest(out):
+            (out / "manifest.json").unlink()
+            if previous is not None:
+                (out / "manifest.json").write_text(previous)
+            for name in ("a", "b"):
+                (out / name).write_text("keep\n")
+
+        out, _ = self.rf_then_knn(tmp_path, replace_manifest)
+        assert {"forest.txt", "pca_model.csv", "a", "b"} <= {path.name for path in out.iterdir()}
+
+
 class TestHyppoPipeline:
     def test_degree_counts_in_manifest(self, tmp_path, monkeypatch, caplog):
         _, data_dir = dump_scenario(tmp_path)

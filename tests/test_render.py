@@ -225,6 +225,14 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    def test_synth_unwritable_out_reports_error(self, tmp_path, capsys):
+        # a directory cannot be made under a plain file
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        assert main(["synth", "--seed", "1", "--out", str(out),
+                     "--fine-shape", "16x16", "--coarse-factor", "4"]) == 1
+        assert f"error: cannot write scenario to {out}:" in capsys.readouterr().err
+
     def test_render_matches_library_call(self, tmp_path):
         scenario = make_scenario(seed=4, fine_shape=(32, 32), coarse_factor=4)
         grid_path = tmp_path / "obs.asc"
