@@ -213,12 +213,10 @@ def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int, re
     train_cols = np.empty((dim, n + 1))
     train_cols[:, :n] = train_feats.T
     train_cols[:, n] = np.inf
-    # every tile's bounding-box centre and radius, one feature at a time
-    starts = np.arange(0, tiles * tile, tile)
-    centres = (np.minimum.reduceat(query_cols, starts, axis=1)
-               + np.maximum.reduceat(query_cols, starts, axis=1)) / 2
-    radii = np.sqrt(np.maximum.reduceat(
-        _squared_distances(query_cols, (np.repeat(c, tile) for c in centres)), starts))
+    # every tile's bounding-box centre and radius, along a (dim, tiles, tile) view
+    tiled = query_cols.reshape(dim, tiles, tile)
+    centres = (tiled.min(axis=2) + tiled.max(axis=2)) / 2
+    radii = np.sqrt(_squared_distances(tiled, centres[:, :, None]).max(axis=1))
     block = max(1, SEARCH_BATCH_PAIRS // n)
     for first in range(0, tiles, block):
         span = slice(first, first + block)
@@ -237,9 +235,8 @@ def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int, re
             cand[np.arange(widest) < width[:, None]] = np.nonzero(keep[part])[1]
             lo = (first + part.start) * tile
             hi = min(lo + count * tile, nq)
-            d2 = _squared_distances(
-                query_cols[:, lo:lo + count * tile].reshape(dim, count, tile, 1),
-                train_cols[:, cand][:, :, None, :])
+            d2 = _squared_distances(tiled[:, first + part.start:first + part.stop, :, None],
+                                    train_cols[:, cand][:, :, None, :])
             # the filled-up rows of the last tile are searched but not kept
             d2 = d2.reshape(count * tile, widest)[:hi - lo]
             pick, tied = _first_k(d2, k)

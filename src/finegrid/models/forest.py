@@ -56,11 +56,12 @@ trees, for the out-of-bag error, over each record's out-of-bag trees, and
 for tuning's held-out scores, over the trees of each record's own fold. It
 takes rows in chunks of at most ROUTE_PAIRS pairs, and at least one row of
 ntree pairs, so memory does not grow with the query count. Each chunk is
-one (trees × rows) block. bincount adds each row's leaves in tree order from
-0.0, and a tree the row does not sum adds 0.0, which leaves a sum from +0.0
-unchanged: the same float additions as a per-tree loop. The chunks run on
-``workers`` threads, each writing only its own rows; chunk bounds do not
-depend on ``workers``, so neither do the sums.
+one (trees × rows) block. A running sum down the tree axis adds each row's
+leaves in tree order for every block shape; a tree the row does not sum
+adds +0.0, which changes no partial sum, and a final + 0.0 turns an all
+-0.0 sum into the +0.0 of a per-tree loop from 0.0. The chunks run on up to
+``workers`` threads, one per chunk, each writing only its own rows; chunk
+bounds do not depend on ``workers``, so neither do the sums.
 """
 
 from __future__ import annotations
@@ -278,16 +279,18 @@ def _leaf_sums(stacked: tuple, x: np.ndarray, member: np.ndarray, workers: int) 
             leaf = np.frexp(low)[1] + (leaf_base[:, None] + (64 * w - 1))
             at = leaf if at is None else np.where(low != 0, leaf, at)
         values = np.where(member[:, lo : lo + step], leaf_value.take(at), 0.0)
-        # tree-major, so bincount adds each row's leaves in tree order
-        rows = np.broadcast_to(np.arange(len(chunk)), values.shape).ravel()
-        sums[lo : lo + step] = np.bincount(rows, weights=values.ravel(), minlength=len(chunk))
+        # a running sum adds in tree order for any chunk shape (a sum down the
+        # axis goes pairwise on one row); + 0.0 makes an all -0.0 sum +0.0
+        sums[lo : lo + step] = np.add.accumulate(values, axis=0, out=values)[-1] + 0.0
 
-    # one thread needs no pool, whose start cost about 2 ms a call on rf-tune's inputs
-    if workers == 1:
-        list(map(route_chunk, range(0, nq, step)))
+    starts = range(0, nq, step)
+    # one chunk or thread needs no pool, whose start costs about 2 ms
+    threads = min(workers, len(starts))
+    if threads <= 1:
+        list(map(route_chunk, starts))
     else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(route_chunk, range(0, nq, step)))
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(route_chunk, starts))
     return sums
 
 

@@ -7,7 +7,8 @@ prediction cells to the reporting region, optionally reduces covariates by
 PCA, predicts the kept cells with one of the three models, clamps to the
 declared target range, and harmonizes the fine predictions back to the
 coarse grid for residual analysis. Every parameter and derived choice lands
-in a manifest so a run can be reproduced bit for bit.
+in a manifest, with the finegrid, numpy and Python versions that produced
+them, so a run can be reproduced bit for bit.
 """
 
 from __future__ import annotations
@@ -510,7 +511,10 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         derived["output_digests"] = {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs
         }
-        manifest = {"config": s, "derived": derived}
+        from . import __version__  # the package sets it after importing this module
+        environment = {"finegrid": __version__, "numpy": np.__version__,
+                       "python": sys.version.split()[0]}
+        manifest = {"config": s, "derived": derived, "environment": environment}
         manifest_path = staging / "manifest.json"
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         stale = _listed_outputs(out_dir / "manifest.json")

@@ -672,6 +672,37 @@ class TestDeterminism:
         rf_predict(rf_fit(train, RfConfig(ntree=4, mtry=2)), train, workers=2)
         assert pools == [(2,)]
 
+    def test_pool_only_for_more_than_one_chunk(self, rng, monkeypatch):
+        built = []
+
+        class SerialPool:
+            """Records its thread count and maps on the calling thread."""
+
+            def __init__(self, threads):
+                built.append(threads)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        train, queries = random_train(rng), random_train(rng, 30)
+        forest = rf_fit(train, RfConfig(ntree=4, mtry=2, seed=7))
+        alone = rf_predict(forest, queries)
+        monkeypatch.setattr(forest_module, "ThreadPoolExecutor", SerialPool)
+        # 30 rows of 4 trees are one chunk at the default budget
+        assert same_bits(rf_predict(forest, queries, workers=4), alone)
+        assert built == []
+        # 40 pairs cut them into 3 chunks of at most 10 rows
+        monkeypatch.setattr(forest_module, "ROUTE_PAIRS", 40)
+        for workers in (4, 2):
+            assert same_bits(rf_predict(forest, queries, workers=workers), alone)
+        assert built == [3, 2]
+
     def test_different_seeds_differ(self, rng):
         train = random_train(rng)
         a = rf_fit(train, RfConfig(ntree=5, mtry=2, seed=0))

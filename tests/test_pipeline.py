@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import logging
+import platform
 import re
 import shutil
 import sys
@@ -28,6 +29,7 @@ from finegrid import (
     write_ascii_grid,
     write_region,
 )
+import finegrid
 import finegrid.models.forest as forest_module
 import finegrid.models.hyppo as hyppo_module
 from finegrid.grid import grid_centroids
@@ -395,15 +397,26 @@ class TestRunKnn:
             "scatter.csv": "d68e8d0dd0dfe964e51ec7273f273c68ee6b875f18d8cabe2d0ac0ad542f1867",
         }
 
-    def test_manifest_records_config_and_derived(self, tmp_path):
+    def test_manifest_records_config_and_derived(self, tmp_path, caplog):
         _, data_dir = dump_scenario(tmp_path)
         out = tmp_path / "out"
-        run_pipeline(validate_config(base_config(data_dir, out)))
+        with caplog.at_level("INFO", logger="finegrid"):
+            result = run_pipeline(validate_config(base_config(data_dir, out)))
         manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest == result.manifest
         assert manifest["config"]["method"] == "knn"
         assert manifest["config"]["k"] == 3
         assert manifest["derived"]["train_count_initial"] > 0
         assert manifest["derived"]["predict_count_initial"] == 64 * 4
+        # the versions that produced the run, beside config and derived; not
+        # a derived fact, so not logged
+        assert set(manifest) == {"config", "derived", "environment"}
+        assert manifest["environment"] == {
+            "finegrid": finegrid.__version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        }
+        assert facts_in_order(caplog, result)
 
     def test_manifest_output_digests_match_files(self, tmp_path):
         _, data_dir = dump_scenario(tmp_path)
