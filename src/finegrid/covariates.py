@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, UsageError
-from .grid import PointTable
+from .grid import PointTable, read_text
 from .models.features import FeatureSpace
 
 # entries within this relative distance of a vector's largest magnitude count
@@ -114,7 +114,7 @@ def read_pca_sidecar(path) -> PcaModel:
     path = Path(path)
     rows = {}
     components = []
-    for i, line in enumerate(path.read_text().splitlines(), start=1):
+    for i, line in enumerate(read_text(path, "pca sidecar").splitlines(), start=1):
         if not line.strip():
             continue
         label, _, rest = line.partition(",")

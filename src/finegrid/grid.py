@@ -195,6 +195,15 @@ class PointTable:
         return self.target
 
 
+def read_text(path: Path, what: str) -> str:
+    """The text of path, decoded as UTF-8. A file that cannot be read or
+    decoded raises :class:`ParseError` naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {what}: {exc}", path=path) from exc
+
+
 def read_ascii_grid(path) -> Grid:
     """Read an ESRI ASCII grid file.
 
@@ -210,10 +219,7 @@ def read_ascii_grid(path) -> Grid:
     violation.
     """
     path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read grid file: {exc}", path=path) from exc
+    lines = read_text(path, "grid file").splitlines()
 
     header = {}
     for i, key in enumerate(_HEADER_KEYS):

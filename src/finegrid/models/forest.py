@@ -13,15 +13,20 @@ All trees of a fit grow breadth first together, one numpy step per level:
 a ``reduceat`` leaf test (fewer than 2·min_leaf records, or a single target
 value), one argsort of the keyed draws, the batched split search
 (:func:`_split_search`) in slices of at most SPLIT_STACK_BYTES, and one
-stable partition of the split nodes' records into their children. Node ids
-are breadth first within each tree. The forest equals growing each tree
-alone, one node at a time from a FIFO queue, bit for bit:
+stable partition of the split nodes' records into their children. The
+partition sorts child keys below 2·(level's nodes) in the smallest unsigned
+type that holds them, which numpy's stable argsort radix-sorts while it has
+at most 16 bits. Node ids are breadth first within each tree. The forest
+equals growing each tree alone, one node at a time from a FIFO queue, bit
+for bit:
 
 - the stable partition keeps each child's records in their parent's order,
   as masking the parent's records does;
 - a stable argsort's permutation is unique, so sorting a node's padded row
   orders its records exactly as sorting them alone does, and the cumulative
-  sums, midpoints and scores over that prefix are the same float operations;
+  sums, midpoints and scores over that prefix are the same float operations
+  (``np.cumsum`` adds in order along any axis, so the stack's layout does not
+  matter);
 - the search sorts integer rank codes (:func:`_rank_codes`), coded once per
   fit, not the values: a column's dense ranks keep its values' order and
   ties, so the stable argsort's permutation is the same, and the sorted
@@ -29,6 +34,10 @@ alone, one node at a time from a FIFO queue, bit for bit:
 - padding is one extra record, sorting last (+inf features, the largest
   code) and adding nothing (0.0 target); every padded position fails the
   size or midpoint test, so it never wins;
+- the search scores only the positions where both children can hold
+  min_leaf records, min_leaf - 1 to width - min_leaf - 1 of a node padded to
+  width; every other position fails the size test, so no winner changes,
+  and the positions kept are scored by the same float operations;
 - leaf values are settled after growth, one ``np.mean(axis=1)`` per distinct
   leaf size over a (leaves, size) block, which sums each row in the same
   pairwise order as ``np.mean`` over that leaf alone. Rows are never padded:
@@ -48,8 +57,9 @@ left subtree of a node where the row's path turns right, and no node whose
 left subtree holds it sends the row right. On one feature, a tree's nodes
 below x are the first of its nodes in threshold order, so a count table
 indexed by x's rank among the forest's thresholds and one prefix-AND per
-count give their mask. Comparisons are exact, so every pair reaches the
-leaf that the walk does.
+count give their mask. The lowest set bit, v & -v, is a power of two, so
+its position is read from the exponent bits of its exact float64.
+Comparisons are exact, so every pair reaches the leaf that the walk does.
 
 One pass (:func:`_leaf_sums`) routes and sums for ``rf_predict``, over all
 trees, for the out-of-bag error, over each record's out-of-bag trees, and
@@ -74,7 +84,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ParseError, UsageError
-from ..grid import PointTable
+from ..grid import PointTable, read_text
 from .features import _batches, _finite
 
 _SEED_MASK = (1 << 64) - 1
@@ -90,10 +100,11 @@ ROUTE_PAIRS = 1 << 15
 
 # bytes the padded (nodes, mtry, largest node) float stack of one batched
 # split search may take; the search holds at most four arrays of that shape,
-# and a few of (nodes, largest node), at once. Small batches stay near cache
-# size: on a 2-CPU host 64 KiB ran the rf-tune benchmark 3-5 % faster than
-# 128 KiB, and tuning 720 records (p 4, 10 folds, 100 trees) peaked at 48 MB
-# RSS, against 52 MB at 1 MiB.
+# the scores and midpoints narrower by the 2·min_leaf - 1 positions that
+# cannot win, and a few of (nodes, largest node), at once. Small batches
+# stay near cache size: on a 2-CPU host 64 KiB ran the rf-tune benchmark
+# 3-5 % faster than 128 KiB, and tuning 720 records (p 4, 10 folds, 100
+# trees) peaked at 48 MB RSS, against 52 MB at 1 MiB.
 SPLIT_STACK_BYTES = 1 << 16
 
 @dataclass(frozen=True)
@@ -271,12 +282,16 @@ def _leaf_sums(stacked: tuple, x: np.ndarray, member: np.ndarray, workers: int) 
         for f, cut, counts in cuts:
             entries = counts.take(np.searchsorted(cut, chunk[:, f]), axis=1) + base[:, f, None]
             kept &= prefix.take(entries, axis=1)
-        # the exit leaf is the lowest set bit, v & -v, of the first nonzero word
+        # the exit leaf is the lowest set bit, v & -v, of the first nonzero word;
+        # v & -v is a power of two, exact as a float64, whose biased exponent
+        # (its bits >> 52) is the bit's position + 1023
         at = None
         for w in reversed(range(len(kept))):
             low = np.negative(kept[w])
             low &= kept[w]
-            leaf = np.frexp(low)[1] + (leaf_base[:, None] + (64 * w - 1))
+            leaf = low.astype(np.float64).view(np.int64)
+            leaf >>= 52
+            leaf += leaf_base[:, None] + (64 * w - 1023)
             at = leaf if at is None else np.where(low != 0, leaf, at)
         values = np.where(member[:, lo : lo + step], leaf_value.take(at), 0.0)
         # a running sum adds in tree order for any chunk shape (a sum down the
@@ -312,77 +327,85 @@ def _rank_codes(x: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _split_search(x: np.ndarray, codes: np.ndarray, z: np.ndarray, rows, sizes,
+def _split_search(x: np.ndarray, codes: np.ndarray, z_rep: np.ndarray, rows, sizes,
                   feats: np.ndarray, min_leaf: int):
     """Lowest-SSE (feature, threshold) of each node over its sampled features.
 
-    Node k holds ``sizes[k]`` records of x and z, listed node after node in
-    ``rows``, and samples the features ``feats[k]``; the last record of x,
-    z and their :func:`_rank_codes` pads the nodes to the largest. Thresholds
-    are midpoints between consecutive sorted values, kept only when they fall
+    Node k holds ``sizes[k]`` records of x and of the targets z, listed node
+    after node in ``rows``, and samples the features ``feats[k]``; ``z_rep``
+    is ``np.repeat(z, p)``, so that one flat index reads x and z. The last
+    record of x, z and their :func:`_rank_codes` pads the nodes to the
+    largest. Each node holds at least 2·min_leaf records, as
+    :func:`_leaf_flags` makes every smaller node a leaf, so some position
+    always leaves min_leaf records on both sides. Thresholds are
+    midpoints between consecutive sorted values, kept only when they fall
     strictly between the two values and both children reach min_leaf. Ties
     keep the earliest sampled feature, then the lowest threshold. All nodes
-    are searched in one padded (nodes, mtry, largest node) stack, sorted by
-    rank code. Returns the (feature, threshold) arrays; feature is -1 where
-    no threshold is kept.
+    are searched in one padded stack of (node, feature) rows of the largest
+    node's width, sorted by rank code. Returns the (feature, threshold)
+    arrays; feature is -1 where no threshold is kept.
     """
     nodes, mtry = feats.shape
+    p = x.shape[1]
     width = int(sizes.max())
-    slot = np.arange(width)
-    starts = np.cumsum(sizes) - sizes
     # each node's records, then the pad record, as (nodes, width)
-    recs = np.append(rows, len(x) - 1)[
-        np.where(slot < sizes[:, None], starts[:, None] + slot, len(rows))
-    ]
-    # one flat take, as in features._gather: 2-D fancy indexing costs more
-    order = np.argsort(codes.take(recs[:, None, :] * x.shape[1] + feats[:, :, None]),
-                       axis=-1, kind="stable")
-    order += (np.arange(nodes) * width)[:, None, None]
-    recs = recs.take(order)
+    recs = np.full((nodes, width), len(x) - 1)
+    recs[np.arange(width) < sizes[:, None]] = rows
+    # each (node, feature)'s records as flat indices into x, codes and z_rep,
+    # for one flat take each, as in features._gather: 2-D fancy indexing costs
+    # more
+    at = recs[:, None, :] * p + feats[:, :, None]
+    order = np.argsort(codes.take(at), axis=-1, kind="stable")
+    order += (np.arange(nodes * mtry) * width).reshape(nodes, mtry, 1)
+    # sorted, and laid out (width, mtry, nodes): the running sums and every
+    # later step then work on whole (mtry, nodes) planes, and per-node values
+    # broadcast along contiguous rows
+    at = at.take(order).transpose(2, 1, 0)
     del order
-    xs = x.take(recs * x.shape[1] + feats[:, :, None])
-    zs = z.take(recs)
-    del recs
-    c1 = np.cumsum(zs, axis=-1)
+    xs = x.take(at)
+    zs = z_rep.take(at)
+    del at
+    c1 = np.cumsum(zs, axis=0)
     zs **= 2
-    c2 = np.cumsum(zs, axis=-1)
+    c2 = np.cumsum(zs, axis=0)
     del zs
-    sizes_left = np.arange(1, width)
-    sizes_right = sizes[:, None, None] - sizes_left
+    # only positions min_leaf - 1 .. width - min_leaf - 1, a split into
+    # sizes_left records and the rest, can leave min_leaf records a side
+    lo, hi = min_leaf - 1, width - min_leaf
+    sizes_left = np.arange(min_leaf, hi + 1, dtype=np.float64)[:, None, None]
+    sizes_right = sizes - sizes_left
     # sse_left = c2 - c1² / sizes_left, over each prefix
-    score = c1[..., :-1] ** 2
+    score = c1[lo:hi] ** 2
     score /= sizes_left
-    np.subtract(c2[..., :-1], score, out=score)
+    np.subtract(c2[lo:hi], score, out=score)
     # sse_right = (c2 total - c2) - (c1 total - c1)² / sizes_right, each in place
-    # in c1 and c2; padded positions have no right child, and any divisor
-    # serves, as they fail `valid`
-    right = c1[..., :-1]
-    np.subtract(c1[..., -1:], right, out=right)
+    # in c1 and c2; positions past a smaller node's end have no right child,
+    # and any divisor serves, as they are invalid
+    right = c1[lo:hi]
+    np.subtract(c1[-1], right, out=right)
     right **= 2
-    right /= np.maximum(sizes_right, 1)
-    sse_right = c2[..., :-1]
-    np.subtract(c2[..., -1:], sse_right, out=sse_right)
+    right /= np.maximum(sizes_right, 1.0)
+    sse_right = c2[lo:hi]
+    np.subtract(c2[-1], sse_right, out=sse_right)
     np.subtract(sse_right, right, out=sse_right)
     del c1, right
     score += sse_right
     del c2, sse_right
-    mid = xs[..., :-1] + xs[..., 1:]
+    mid = xs[lo:hi] + xs[lo + 1 : hi + 1]
     mid /= 2.0
-    valid = (
-        (sizes_left >= min_leaf)
-        & (sizes_right >= min_leaf)
-        & (xs[..., :-1] < mid)
-        & (mid < xs[..., 1:])
-    )
+    # a child below min_leaf records, or a midpoint not strictly between the
+    # two values (no value is NaN, so >= negates <)
+    invalid = (sizes_right < min_leaf) | (xs[lo:hi] >= mid) | (mid >= xs[lo + 1 : hi + 1])
     # a NaN score needs the node's sum of squared targets to overflow, and then
     # no score is below inf: the node is a leaf, as with a per-feature argmin
-    score[~valid] = math.inf
-    score = score.reshape(nodes, -1)
+    np.putmask(score, invalid, math.inf)
+    # each node's scores feature after feature, for the first least one
+    score = score.transpose(2, 1, 0).reshape(nodes, -1)
     best = np.argmin(score, axis=1)
     k = np.arange(nodes)
     found = score[k, best] < math.inf
-    f, i = np.divmod(best, width - 1)
-    return np.where(found, feats[k, f], -1), np.where(found, mid[k, f, i], 0.0)
+    f, i = np.divmod(best, hi - lo)
+    return np.where(found, feats[k, f], -1), np.where(found, mid[i, f, k], 0.0)
 
 
 def _leaf_flags(z: np.ndarray, rows: np.ndarray, sizes: np.ndarray, min_leaf: int) -> np.ndarray:
@@ -428,6 +451,7 @@ def _grow_trees(x: np.ndarray, z: np.ndarray, boots, keys: np.ndarray, mtry: int
     # target adds nothing
     x = np.vstack([x, np.full(p, np.inf)])
     z = np.append(z, 0.0)
+    z_rep = np.repeat(z, p)
     codes = _rank_codes(x)
     # the level's nodes, tree after tree and in id order within a tree: each
     # node's tree, key and record count, and its records, node after node
@@ -449,7 +473,7 @@ def _grow_trees(x: np.ndarray, z: np.ndarray, boots, keys: np.ndarray, mtry: int
             bounds = np.concatenate([[0], np.cumsum(search_sizes)])
             splits = [
                 _split_search(
-                    x, codes, z, search_rows[bounds[part.start] : bounds[part.stop]],
+                    x, codes, z_rep, search_rows[bounds[part.start] : bounds[part.stop]],
                     search_sizes[part], feats[part], min_leaf,
                 )
                 for part in _batches(search_sizes.tolist(), 8 * mtry, SPLIT_STACK_BYTES)
@@ -459,10 +483,13 @@ def _grow_trees(x: np.ndarray, z: np.ndarray, boots, keys: np.ndarray, mtry: int
         split = feature >= 0
         leaves.append((grown + np.flatnonzero(~split), z[rows[~split[node]]], sizes[~split]))
         # one stable partition sends each split node's records to its left
-        # child, then its right, keeping their order
+        # child, then its right, keeping their order; keys below 2·len(tree)
+        # fit a type of at most 16 bits for a level of up to 32 767 nodes,
+        # which numpy's stable argsort radix-sorts
         on = split[node]
         rows, node = rows[on], node[on]
-        child = 2 * (np.cumsum(split) - 1)[node] + ~(x[rows, feature[node]] <= threshold[node])
+        left_child = (2 * (np.cumsum(split) - 1)).astype(np.min_scalar_type(2 * len(tree)))
+        child = left_child[node] + ~(x.take(rows * p + feature[node]) <= threshold[node])
         rows = rows[np.argsort(child, kind="stable")]
         sizes = np.bincount(child, minlength=2 * np.count_nonzero(split))
         children = np.repeat(tree[split], 2)
@@ -671,7 +698,7 @@ def read_forest(path) -> Forest:
     forest written does. A malformed file, a non-finite split threshold or
     leaf value included, raises :class:`ParseError` naming the line."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = read_text(path, "forest file").splitlines()
     if not lines or not lines[0].startswith("forest "):
         raise ParseError("missing forest header", path=path, line=1)
     header = {}

@@ -212,8 +212,8 @@ def load_config(path) -> PipelineConfig:
     to the file's directory."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc

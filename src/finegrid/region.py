@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, UsageError
-from .grid import PointTable
+from .grid import PointTable, read_text
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -184,9 +184,7 @@ def read_region(path) -> Region:
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read region file: {exc}", path=path) from exc
+        doc = json.loads(read_text(path, "region file"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}", path=path) from exc
 

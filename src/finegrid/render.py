@@ -93,7 +93,10 @@ def read_ppm(path):
     :class:`ParseError` naming the file.
     """
     path = Path(path)
-    parts = path.read_bytes().split(b"\n", 3)
+    try:
+        parts = path.read_bytes().split(b"\n", 3)
+    except OSError as exc:
+        raise ParseError(f"cannot read pixmap: {exc}", path=path) from exc
     if len(parts) < 4 or parts[0] != b"P6":
         raise ParseError("not a binary PPM (P6) with a three-line header", path=path)
     size = parts[1].split()

@@ -224,6 +224,8 @@ def oracle_case(name):
         covs = np.round(covs)
     elif name == "distinct_300":  # more than 256 distinct values: uint16 rank codes
         covs = np.vstack([covs, rng.normal(0, 1, (150, p))])
+    elif name == "windows":  # see test_windows_case_reaches_its_edges
+        covs, min_leaf = np.vstack([covs, rng.normal(0, 1, (150, p))]), 2
     z = covs[:, 0] * 0.5 + np.sin(covs[:, -1]) + rng.normal(0, 0.05, len(covs))
     if name == "constant":
         z = np.full(len(covs), 0.7)
@@ -232,7 +234,7 @@ def oracle_case(name):
 
 ORACLE_CASES = [
     "rounded", "min_leaf_1", "mtry_1", "mtry_p", "constant", "tiny", "duplicated", "p_1",
-    "signed_zeros", "distinct_300",
+    "signed_zeros", "distinct_300", "windows",
 ]
 
 
@@ -278,6 +280,35 @@ class TestLockstepOracle:
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
         assert forest_module._rank_codes(covs).dtype == np.uint8
         assert forest_module._rank_codes(oracle_case("distinct_300")[0].covariates).dtype == np.uint16
+
+    def test_windows_case_reaches_its_edges(self, monkeypatch):
+        # split batches mix nodes of exactly 2·min_leaf records, whose window
+        # of split positions is one wide, with wider nodes; and the levels'
+        # partitions sort uint8 keys, and uint16 ones for a level of over 127
+        # nodes
+        train, mtry, min_leaf = oracle_case("windows")
+        sizes, key_types, search = [], set(), forest_module._split_search
+
+        def split_search(*args):
+            sizes.append(args[4])
+            return search(*args)
+
+        class ArgsortSpy:
+            """numpy, recording the type of every 1-D stable argsort."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def argsort(self, a, *args, **kwargs):
+                if np.ndim(a) == 1 and kwargs.get("kind") == "stable":
+                    key_types.add(np.asarray(a).dtype)
+                return np.argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(forest_module, "_split_search", split_search)
+        monkeypatch.setattr(forest_module, "np", ArgsortSpy())
+        rf_fit(train, RfConfig(ntree=12, mtry=mtry, min_leaf=min_leaf, seed=31))
+        assert any((s == 2 * min_leaf).any() and (s > 2 * min_leaf).any() for s in sizes)
+        assert {np.dtype(np.uint8), np.dtype(np.uint16)} <= key_types
 
     @pytest.mark.parametrize("dtype", [np.uint16, np.int64])
     def test_every_code_dtype_grows_the_same_forest(self, dtype, monkeypatch):

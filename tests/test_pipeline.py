@@ -15,6 +15,7 @@ import pytest
 
 from finegrid import (
     EngineError,
+    ParseError,
     UsageError,
     contains,
     default_mtry_grid,
@@ -22,6 +23,9 @@ from finegrid import (
     make_scenario,
     read_ascii_grid,
     read_forest,
+    read_pca_sidecar,
+    read_ppm,
+    read_region,
     rf_predict,
     run_pipeline,
     sample_covariates,
@@ -783,6 +787,28 @@ class TestRf:
         assert digests["prediction.asc"] == (
             "eb38a9fb005230bb9140a5154998c17a618e009f7e41f57108d2c4fa1a7de2b2")
 
+    def test_deep_forest_pinned_digests(self, tmp_path):
+        # CI's deep config: the quick start with one-record leaves, mtry 2, 30
+        # trees and no PCA. Its trees exceed 64 leaves, so routing ANDs leaf
+        # masks of more than one word
+        make_scenario(7, (128, 128), coarse_factor=8, n_covariates=4, noise_stdev=0.01,
+                      gap_fraction=0.2).dump(tmp_path / "data")
+        out = tmp_path / "deep"
+        run_pipeline(validate_config({
+            "observed_grid": str(tmp_path / "data" / "observed.asc"),
+            "covariate_layers": [str(tmp_path / "data" / f"cov{i:02d}.asc") for i in range(1, 5)],
+            "region_file": str(tmp_path / "data" / "region.geojson"), "buffer_km": 50.0,
+            "output_dir": str(out), "method": "rf", "ntree": 30, "mtry": 2, "min_leaf": 1,
+            "seed": 7, "fine_factor": 8, "pca": False,
+        }))
+        trees = (out / "forest.txt").read_text().split("\ntree ")[1:]
+        assert max(tree.count(" leaf ") for tree in trees) > 64
+        digests = output_digest(out)
+        assert digests["forest.txt"] == (
+            "d8088d7ac8dfc35564af3f5d292cd477ad102ce78ef67d6c177db986b75d9f92")
+        assert digests["prediction.asc"] == (
+            "2495fb42322946a6e860334a6ff98c852170b79d39c925d0d53c26a427ac03f9")
+
 
 class TestDailyGrids:
     def test_list_of_files_averaged(self, tmp_path, caplog):
@@ -1218,6 +1244,28 @@ class TestHyppoPipeline:
         a = read_ascii_grid(knn_out / "prediction.asc")
         b = read_ascii_grid(hyppo_out / "prediction.asc")
         np.testing.assert_array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("reader, error, fault", [
+    pytest.param(reader, error, fault, id=f"{reader.__name__}-{fault}")
+    for reader, error, faults in [
+        (read_ascii_grid, ParseError, ("missing", "undecodable")),
+        (read_region, ParseError, ("missing", "undecodable")),
+        (read_forest, ParseError, ("missing", "undecodable")),
+        (read_pca_sidecar, ParseError, ("missing", "undecodable")),
+        (load_config, UsageError, ("missing", "undecodable")),
+        (read_ppm, ParseError, ("missing",)),  # binary: any byte may follow the header
+    ]
+    for fault in faults
+])
+def test_unreadable_input_names_the_file(reader, error, fault, tmp_path):
+    # a missing file, or text with a byte that is not UTF-8, is an engine
+    # error naming the file, which the command line prints as an error line
+    path = tmp_path / "input"
+    if fault == "undecodable":
+        path.write_bytes(b"ncols 3\n\xff\n")
+    with pytest.raises(error, match=re.escape(str(path))):
+        reader(path)
 
 
 def test_traced_attributes_exist():

@@ -192,6 +192,16 @@ class TestCli:
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_undecodable_inputs_report_one_error_line(self, tmp_path, capsys):
+        # a byte that is not UTF-8 in the config, or in the grid to render
+        bad = tmp_path / "bad"
+        bad.write_bytes(b'{"method": "knn"\xff}')
+        assert main(["run", "--config", str(bad)]) == 1
+        assert main(["render", "--in", str(bad), "--palette", "sequential",
+                     "--out", str(tmp_path / "x.ppm")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and all(line.startswith("error: ") for line in lines), lines
+
     def test_run_bad_stage_reports_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({
