@@ -146,12 +146,12 @@ def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int, re
     the result is its row for query q, and the shape past the first axis
     and the dtype are those of ``reduce`` on 0 queries. So memory does not
     grow with queries x k. A reducer that treats each row on its own gives,
-    bit for bit, its value on the whole tables. A ``stats`` dict, if given,
-    receives the number of (query, candidate) distances computed, padding
-    not counted, as ``candidate_pairs``, which depends on the tile, and the
-    number of queries whose k nearest were sorted again stably (see
-    _first_k) as ``tie_resorts``, which depends on how the batches are cut;
-    the results depend on neither.
+    bit for bit, its value on the whole tables. A ``stats`` mapping, if
+    given, records the number of (query, candidate) distances computed,
+    padding not counted, as ``search_candidate_pairs``, which depends on the
+    tile, and the number of queries whose k nearest were sorted again stably
+    (see _first_k) as ``search_tie_resorts``, which depends on how the
+    batches are cut; the results depend on neither.
 
     A squared distance is the sum of the features' squared differences
     added in feature order from 0.0. Below 8 features this is bit for bit
@@ -193,7 +193,7 @@ def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int, re
     pairs = resorts = 0
     if nq == 0:
         if stats is not None:
-            stats["candidate_pairs"] = stats["tie_resorts"] = 0
+            stats["search_candidate_pairs"] = stats["search_tie_resorts"] = 0
         return reduced
     tile = SEARCH_TILE
     tiles = -(-nq // tile)
@@ -250,8 +250,8 @@ def neighbor_search(train_feats: np.ndarray, query_feats: np.ndarray, k: int, re
             pairs += tile * int(width.sum()) - (lo + count * tile - hi) * int(width[-1])
             resorts += tied
     if stats is not None:
-        stats["candidate_pairs"] = pairs
-        stats["tie_resorts"] = resorts
+        stats["search_candidate_pairs"] = pairs
+        stats["search_tie_resorts"] = resorts
     return reduced
 
 

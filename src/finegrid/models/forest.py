@@ -603,9 +603,10 @@ def tune_mtry(
     sum equals those of ``rf_fit`` on the fold's training records and
     ``rf_predict`` on its held-out records, bit for bit (see the module
     docstring), and no out-of-bag error is computed. All of it runs on the
-    calling thread. A ``stats`` dict, if given, receives ``cv_rmse``, each
-    candidate's mean fold RMSE, ``fold_rmse``, the (candidate, fold) RMSE
-    array, and ``fold_groups``, the number of folds in each group.
+    calling thread. A ``stats`` mapping, if given, records each candidate's
+    mean fold RMSE as ``mtry_cv_rmse``, its RMSE of each fold as
+    ``mtry_fold_rmse``, and the number of folds in each group as
+    ``mtry_tune_groups``.
     """
     z = train.require_targets()
     n, p = len(train), train.p
@@ -654,9 +655,9 @@ def tune_mtry(
             fold_rmse[ci, group] = [np.sqrt(np.mean(sq)) for sq in np.split(err * err, cuts)]
     mean_rmse = [np.mean(row) for row in fold_rmse]
     if stats is not None:
-        stats["cv_rmse"] = {c: float(m) for c, m in zip(candidates, mean_rmse)}
-        stats["fold_rmse"] = fold_rmse
-        stats["fold_groups"] = [group.stop - group.start for group in groups]
+        stats["mtry_cv_rmse"] = {c: float(m) for c, m in zip(candidates, mean_rmse)}
+        stats["mtry_fold_rmse"] = {c: row.tolist() for c, row in zip(candidates, fold_rmse)}
+        stats["mtry_tune_groups"] = [group.stop - group.start for group in groups]
     return candidates[int(np.argmin(mean_rmse))]
 
 

@@ -53,8 +53,8 @@ def knn_predict(
     batch is reduced as soon as it is searched (see neighbor_search), so
     memory does not grow with queries x k, and every row is reduced on its
     own, so each prediction is bit for bit that of the whole (nq, k)
-    tables. A ``stats`` dict, if given, receives the search's
-    ``candidate_pairs`` and ``tie_resorts``.
+    tables. A ``stats`` mapping, if given, records the search's
+    ``search_candidate_pairs`` and ``search_tie_resorts``.
     """
     z = train.require_targets()
 

@@ -188,6 +188,10 @@ def validate_config(raw: dict, base_dir=None) -> PipelineConfig:
         s["fine_factor"] = None
     elif s["fine_factor"] is None:
         raise UsageError("config needs a fine_factor or a fine_header")
+    if s["buffer_km"] > 0 and not s["region_file"]:
+        raise UsageError("config key 'buffer_km' above 0 needs a region_file to widen")
+    if s["min_count"] > 1 and not raw.get("daily_grids"):
+        raise UsageError("config key 'min_count' above 1 needs daily_grids to count")
     if s["mtry_grid"] == []:
         raise UsageError("config key 'mtry_grid' is empty; list candidates or use null")
     s["feature_mode"] = s["feature_mode"] or ("covariates" if s["method"] == "rf" else "coords")
@@ -221,8 +225,9 @@ def load_config(path) -> PipelineConfig:
 
 
 class _Facts(dict):
-    """The manifest's derived facts. Each one recorded is logged at INFO as
-    ``key: value``, the value in the manifest's own JSON encoding."""
+    """The manifest's derived facts, which the models record too, each under
+    its manifest name. Each one recorded is logged at INFO as ``key: value``,
+    the value in the manifest's own JSON encoding."""
 
     def __setitem__(self, key, value):
         super().__setitem__(key, value)
@@ -268,27 +273,13 @@ def _predict(cfg: PipelineConfig, training: PointTable, prediction: PointTable, 
     model_cfg = _model_config(s)
     if cfg.method != "rf":
         space = FeatureSpace.fit(s["feature_mode"], training)
-        stats = {}
         if cfg.method == "knn":
-            values = knn_predict(training, prediction, model_cfg, space, stats=stats)
-        else:
-            values, degrees = hyppo_predict_with_degrees(
-                training, prediction, model_cfg, space, stats=stats
-            )
-            counts = np.bincount(degrees)
-            derived["hyppo_neighbor_sets"] = stats["neighbor_sets"]
-            derived["hyppo_degree_counts"] = {int(d): int(counts[d]) for d in np.flatnonzero(counts)}
-            derived["hyppo_loo_fold_fits"] = stats["loo_fold_fits"]
-            derived["hyppo_query_refits"] = stats["query_refits"]
-        derived["search_candidate_pairs"] = stats["candidate_pairs"]
-        derived["search_tie_resorts"] = stats["tie_resorts"]
-        return values, None
+            return knn_predict(training, prediction, model_cfg, space, stats=derived), None
+        return hyppo_predict_with_degrees(training, prediction, model_cfg, space,
+                                          stats=derived)[0], None
     if model_cfg.mtry == "tune":
-        stats = {}
-        tuned = tune_mtry(training, model_cfg, s["mtry_grid"], folds=s["folds"], stats=stats)
+        tuned = tune_mtry(training, model_cfg, s["mtry_grid"], folds=s["folds"], stats=derived)
         derived["tuned_mtry"] = tuned
-        derived["mtry_cv_rmse"] = stats["cv_rmse"]
-        derived["mtry_tune_groups"] = stats["fold_groups"]
         model_cfg = replace(model_cfg, mtry=tuned)
     forest = rf_fit(training, model_cfg, workers=s["workers"])
     derived["oob_rmse"] = forest.oob_rmse

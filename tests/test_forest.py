@@ -444,9 +444,9 @@ class TestTuneOracle:
         cfg = RfConfig(ntree=4, mtry="tune", min_leaf=min_leaf, seed=5)
         ref = tune_rmse_ref(train, cfg, candidates, 3)
         choice, stats = self.tune(train, cfg, candidates, 3)
-        assert same_bits(stats["fold_rmse"], ref)
+        assert same_bits([stats["mtry_fold_rmse"][c] for c in candidates], ref)
         means = [np.mean(row) for row in ref]
-        assert stats["cv_rmse"] == dict(zip(candidates, means))
+        assert stats["mtry_cv_rmse"] == dict(zip(candidates, means))
         assert choice == candidates[int(np.argmin(means))]
 
 
@@ -658,7 +658,8 @@ class TestDeterminism:
         stats = {}
         choice = tune_mtry(train, RfConfig(ntree=4, mtry="tune", min_leaf=3, seed=7),
                            [1, 2, 3], folds=3, stats=stats)
-        return forest, rf_predict(forest, queries, workers=workers), stats["fold_rmse"], choice
+        return (forest, rf_predict(forest, queries, workers=workers),
+                list(stats["mtry_fold_rmse"].values()), choice)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_worker_count_invariance(self, rng, workers, monkeypatch):
@@ -968,7 +969,7 @@ class TestTuneMtry:
             stats = {}
             tune_mtry(train, RfConfig(ntree=4, mtry="tune", min_leaf=3, seed=7), [1, 2, 3],
                       folds=3, stats=stats)
-            assert stats["fold_groups"] == groups
+            assert stats["mtry_tune_groups"] == groups
             assert grown == [(4 * size, cand) for size in groups for cand in (1, 2, 3)]
             assert drawn == [100 - size for size in sizes]
         assert fits == []
@@ -988,7 +989,7 @@ class TestTuneMtry:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert stats["fold_groups"] == [1] * folds
+        assert stats["mtry_tune_groups"] == [1] * folds
         assert peak < folds * ntree * fitting * np.dtype(np.int64).itemsize
 
     def test_default_grid(self):

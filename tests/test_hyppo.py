@@ -298,8 +298,8 @@ class TestLooErrors:
         stats = {}
         hyppo_predict_with_degrees(train, queries, HyppoConfig(k=12, max_degree=3),
                                    FeatureSpace.fit("coords", train), stats=stats)
-        assert stats["loo_fold_fits"][3] > 0
-        assert stats["loo_fold_fits"][0] == 0
+        assert stats["hyppo_loo_fold_fits"][3] > 0
+        assert stats["hyppo_loo_fold_fits"][0] == 0
         feats, z = set_stack(train, queries, 12)
         fits = {}
         for degree in (1, 2, 3):
@@ -307,7 +307,7 @@ class TestLooErrors:
             fits[degree] = int(folded.sum())
             np.testing.assert_array_equal(errors[folded],
                                           fold_stack_errors(feats, z, degree)[folded])
-        assert fits == {d: stats["loo_fold_fits"][d] for d in (1, 2, 3)}
+        assert fits == {d: stats["hyppo_loo_fold_fits"][d] for d in (1, 2, 3)}
 
     def test_scattered_needs_no_fold_fit(self, rng):
         # points in general position, with k = 14 well above degree 3's ten
@@ -316,7 +316,7 @@ class TestLooErrors:
         stats = {}
         hyppo_predict_with_degrees(train, queries, HyppoConfig(k=14, max_degree=3),
                                    FeatureSpace.fit("coords", train), stats=stats)
-        assert stats["loo_fold_fits"] == {0: 0, 1: 0, 2: 0, 3: 0}
+        assert stats["hyppo_loo_fold_fits"] == {0: 0, 1: 0, 2: 0, 3: 0}
 
     def test_fold_lstsq_called_only_with_rows(self, rng, monkeypatch):
         # no call on an empty stack: the scattered sets at k 14 need no fold
@@ -365,8 +365,9 @@ class TestHyppoPredict:
         assert pred.shape == (0,) and pred.dtype == np.float64
         assert deg.shape == (0,) and deg.dtype == np.int64
         zeros = {d: 0 for d in range(4)}
-        assert stats == {"candidate_pairs": 0, "tie_resorts": 0, "neighbor_sets": 0,
-                         "loo_fold_fits": zeros, "query_refits": zeros}
+        assert stats == {"search_candidate_pairs": 0, "search_tie_resorts": 0,
+                         "hyppo_neighbor_sets": 0, "hyppo_degree_counts": {},
+                         "hyppo_loo_fold_fits": zeros, "hyppo_query_refits": zeros}
 
     def test_linear_field_exact(self, rng):
         lon = rng.uniform(0, 2, 40)
@@ -477,8 +478,8 @@ class TestHyppoPredict:
                 expect = (np.linalg.pinv(x, rcond=1e-10) @ train.target[idx[q]])[0]
                 assert abs(pred[q] - expect) <= 1e-12
                 set_path += 1
-            assert stats["query_refits"] == {d: int(np.count_nonzero(refit[deg == d]))
-                                             for d in admissible_degrees(2, k, 3)}
+            assert stats["hyppo_query_refits"] == {d: int(np.count_nonzero(refit[deg == d]))
+                                                   for d in admissible_degrees(2, k, 3)}
             seen.update(deg.tolist())
         assert seen == {0, 1, 2, 3}
         assert set_path > 0 and deficient_refits > 0
@@ -539,9 +540,9 @@ class TestHyppoPredict:
             for run, stats in zip(runs[1:], refits[1:]):
                 for a, b in zip(runs[0], run):
                     np.testing.assert_array_equal(a, b)
-                assert stats["query_refits"] == refits[0]["query_refits"]
+                assert stats["hyppo_query_refits"] == refits[0]["hyppo_query_refits"]
         degrees = runs[0][1]
-        assert 0 < refits[0]["query_refits"][3] < np.count_nonzero(degrees == 3)
+        assert 0 < refits[0]["hyppo_query_refits"][3] < np.count_nonzero(degrees == 3)
 
     def test_shared_neighbor_set_shares_degree(self, rng):
         train, queries = lattice_case(rng, 300)
@@ -571,7 +572,8 @@ class TestHyppoPredict:
             stats = {}
             hyppo_predict_with_degrees(train, queries, HyppoConfig(k=k), space, stats=stats)
             idx, _ = search_tables(space.features(train), space.features(queries), k)
-            assert stats["neighbor_sets"] == len({tuple(sorted(row)) for row in idx.tolist()})
+            assert stats["hyppo_neighbor_sets"] == len({tuple(sorted(row))
+                                                        for row in idx.tolist()})
 
     def test_search_keeps_only_small_indices(self, monkeypatch):
         # 400 coarse lattice centroids, 224 x 224 fine queries: the whole

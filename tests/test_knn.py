@@ -285,7 +285,7 @@ class TestNeighborSearch:
         kept = neighbor_search(rng.normal(0, 1, (30, 3)), np.empty((0, 3)), 4,
                                reduce=lambda idx, _: idx[:, :3].astype(np.int16), stats=stats)
         assert kept.shape == (0, 3) and kept.dtype == np.int16
-        assert stats == {"candidate_pairs": 0, "tie_resorts": 0}
+        assert stats == {"search_candidate_pairs": 0, "search_tie_resorts": 0}
 
     def test_feature_order_is_numpy_row_sum_below_8_features(self, rng):
         # the claim the search's exactness rests on, checked on the numpy at hand
@@ -364,11 +364,11 @@ class TestNeighborSearch:
             stats = {}
             with search_tile(1):
                 neighbor_search(train_f, query_f, k, lambda idx, d: d[:, 0], stats=stats)
-            assert stats["candidate_pairs"] == int(np.count_nonzero(dist <= reach))
+            assert stats["search_candidate_pairs"] == int(np.count_nonzero(dist <= reach))
             # any tiling scans at least k and at most every record per query
             with search_tile(None):
                 neighbor_search(train_f, query_f, k, lambda idx, d: d[:, 0], stats=stats)
-            assert k * len(query_f) <= stats["candidate_pairs"] <= dist.size
+            assert k * len(query_f) <= stats["search_candidate_pairs"] <= dist.size
 
     def test_batch_budget_invariance(self, rng):
         # one tile per batch, the default budget and one batch for the whole
@@ -387,7 +387,7 @@ class TestNeighborSearch:
                 with search_batch(pairs):
                     both = neighbor_search(train_f, query_f, k, lambda idx, dist: np.hstack(
                         [idx.astype(np.float64), dist]), stats=stats)
-                found.append((both.tobytes(), stats["candidate_pairs"]))
+                found.append((both.tobytes(), stats["search_candidate_pairs"]))
             assert found[0] == found[1] == found[2]
 
     @pytest.mark.parametrize("pairs", [0, 1500, None])
@@ -442,7 +442,7 @@ class TestNeighborSearch:
         bidx, bdist = brute_force_knn(train_f, query_f, k)
         np.testing.assert_array_equal(both[:, :k].astype(np.int64), bidx)
         np.testing.assert_array_equal(both[:, k:], bdist)
-        assert max(widths) > 2 * k and stats["tie_resorts"] > 0
+        assert max(widths) > 2 * k and stats["search_tie_resorts"] > 0
 
     def test_duplicate_training_rows_tie_break(self):
         train_f = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
@@ -475,7 +475,7 @@ class TestKnnPredict:
                                    KnnConfig(k=5, weighting=weighting),
                                    FeatureSpace.fit(mode, train), stats=stats)
                 assert pred.shape == (0,) and pred.dtype == np.float64
-                assert stats == {"candidate_pairs": 0, "tie_resorts": 0}
+                assert stats == {"search_candidate_pairs": 0, "search_tie_resorts": 0}
 
     def test_k1_recovers_training_targets(self, rng):
         train = random_table(rng, 30, 0)

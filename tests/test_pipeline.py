@@ -15,10 +15,16 @@ import pytest
 
 from finegrid import (
     EngineError,
+    FeatureSpace,
+    HyppoConfig,
+    KnnConfig,
     ParseError,
+    RfConfig,
     UsageError,
     contains,
     default_mtry_grid,
+    hyppo_predict_with_degrees,
+    knn_predict,
     load_config,
     make_scenario,
     read_ascii_grid,
@@ -29,6 +35,7 @@ from finegrid import (
     rf_predict,
     run_pipeline,
     sample_covariates,
+    tune_mtry,
     validate_config,
     write_ascii_grid,
     write_region,
@@ -38,9 +45,9 @@ import finegrid.models.forest as forest_module
 import finegrid.models.hyppo as hyppo_module
 from finegrid.grid import grid_centroids
 from finegrid.models.features import neighbor_search
-from finegrid.pipeline import _SCHEMA, OUTPUT_FILES
+from finegrid.pipeline import _SCHEMA, OUTPUT_FILES, _predict
 
-from conftest import logged_facts, search_tables
+from conftest import logged_facts, random_table, search_tables
 
 
 def dump_scenario(tmp_path, **kwargs):
@@ -205,12 +212,14 @@ class TestValidateConfig:
         ({"fine_header": {"ncols": 4, "nrows": 4, "xll": 0, "yll": 0, "cellsize": 1.0,
                           "nodata": float("nan")}}, "fine_header.nodata"),
         ({"mtry_grid": []}, "mtry_grid"),
+        ({"buffer_km": 5.0}, "buffer_km"),
+        ({"min_count": 2}, "min_count"),
     ], ids=["folds0", "folds1", "grid0", "grid-str", "grid-above-layers", "grid-bool",
             "mtry-above-layers", "rf-coords+covariates", "rf-no-layers", "header-xll-str",
             "header-cellsize-neg", "header-ncols-float", "header-unknown-key", "min-count0",
             "buffer-neg", "layer-not-path", "pca-no-layers", "buffer-nan", "header-xll-nan",
             "header-yll-nan", "header-xll-inf", "header-cellsize-inf", "header-xll-huge-int",
-            "header-nodata-nan", "grid-empty"])
+            "header-nodata-nan", "grid-empty", "buffer-no-region", "min-count-no-daily"])
     def test_config_fails_validation_naming_the_key(self, overrides, key):
         # each of these passed validation and then failed in a stage, or ran
         # with a value the engine changed
@@ -711,7 +720,8 @@ class TestRf:
         # a fixed mtry is used as given, with no tuning facts
         derived = result.manifest["derived"]
         assert derived["mtry_used"] == 1
-        assert not {"tuned_mtry", "mtry_cv_rmse", "mtry_tune_groups"} & derived.keys()
+        assert not ({"tuned_mtry", "mtry_cv_rmse", "mtry_fold_rmse", "mtry_tune_groups"}
+                    & derived.keys())
 
     def test_tuned_mtry_recorded(self, tmp_path, caplog):
         _, data_dir = dump_scenario(tmp_path, n_covariates=3)
@@ -729,6 +739,10 @@ class TestRf:
         cv_rmse = {int(c): rmse for c, rmse in derived["mtry_cv_rmse"].items()}
         assert list(cv_rmse) == default_mtry_grid(3)
         assert min(cv_rmse, key=cv_rmse.get) == derived["tuned_mtry"]
+        # each candidate's mean fold RMSE is the mean of its 3 folds' RMSEs
+        fold_rmse = {int(c): rmse for c, rmse in derived["mtry_fold_rmse"].items()}
+        assert cv_rmse == {c: float(np.mean(rmse)) for c, rmse in fold_rmse.items()}
+        assert all(len(rmse) == 3 for rmse in fold_rmse.values())
         # the 3 folds' 4 trees each fit one ROUTE_PAIRS group
         assert derived["mtry_tune_groups"] == [3]
         assert np.isfinite(derived["oob_rmse"])
@@ -1244,6 +1258,37 @@ class TestHyppoPipeline:
         a = read_ascii_grid(knn_out / "prediction.asc")
         b = read_ascii_grid(hyppo_out / "prediction.asc")
         np.testing.assert_array_equal(a.values, b.values)
+
+
+class TestPredictFacts:
+    """Each model records its facts into ``derived`` under the manifest's
+    names, so the pipeline copies none of them."""
+
+    @pytest.mark.parametrize("method", ["knn", "hyppo", "rf"])
+    def test_derived_holds_what_the_model_records(self, rng, method):
+        train, queries = random_table(rng, 60, 3), random_table(rng, 40, 3)
+        cfg = validate_config({
+            "observed_grid": "obs.asc", "output_dir": "out", "method": method, "k": 8,
+            "max_degree": 2, "ntree": 4, "folds": 3, "mtry_grid": [1, 2, 3],
+            "covariate_layers": ["c1.asc", "c2.asc", "c3.asc"]})
+        derived = {}
+        _predict(cfg, train, queries, derived)
+        recorded = {}
+        if method == "rf":
+            tune_mtry(train, RfConfig(ntree=4, mtry="tune", seed=0), [1, 2, 3], folds=3,
+                      stats=recorded)
+            own = {"tuned_mtry", "mtry_used", "oob_rmse", "forest_nodes", "forest_max_depth"}
+        else:
+            space = FeatureSpace.fit("coords", train)
+            if method == "knn":
+                knn_predict(train, queries, KnnConfig(8), space, stats=recorded)
+            else:
+                hyppo_predict_with_degrees(train, queries, HyppoConfig(8, 2), space,
+                                           stats=recorded)
+            own = set()
+        assert recorded
+        assert derived.keys() - recorded.keys() == own
+        assert {key: derived[key] for key in recorded} == recorded
 
 
 @pytest.mark.parametrize("reader, error, fault", [
